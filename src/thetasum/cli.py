@@ -4,8 +4,8 @@ Subcommands mirror the library layers: inspect series coefficients, dualize
 a spec, transform radial profiles, verify the summation identity, check the
 modular relation, and compare Hermite coefficient routes.
 
-Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 bad usage or
-malformed input, 3 resource or tolerance cap hit.
+Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 bad usage,
+malformed input or any other thetasum error, 3 resource or tolerance cap hit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import hermite as hm
 from . import summation as sm
 from . import theta as th
 from . import transform as tr
-from .errors import DomainError, InvalidSpec, ToleranceNotMet
+from .errors import DomainError, InvalidSpec, ThetasumError, ToleranceNotMet
 
 _PRESETS = ("zd", "dd", "theta4d")
 
@@ -250,12 +250,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ToleranceNotMet as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ThetasumError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

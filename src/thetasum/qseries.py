@@ -212,6 +212,19 @@ def _aligned_offsets(offsets: Sequence[int | float], V: int) -> tuple[int, int |
     return m, base_scaled, shifts
 
 
+def _power_offset(alpha: float, offset: OffsetLike) -> OffsetLike:
+    """alpha * offset, kept exact when both are rational.
+
+    alpha counts as rational when it is a fraction with denominator at most
+    the cap; otherwise, or for a float offset, the product is a float.
+    """
+    if isinstance(offset, (int, Fraction)):
+        fr = Fraction(alpha).limit_denominator(_OFFSET_DEN_CAP)
+        if float(fr) == alpha:
+            return fr * offset
+    return alpha * float(offset)
+
+
 def _fsum_dot(x: np.ndarray, y: np.ndarray) -> float:
     """Exactly-rounded dot product of two equal-length arrays."""
     return math.fsum(x * y)
@@ -295,6 +308,12 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
 
     The exponent offset multiplies by alpha; rational results fold back
     onto an integer grid, irrational ones are carried as floats.
+
+    The recurrence amplifies rounding on sparse inputs such as theta
+    series.  For non-integer powers of a theta series at L = 1024, measured
+    against mpmath, the relative error passes 1e-12 by l ~ 27-69 and passes
+    1 by l ~ 220-265, while reliable_exponent still claims the whole range.
+    ``theta.build`` does not use it: it builds from the product form.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -306,13 +325,7 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
     if alpha == 0.0:
         return unit()
 
-    fr = Fraction(alpha).limit_denominator(_OFFSET_DEN_CAP)
-    exact_alpha = float(fr) == alpha and fr.denominator <= _OFFSET_DEN_CAP
-    if isinstance(a.offset_A, int):
-        off: OffsetLike = fr * a.offset_A if exact_alpha else alpha * a.offset_A
-    else:
-        off = alpha * float(a.offset_A)
-
+    off = _power_offset(alpha, a.offset_A)
     c = a.coeffs
     L = a.trunc_L
     b = np.zeros(L + 1, dtype=np.float64)

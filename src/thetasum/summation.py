@@ -20,7 +20,7 @@ import numpy as np
 from . import theta as th
 from . import transform as tr
 from . import qseries as qs
-from .errors import ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet
 from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled, TransformSettings
 
@@ -82,6 +82,10 @@ def _shell_sum(spec: ThetaSpec, fn: RadialFunction, tol: float, L_cap: int) -> S
         if tail < 0.1 * tol:
             radii = np.sqrt(series.exponents())
             vals = fn.eval(radii)
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i = bad[0]
+                raise DomainError(f"radial profile is {vals[i]} at r = {float(radii[i])!r}")
             terms = series.coeffs * vals
             value = math.fsum(terms)
             abs_sum = math.fsum(np.abs(terms))
@@ -114,7 +118,10 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     def fhat_at(p: float) -> tr.FTResult:
         key = round(float(p), 12)
         if key not in cache:
-            cache[key] = tr.ft_quadrature(f, key, d, settings)
+            res = tr.ft_quadrature(f, key, d, settings)
+            if not math.isfinite(res.value):
+                raise DomainError(f"transformed profile is {res.value} at p = {key!r}")
+            cache[key] = res
         return cache[key]
 
     L = 32

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from thetasum import cli
+from thetasum import errors
 from thetasum import theta as th
 
 
@@ -184,3 +185,18 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["pass"] is False
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("cls", errors.ThetasumError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
+    error = cls("boom", 1e20) if cls is errors.IllConditioned else cls("boom")
+
+    def fail(spec, L):
+        raise error
+
+    monkeypatch.setattr(th, "build", fail)
+    code, out, err = run(capsys, ["theta-coeffs", "--preset", "zd", "--dim", "2"])
+    assert code == (3 if cls is errors.ToleranceNotMet else 2)
+    assert out == ""
+    assert err == "error: boom\n"

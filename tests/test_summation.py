@@ -1,6 +1,7 @@
 """Both sides of the summation identity and the verification report."""
 
 import math
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from thetasum import qseries as qs
 from thetasum import summation as sm
 from thetasum import theta as th
 from thetasum import transform as tr
-from thetasum.errors import ToleranceNotMet
+from thetasum.errors import DomainError, ToleranceNotMet
 
 from conftest import even_sum_counts, lattice_counts
 
@@ -91,6 +92,30 @@ def test_identity_balances_for_mixed_scales():
     report = sm.verify(spec, GAUSS, tol=1e-10)
     assert report.passed
     assert report.residual < 1e-9
+
+
+@pytest.mark.parametrize("name", ["zd", "dd", "theta4d"])
+@pytest.mark.parametrize("d", [2.4, 2.5, 3.3])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_wide_gaussian_verifies_at_noninteger_dimension(name, d, tol):
+    # alpha = 0.04 needs shells out to l ~ 1000-2000, far past the order
+    # where a power recurrence on the theta series keeps any digits
+    f = tr.GaussPoly(((1.0, 0, 0.04),))
+    report = sm.verify(th.preset(name, d), f, tol=tol)
+    assert report.passed
+    assert report.residual < tol
+
+
+@pytest.mark.parametrize("side", [
+    lambda spec, f: sm.verify(spec, f),
+    lambda spec, f: sm.rhs_sum(spec, f, 1e-10),
+], ids=["verify", "rhs_sum"])
+def test_non_finite_profile_fails_fast(side):
+    f = tr.Sampled(lambda r: math.nan, decay_hint=(1.0, 1.0))
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        side(th.preset("zd", 2), f)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_sampled_profile_agrees_with_closed_route():

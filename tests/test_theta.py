@@ -1,8 +1,10 @@
 """Theta factors, spec algebra, duals, and the modular relation."""
 
+import functools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,6 +108,140 @@ def test_build_integer_scale_mix():
                 want[n] += 1
     for l in range(21):
         assert series.coeff(l) == pytest.approx(want[l], abs=1e-10)
+
+
+C5_SPEC = th.ThetaSpec(
+    terms=((1.0, (th.ThetaFactor(3, 1.2, Fraction(1)),
+                  th.ThetaFactor(4, 0.8, Fraction(3)))),),
+    dim_d=2.0,
+)
+
+
+def _power_and_product_build(spec, L):
+    """Reference route: each factor by Miller's power recurrence, then products."""
+    pieces = []
+    for coeff, factors in spec.terms:
+        term = None
+        for f in factors:
+            s = th.theta_series(f.kind, max(1, math.ceil(L / f.scale)))
+            s = qs.pow_real(qs.rescale(s, f.scale), f.power)
+            term = s if term is None else qs.mul(term, s)
+        pieces.append((coeff, term))
+    return qs.lincomb(pieces)
+
+
+@pytest.mark.parametrize("spec", [
+    th.preset("zd", 2.5),
+    th.preset("dd", 2.4),
+    th.preset("theta4d", 3.3),
+    th.dual(th.preset("dd", 2.4)),
+    th.dual(th.preset("theta4d", 3.3)),
+    th.dual(th.preset("dd", 2.417)),       # offset folded onto a 4000x grid
+    th.dual(th.preset("theta4d", math.pi)),  # float offset
+    C5_SPEC,
+    th.dual(C5_SPEC),
+    th.ThetaSpec(
+        terms=((0.5, (th.ThetaFactor(3, 0.5, Fraction(1)),
+                      th.ThetaFactor(4, 0.7, Fraction(2)),
+                      th.ThetaFactor(2, 1.3, Fraction(1, 2)))),
+               (-0.25, (th.ThetaFactor(2, 2.0, Fraction(3)),
+                        th.ThetaFactor(3, 0.5, Fraction(1, 3)))),),
+        dim_d=2.5,
+    ),
+], ids=["zd", "dd", "theta4d", "dual-dd", "dual-theta4d", "dual-dd-fold",
+        "dual-theta4d-float", "c5", "dual-c5", "three-factor"])
+@pytest.mark.parametrize("L", [1, 5, 16])
+def test_build_keeps_grid_of_power_and_product_route(spec, L):
+    new = th.build(spec, L)
+    ref = _power_and_product_build(spec, L)
+    assert (new.denom_V, new.trunc_L) == (ref.denom_V, ref.trunc_L)
+    assert type(new.offset_A) is type(ref.offset_A)
+    assert new.offset_A == pytest.approx(ref.offset_A, rel=1e-15)
+    scale = np.maximum.accumulate(np.abs(ref.coeffs))
+    assert np.all(np.abs(new.coeffs - ref.coeffs) <= 1e-12 * scale)
+
+
+_BITS = 200
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_factor_power(kind: int, power: float, n: int) -> tuple[int, ...]:
+    """P^power to x^n, rounded to integers in units of 2^-_BITS.
+
+    P is theta3 or theta4, or theta2(q) / (2 q^{1/4}) in x = q^2, whose
+    nonzero coefficients sit at the triangular numbers.  Miller's recurrence
+    runs over the few nonzero a_k at 70 digits, which absorbs its ~1e36
+    amplification at these orders.
+    """
+    if kind == 2:
+        nz = [(l * (l + 1) // 2, 1) for l in range(1, math.isqrt(2 * n) + 1)]
+    else:
+        nz = [(l * l, 2 * (-1 if kind == 4 else 1) ** l)
+              for l in range(1, math.isqrt(n) + 1)]
+    nz = [(k, a) for k, a in nz if k <= n]
+    with mp.workdps(70):
+        alpha = mp.mpf(power)
+        b = [mp.mpf(1)]
+        for m in range(1, n + 1):
+            b.append(mp.fsum(((alpha + 1) * k - m) * a * b[m - k]
+                             for k, a in nz if k <= m) / m)
+        return tuple(int(mp.nint(x * 2**_BITS)) for x in b)
+
+
+def _oracle_coeffs(spec, series):
+    """Coefficients of spec on the grid of series, and their running magnitude."""
+    want = np.zeros(series.trunc_L + 1)
+    mag = np.zeros(series.trunc_L + 1)
+    for coeff, factors in spec.terms:
+        steps = [f.scale * (2 if f.kind == 2 else 1) for f in factors]
+        D = math.lcm(*(st.denominator for st in steps))
+        x0 = math.fsum(f.power * f.scale / 4 for f in factors if f.kind == 2)
+        n = math.floor((series.reliable_exponent() - x0) * D + 1e-9)
+        prod = np.zeros(n + 1, dtype=object)
+        prod[0] = 1 << _BITS
+        for f, st in zip(factors, steps):
+            k = int(st * D)
+            fac = np.array(_mp_factor_power(f.kind, f.power, n // k), dtype=object)
+            out = np.zeros(n + 1, dtype=object)
+            for i in np.flatnonzero(prod):
+                m = (n - i) // k + 1
+                out[i:i + k * m:k] += prod[i] * fac[:m]
+            prod = out >> _BITS
+        c = coeff * 2.0 ** math.fsum(f.power for f in factors if f.kind == 2)
+        pos = (x0 + np.arange(n + 1) / D) * series.denom_V - float(series.offset_A)
+        idx = np.rint(pos).astype(int)
+        assert np.all(np.abs(pos - idx) < 1e-6) and idx[-1] <= series.trunc_L
+        vals = c * np.array([v / 2**_BITS for v in prod])
+        want[idx] += vals
+        mag[idx] += np.abs(vals)
+    return want, np.maximum.accumulate(mag)
+
+
+@pytest.mark.parametrize("spec", [
+    th.preset("zd", 2.5),
+    th.preset("dd", 2.4),
+    th.preset("theta4d", 3.3),
+    th.dual(th.preset("dd", 2.4)),
+    th.dual(th.preset("theta4d", 3.3)),
+    C5_SPEC,
+    th.dual(C5_SPEC),
+], ids=["zd", "dd", "theta4d", "dual-dd", "dual-theta4d", "c5", "dual-c5"])
+def test_build_matches_mpmath_oracle_at_order_1024(spec):
+    series = th.build(spec, 1024)
+    want, scale = _oracle_coeffs(spec, series)
+    assert np.all(np.abs(series.coeffs - want) <= 1e-11 * scale)
+
+
+@pytest.mark.parametrize("name,counts", [("zd", lattice_counts),
+                                         ("dd", even_sum_counts),
+                                         ("theta4d", signed_counts)])
+@pytest.mark.parametrize("d,L", [(3, 1024), (2, 4096)])
+def test_build_matches_lattice_counts_at_high_order(name, counts, d, L):
+    series = th.build(th.preset(name, d), L)
+    want = np.array(counts(d, L), dtype=np.float64)
+    scale = np.maximum.accumulate(np.abs(want))
+    assert series.trunc_L == L
+    assert np.all(np.abs(series.coeffs - want) <= 1e-11 * scale)
 
 
 def test_build_noninteger_dimension_runs():
