@@ -63,6 +63,7 @@ from .transform import (
     ft_closed,
     ft_gausspoly,
     ft_quadrature,
+    ft_quadrature_many,
     gamma_fn,
     hyp0f1,
     laplacian_d,
@@ -100,6 +101,7 @@ __all__ = [
     "ft_closed",
     "ft_gausspoly",
     "ft_quadrature",
+    "ft_quadrature_many",
     "gamma_fn",
     "gaussian_hermite_coeff",
     "gaussian_span_fit",

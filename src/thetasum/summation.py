@@ -103,9 +103,12 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     """Dual-side shell sum of the transformed profile.
 
     Gaussian-polynomial profiles go through the closed-form transform
-    (again a GaussPoly, so the rigorous tail machinery applies); Sampled
-    profiles are transformed shell by shell with quadrature, cached per
-    radius, and truncated by measured decay (reported, heuristic).
+    (again a GaussPoly, so the rigorous tail machinery applies).  Sampled
+    profiles are transformed with ``ft_quadrature_many``: at each doubling
+    of the order, the radii not seen before share one quadrature grid.  The
+    sum is truncated by measured decay (reported, heuristic), and stops
+    early once the decay windows hold no more than the transform's own
+    error estimates, its noise floor.
     """
     dspec = th.dual(spec)
     d = spec.dim_d
@@ -113,54 +116,53 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
         fhat = tr.ft_gausspoly(f, d, settings)
         return _shell_sum(dspec, fhat, tol, L_cap)
 
-    cache: dict[float, tr.FTResult] = {}
-
-    def fhat_at(p: float) -> tr.FTResult:
-        key = round(float(p), 12)
-        if key not in cache:
-            res = tr.ft_quadrature(f, key, d, settings)
-            if not math.isfinite(res.value):
-                raise DomainError(f"transformed profile is {res.value} at p = {key!r}")
-            cache[key] = res
-        return cache[key]
-
+    cache: dict[float, tuple[float, float]] = {}  # round(p, 12) -> (value, error)
     L = 32
     while True:
         series = th.build(dspec, L)
-        exps = series.exponents()
-        radii = np.sqrt(exps)
         nz = np.flatnonzero(series.coeffs)
-        results = {int(i): fhat_at(radii[i]) for i in nz}
-        terms = [series.coeffs[i] * results[i].value for i in nz]
+        exps = series.exponents()[nz]
+        coeffs = series.coeffs[nz]
+        keys = [round(p, 12) for p in np.sqrt(exps).tolist()]
+        new = sorted(set(keys).difference(cache))
+        if new:
+            values, errors = tr.ft_quadrature_many(f, new, d, settings)
+            cache.update(zip(new, zip(values.tolist(), errors.tolist())))
+        fhat = np.array([cache[k] for k in keys]).reshape(-1, 2)
+        terms = coeffs * fhat[:, 0]
+        weighted_err = np.abs(coeffs) * fhat[:, 1]
         value = math.fsum(terms)
-        abs_sum = math.fsum(abs(t) for t in terms)
-        budget = math.fsum(abs(series.coeffs[i]) * results[i].error for i in nz)
+        abs_sum = math.fsum(np.abs(terms))
+        budget = math.fsum(weighted_err)
         # measured-decay cutoff: compare term mass in two adjacent wide
         # windows and extrapolate the remainder geometrically.  Power-law
         # decay keeps the ratio near one and forces further doubling;
         # transformed profiles with genuine Gaussian tails accept quickly.
         top = series.reliable_exponent()
         width = max(1.0, top / 8.0)
-        w_near = math.fsum(
-            abs(t) for i, t in zip(nz, terms) if exps[i] > top - width
-        )
-        w_far = math.fsum(
-            abs(t) for i, t in zip(nz, terms)
-            if top - 2.0 * width < exps[i] <= top - width
-        )
-        if w_near == 0.0:
+        near = exps > top - width
+        far = (exps > top - 2.0 * width) & ~near
+        w_near = math.fsum(np.abs(terms[near]))
+        w_far = math.fsum(np.abs(terms[far]))
+        # no more mass than the transform's error estimates allow: the
+        # windows hold rounding noise, and doubling cannot shrink it
+        at_floor = w_near + w_far <= math.fsum(weighted_err[near | far])
+        if at_floor:
+            tail = w_near + w_far
+        elif w_near == 0.0:
             tail = 10.0 * w_far
         elif w_near < w_far:
             ratio = w_near / w_far
             tail = 10.0 * w_near * ratio / (1.0 - ratio)
         else:
             tail = math.inf
-        if tail < 0.1 * tol or L >= L_cap:
-            if tail >= 0.1 * tol:
-                raise ToleranceNotMet(
-                    f"dual-sum measured tail {tail:.3e} above {0.1 * tol:.3e} at cap {L_cap}"
-                )
+        if tail < 0.1 * tol:
             return ShellSum(value, series.trunc_L, tail, abs_sum, budget)
+        if at_floor or L >= L_cap:
+            where = "at the transform's noise floor" if at_floor else f"at cap {L_cap}"
+            raise ToleranceNotMet(
+                f"dual-sum measured tail {tail:.3e} above {0.1 * tol:.3e} {where}"
+            )
         L = min(2 * L, L_cap)
 
 
@@ -214,7 +216,7 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
 
     table = None
     if with_table:
-        table = _term_table(spec, f, left, right)
+        table = _term_table(spec, f, settings)
     return VerificationReport(
         lhs=left.value,
         rhs=right.value,
@@ -231,7 +233,7 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
 
 
 def _term_table(spec: ThetaSpec, f: RadialFunction,
-                left: ShellSum, right: ShellSum) -> tuple:
+                settings: TransformSettings) -> tuple:
     """Leading diagnostic rows (first shells of both sides)."""
     d = spec.dim_d
     rows = []
@@ -242,9 +244,9 @@ def _term_table(spec: ThetaSpec, f: RadialFunction,
         if side == "lhs":
             vals = f.eval(radii)
         elif isinstance(f, GaussPoly):
-            vals = tr.ft_gausspoly(f, d).eval(radii)
+            vals = tr.ft_gausspoly(f, d, settings).eval(radii)
         else:
-            vals = np.array([tr.ft_quadrature(f, float(r), d).value for r in radii])
+            vals = tr.ft_quadrature_many(f, radii, d, settings)[0]
         for l in np.flatnonzero(s.coeffs):
             rows.append({
                 "side": side,

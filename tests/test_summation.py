@@ -130,14 +130,47 @@ def test_sampled_profile_agrees_with_closed_route():
     assert sampled.rhs == pytest.approx(closed.rhs, abs=1e-8)
 
 
-def test_cusp_profile_verifies():
+def test_cusp_profile_verifies(monkeypatch):
     # e^{-r^3} decays faster than any Gaussian but its transform only
     # decays polynomially, so the dual sum needs thousands of shells
+    blocks = []
+    kernel = tr._kernel
+
+    def recording_kernel(a, x):
+        blocks.append(x.size)
+        return kernel(a, x)
+
+    monkeypatch.setattr(tr, "_kernel", recording_kernel)
     f = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
+    t0 = time.perf_counter()
     report = sm.verify(th.preset("zd", 2), f, tol=2e-5)
+    assert time.perf_counter() - t0 < 3.0
     assert report.passed
     assert report.residual < 1e-5
     assert report.residual <= 10.0 * report.tail_rhs  # heuristic stayed honest
+    # thousands of radii share one grid per doubling, in bounded chunks
+    assert report.L_star_used == 2048
+    assert sum(blocks) > 2 * tr._KERNEL_CHUNK
+    assert max(blocks) <= tr._KERNEL_CHUNK
+
+
+@pytest.mark.parametrize("name,d,a,b,hint", [
+    ("dd", 3.5, 1.31, 0.51, (1.01, 0.655)),
+    ("theta4d", 2.7, 3.7, 0.0, (1.0, 3.7)),
+])
+def test_sampled_dual_sum_stops_at_transform_noise_floor(name, d, a, b, hint):
+    # past the first order the dual terms of these fast-decaying profiles
+    # are rounding noise of the transform, and two noise windows have a
+    # decay ratio near one; without the noise-floor stop the theta4d case
+    # doubles to its order cap and raises ToleranceNotMet there
+    spec = th.preset(name, d)
+    f = tr.Sampled(lambda r: math.exp(-a * r * r) * (1.0 + b * r * r), decay_hint=hint)
+    t0 = time.perf_counter()
+    report = sm.verify(spec, f, tol=1e-8)
+    assert time.perf_counter() - t0 < 1.0
+    assert report.passed
+    assert report.residual < 1e-8
+    assert report.L_star_used == th.build(th.dual(spec), 32).trunc_L
 
 
 def test_tails_enter_pass_rule():
@@ -164,6 +197,27 @@ def test_per_term_table_on_request():
     assert sides == {"lhs", "rhs"}
     row = report.per_term_table[0]
     assert set(row) == {"side", "l", "A", "N", "term"}
+
+
+def test_per_term_table_of_sampled_profile_matches_closed_route():
+    spec = th.preset("zd", 2.5)
+    sampled = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    rows = sm.verify(spec, sampled, tol=1e-8, with_table=True).per_term_table
+    want = sm.verify(spec, GAUSS, tol=1e-8, with_table=True).per_term_table
+    assert len(rows) == len(want)
+    assert {row["side"] for row in rows} == {"lhs", "rhs"}
+    for got, ref in zip(rows, want):
+        assert (got["side"], got["l"], got["A"], got["N"]) == (
+            ref["side"], ref["l"], ref["A"], ref["N"])
+        assert got["term"] == pytest.approx(ref["term"], rel=1e-10, abs=1e-12)
+
+
+def test_per_term_table_uses_caller_settings():
+    # a tolerance the transform cannot reach must reach the table too
+    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    settings = tr.TransformSettings(rel_tol=1e-16, abs_tol=1e-30)
+    with pytest.raises(ToleranceNotMet):
+        sm._term_table(th.preset("zd", 2), f, settings)
 
 
 def test_report_table_absent_by_default():

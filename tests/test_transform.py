@@ -211,3 +211,97 @@ def test_slow_decay_hint_exhausts_panels():
     s = tr.Sampled(lambda r: math.exp(-1e-6 * r * r), decay_hint=(1.0, 1e-6))
     with pytest.raises(ToleranceNotMet):
         tr.ft_quadrature(s, 1.0, 3.0)
+
+
+# -- shared-grid transform ---------------------------------------------------
+
+
+def _as_sampled(g):
+    """g behind the Sampled interface, with a valid decay hint:
+    r^{2k} e^{-alpha r^2} <= (2k / (e alpha))^k e^{-alpha r^2 / 2}."""
+    scale = sum(abs(c) * (2 * k / (math.e * a)) ** k for c, k, a in g.terms)
+
+    def fn(r):
+        return sum(c * r ** (2 * k) * math.exp(-a * r * r) for c, k, a in g.terms)
+    return tr.Sampled(fn, decay_hint=(scale, min(a for _, _, a in g.terms) / 2))
+
+
+HONESTY_PROFILES = [
+    tr.GaussPoly(((1.0, 0, 1.0),)),
+    tr.GaussPoly(((1.0, 0, 1.0), (0.5, 1, 2.0), (-0.2, 2, 0.8))),
+    tr.GaussPoly(((0.7, 2, 3.0),)),
+]
+
+
+@pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 2.7, 3.5, 4.0])
+@pytest.mark.parametrize("g", HONESTY_PROFILES, ids=["gauss", "mixed", "r4"])
+def test_shared_grid_error_estimate_is_honest(d, g):
+    ps = np.sqrt([0.0, 1.0, 2.0, 5.0, 17.0, 100.0, 613.0, 4096.0])
+    values, errors = tr.ft_quadrature_many(_as_sampled(g), ps, d)
+    closed = tr.ft_gausspoly(g, d).eval(ps)
+    prefactor = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    assert np.all(np.abs(values - closed) <= errors + 1e-15 * prefactor)
+    assert np.all(errors < 1e-12)
+
+
+def test_shared_grid_refuses_structure_finer_than_its_panels():
+    # the panels follow the kernel period at the largest radius; a profile
+    # oscillating several times per panel shows up as a disagreement of
+    # the two rules, which must not pass as a value
+    f = tr.Sampled(lambda r: math.exp(-r * r) * math.cos(40.0 * r), decay_hint=(1.0, 1.0))
+    with pytest.raises(ToleranceNotMet):
+        tr.ft_quadrature_many(f, [0.0, 0.5], 2.5)
+
+
+@pytest.mark.parametrize("d", [2.0, 2.5])
+def test_shared_grid_matches_adaptive_oracle(d):
+    # the cusp has no closed form; ft_quadrature is the independent route
+    f = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
+    ps = [0.0, 0.7, 3.1, 12.0]
+    values, errors = tr.ft_quadrature_many(f, ps, d)
+    for p, v, e in zip(ps, values, errors):
+        want = tr.ft_quadrature(f, p, d)
+        assert abs(v - want.value) <= e + want.error
+
+
+def test_shared_grid_evaluates_the_profile_once():
+    # the profile is sampled once per grid, not once per radius: 50 radii
+    # cost as many calls as their largest alone, which fixes the panels
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return math.exp(-r * r)
+
+    f = tr.Sampled(fn, decay_hint=(1.0, 1.0))
+    ps = np.sqrt(np.arange(50.0))
+    tr.ft_quadrature_many(f, ps[-1:], 2.5)
+    alone = len(calls)
+    calls.clear()
+    tr.ft_quadrature_many(f, ps, 2.5)
+    assert len(calls) == alone == len(set(calls))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.75, 1.0, 1.35, 1.5, 2.0, 2.35])
+def test_vectorised_kernel_matches_scalar_across_series_switch(a):
+    z = np.array([0.0, 1e-3, 0.5, 7.0, 24.0, 24.99, 25.01, 26.0, 400.0, 4e4])
+    assert tr._SERIES_SWITCH == 25.0
+    got = tr._kernel(a, np.sqrt(z))
+    want = [tr.hyp0f1(a, -zz) for zz in z]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_shared_grid_rejects_bad_input():
+    with pytest.raises(DomainError):
+        tr.ft_quadrature_many(GAUSS, [0.5, -0.1], 2.0)
+    nan = tr.Sampled(lambda r: math.nan, decay_hint=(1.0, 1.0))
+    with pytest.raises(DomainError):
+        tr.ft_quadrature_many(nan, [0.0, 1.0], 2.0)
+    values, errors = tr.ft_quadrature_many(GAUSS, [], 2.0)
+    assert values.size == errors.size == 0
+
+
+def test_shared_grid_unreachable_tolerance_raises():
+    settings = tr.TransformSettings(rel_tol=1e-16, abs_tol=1e-30)
+    with pytest.raises(ToleranceNotMet):
+        tr.ft_quadrature_many(GAUSS, [0.5, 1.0], 3.0, settings)
