@@ -64,7 +64,6 @@ from .transform import (
     ft_gausspoly,
     ft_quadrature,
     ft_quadrature_many,
-    gamma_fn,
     hyp0f1,
     laplacian_d,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ft_gausspoly",
     "ft_quadrature",
     "ft_quadrature_many",
-    "gamma_fn",
     "gaussian_hermite_coeff",
     "gaussian_span_fit",
     "hermite_coeff_quadrature",

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import theta as th
 from . import transform as tr
-from . import qseries as qs
 from .errors import DomainError, ToleranceNotMet
 from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled, TransformSettings
@@ -33,6 +32,7 @@ class ShellSum(NamedTuple):
     tail: float
     abs_sum: float  # sum of |term| magnitudes, for rounding floors
     budget: float   # accumulated transform error estimates
+    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells
 
 
 def _poly_gauss_tail(C: float, n: float, A0: float, h: float, alpha: float) -> float:
@@ -46,55 +46,118 @@ def _poly_gauss_tail(C: float, n: float, A0: float, h: float, alpha: float) -> f
     return t0 / (1.0 - r)
 
 
-def _coeff_growth(series: qs.QSeries, d: float) -> float:
+def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
     """Measured constant C with |N_l| <= C max(A_l, 1)^d on the built range."""
-    A = np.maximum(series.exponents(), 1.0)
-    mags = np.abs(series.coeffs)
-    return 4.0 * float(np.max(mags / A**d))
+    return 4.0 * float(np.max(np.abs(N) / np.maximum(A, 1.0)**d, initial=0.0))
 
 
-def _series_tail(series: qs.QSeries, d: float, envelope) -> float:
-    """Tail bound for sum_{l > trunc} |N_l| env(A_l) with |N_l| <= C A^d."""
-    C = _coeff_growth(series, d)
-    h = 1.0 / series.denom_V
-    A_next = series.reliable_exponent() + h
-    total = 0.0
-    for c, k, alpha in envelope:
-        total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
-    return total
+def _majorant(f: RadialFunction, d: float):
+    """Tail estimator: sum_{l > trunc} |N_l| env(A_l) with |N_l| <= C A^d.
+
+    env is the incomplete-gamma envelope of f, and C is ``_coeff_growth``.
+    """
+    if not isinstance(f, (GaussPoly, Sampled)):
+        raise TypeError("radial profile must be GaussPoly or Sampled")
+    envelope = tr._tail_envelope(f)
+
+    def tail(series, A, N, terms, errors):
+        C = _coeff_growth(A, N, d)
+        h = 1.0 / series.denom_V
+        A_next = series.reliable_exponent() + h
+        total = 0.0
+        for c, k, alpha in envelope:
+            total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
+        return total, False
+
+    return tail
+
+
+def _measured_decay(series, A, N, terms, errors):
+    """Tail estimator from the term mass of two adjacent wide windows.
+
+    The remainder is extrapolated geometrically from the windows' ratio.
+    Power-law decay keeps the ratio near one and forces further doubling;
+    transformed profiles with genuine Gaussian tails accept quickly.  When
+    the windows hold no more mass than the transform's error estimates
+    allow, they hold rounding noise, doubling cannot shrink it, and the
+    second value (the noise floor) is True.
+    """
+    top = series.reliable_exponent()
+    width = max(1.0, top / 8.0)
+    near = A > top - width
+    far = (A > top - 2.0 * width) & ~near
+    w_near = math.fsum(np.abs(terms[near]))
+    w_far = math.fsum(np.abs(terms[far]))
+    if w_near + w_far <= math.fsum(errors[near | far]):
+        return w_near + w_far, True
+    if w_near == 0.0:
+        return 10.0 * w_far, False
+    if w_near < w_far:
+        ratio = w_near / w_far
+        return 10.0 * w_near * ratio / (1.0 - ratio), False
+    return math.inf, False
+
+
+def _exact(f: RadialFunction):
+    """Profile values at the shell radii, with no error estimate."""
+    return lambda radii: (f.eval(radii), 0.0)
+
+
+def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
+    """Transform values and error estimates from ``ft_quadrature_many``.
+
+    Each call transforms only the radii not seen before, on one grid.
+    """
+    cache: dict[float, tuple[float, float]] = {}  # round(p, 12) -> (value, error)
+
+    def transformed(radii):
+        keys = [round(p, 12) for p in radii.tolist()]
+        new = sorted(set(keys).difference(cache))
+        if new:
+            values, errors = tr.ft_quadrature_many(f, new, d, settings)
+            cache.update(zip(new, zip(values.tolist(), errors.tolist())))
+        return np.array([cache[k] for k in keys]).reshape(-1, 2).T
+
+    return transformed
+
+
+def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> ShellSum:
+    """Shell sum of ``profile`` over spec, doubling the order until the tail is < tol/10.
+
+    ``profile(radii) -> (values, errors)`` gives the summand's profile at
+    the nonzero shells; ``tail_of(series, A, N, terms, errors) -> (tail,
+    at_floor)`` estimates the truncated remainder, and at_floor stops the
+    doubling where it cannot help.  The sum, its magnitude and its error
+    budget are exactly rounded (``math.fsum``).
+    """
+    L = 32
+    while True:
+        series = th.build(spec, L)
+        l = np.flatnonzero(series.coeffs)
+        A = series.exponents()[l]
+        N = series.coeffs[l]
+        radii = np.sqrt(A)
+        values, errors = profile(radii)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"radial profile is {values[i]} at r = {float(radii[i])!r}")
+        terms = N * values
+        errors = np.abs(N) * errors
+        tail, at_floor = tail_of(series, A, N, terms, errors)
+        if tail < 0.1 * tol:
+            return ShellSum(math.fsum(terms), series.trunc_L, tail,
+                            math.fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
+        if at_floor or L >= L_cap:
+            where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
+            raise ToleranceNotMet(f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} {where}")
+        L = min(2 * L, L_cap)
 
 
 def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
             L_cap: int = 4096) -> ShellSum:
-    """Direct-side shell sum, truncated so the bounded tail is < tol/10."""
-    return _shell_sum(spec, f, tol, L_cap)
-
-
-def _shell_sum(spec: ThetaSpec, fn: RadialFunction, tol: float, L_cap: int) -> ShellSum:
-    d = spec.dim_d
-    if not isinstance(fn, (GaussPoly, Sampled)):
-        raise TypeError("radial profile must be GaussPoly or Sampled")
-    envelope = tr._tail_envelope(fn)
-    L = 32
-    while True:
-        series = th.build(spec, L)
-        tail = _series_tail(series, d, envelope)
-        if tail < 0.1 * tol:
-            radii = np.sqrt(series.exponents())
-            vals = fn.eval(radii)
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i = bad[0]
-                raise DomainError(f"radial profile is {vals[i]} at r = {float(radii[i])!r}")
-            terms = series.coeffs * vals
-            value = math.fsum(terms)
-            abs_sum = math.fsum(np.abs(terms))
-            return ShellSum(value, series.trunc_L, tail, abs_sum, 0.0)
-        if L >= L_cap:
-            raise ToleranceNotMet(
-                f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} at order cap {L_cap}"
-            )
-        L = min(2 * L, L_cap)
+    """Direct-side shell sum, truncated where the majorant tail is < tol/10."""
+    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d))
 
 
 def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
@@ -103,67 +166,19 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     """Dual-side shell sum of the transformed profile.
 
     Gaussian-polynomial profiles go through the closed-form transform
-    (again a GaussPoly, so the rigorous tail machinery applies).  Sampled
-    profiles are transformed with ``ft_quadrature_many``: at each doubling
-    of the order, the radii not seen before share one quadrature grid.  The
-    sum is truncated by measured decay (reported, heuristic), and stops
-    early once the decay windows hold no more than the transform's own
-    error estimates, its noise floor.
+    (again a GaussPoly, so the majorant tail applies).  Sampled profiles
+    are transformed with ``ft_quadrature_many``: at each doubling of the
+    order, the radii not seen before share one quadrature grid.  The sum
+    is truncated by measured decay (reported, heuristic), and stops early
+    once the decay windows hold no more than the transform's own error
+    estimates, its noise floor.
     """
     dspec = th.dual(spec)
     d = spec.dim_d
     if isinstance(f, GaussPoly):
         fhat = tr.ft_gausspoly(f, d, settings)
-        return _shell_sum(dspec, fhat, tol, L_cap)
-
-    cache: dict[float, tuple[float, float]] = {}  # round(p, 12) -> (value, error)
-    L = 32
-    while True:
-        series = th.build(dspec, L)
-        nz = np.flatnonzero(series.coeffs)
-        exps = series.exponents()[nz]
-        coeffs = series.coeffs[nz]
-        keys = [round(p, 12) for p in np.sqrt(exps).tolist()]
-        new = sorted(set(keys).difference(cache))
-        if new:
-            values, errors = tr.ft_quadrature_many(f, new, d, settings)
-            cache.update(zip(new, zip(values.tolist(), errors.tolist())))
-        fhat = np.array([cache[k] for k in keys]).reshape(-1, 2)
-        terms = coeffs * fhat[:, 0]
-        weighted_err = np.abs(coeffs) * fhat[:, 1]
-        value = math.fsum(terms)
-        abs_sum = math.fsum(np.abs(terms))
-        budget = math.fsum(weighted_err)
-        # measured-decay cutoff: compare term mass in two adjacent wide
-        # windows and extrapolate the remainder geometrically.  Power-law
-        # decay keeps the ratio near one and forces further doubling;
-        # transformed profiles with genuine Gaussian tails accept quickly.
-        top = series.reliable_exponent()
-        width = max(1.0, top / 8.0)
-        near = exps > top - width
-        far = (exps > top - 2.0 * width) & ~near
-        w_near = math.fsum(np.abs(terms[near]))
-        w_far = math.fsum(np.abs(terms[far]))
-        # no more mass than the transform's error estimates allow: the
-        # windows hold rounding noise, and doubling cannot shrink it
-        at_floor = w_near + w_far <= math.fsum(weighted_err[near | far])
-        if at_floor:
-            tail = w_near + w_far
-        elif w_near == 0.0:
-            tail = 10.0 * w_far
-        elif w_near < w_far:
-            ratio = w_near / w_far
-            tail = 10.0 * w_near * ratio / (1.0 - ratio)
-        else:
-            tail = math.inf
-        if tail < 0.1 * tol:
-            return ShellSum(value, series.trunc_L, tail, abs_sum, budget)
-        if at_floor or L >= L_cap:
-            where = "at the transform's noise floor" if at_floor else f"at cap {L_cap}"
-            raise ToleranceNotMet(
-                f"dual-sum measured tail {tail:.3e} above {0.1 * tol:.3e} {where}"
-            )
-        L = min(2 * L, L_cap)
+        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d))
+    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay)
 
 
 @dataclass(frozen=True)
@@ -213,10 +228,6 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
     floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
     budget = left.budget + right.budget + floor
     passed = residual <= tol + pass_multiplier * (left.tail + right.tail + budget)
-
-    table = None
-    if with_table:
-        table = _term_table(spec, f, settings)
     return VerificationReport(
         lhs=left.value,
         rhs=right.value,
@@ -228,31 +239,16 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
         error_budget=budget,
         tol=tol,
         passed=passed,
-        per_term_table=table,
+        per_term_table=_term_table(left, right) if with_table else None,
     )
 
 
-def _term_table(spec: ThetaSpec, f: RadialFunction,
-                settings: TransformSettings) -> tuple:
-    """Leading diagnostic rows (first shells of both sides)."""
-    d = spec.dim_d
+def _term_table(left: ShellSum, right: ShellSum) -> tuple:
+    """Leading diagnostic rows: the summed shells with A_l <= 16 of both sides."""
     rows = []
-    for side, sp in (("lhs", spec), ("rhs", th.dual(spec))):
-        s = th.build(sp, 16)
-        exps = s.exponents()
-        radii = np.sqrt(exps)
-        if side == "lhs":
-            vals = f.eval(radii)
-        elif isinstance(f, GaussPoly):
-            vals = tr.ft_gausspoly(f, d, settings).eval(radii)
-        else:
-            vals = tr.ft_quadrature_many(f, radii, d, settings)[0]
-        for l in np.flatnonzero(s.coeffs):
-            rows.append({
-                "side": side,
-                "l": int(l),
-                "A": float(exps[l]),
-                "N": float(s.coeffs[l]),
-                "term": float(s.coeffs[l] * vals[l]),
-            })
+    for side, shells in (("lhs", left.shells), ("rhs", right.shells)):
+        for l, A, N, term in zip(*(column.tolist() for column in shells)):
+            if A > 16.0:
+                break
+            rows.append({"side": side, "l": l, "A": A, "N": N, "term": term})
     return tuple(rows)

@@ -353,22 +353,16 @@ def dual(spec: ThetaSpec) -> ThetaSpec:
     return ThetaSpec(terms=tuple(new_terms), dim_d=spec.dim_d)
 
 
-def _theta_value(kind: int, q: float) -> float:
-    """Series evaluation with order chosen from the decay of q."""
-    L = max(16, int(math.ceil(46.0 / -math.log(q))))
-    series = theta_series(kind, L)
-    return qs.evaluate(series, q).value
-
-
 def jacobi_residual(kind: int, t: float) -> float:
     """|theta_a(e^{-pi/t}) - sqrt(t) theta_b(e^{-pi t})| for the paired kinds.
 
     Pairs: 2 <-> 4 swap, 3 stays.  Identically zero in exact arithmetic.
+    Both sides come from the product form, ``theta_eval_product``.
     """
     t = float(t)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")
     partner = {2: 4, 3: 3, 4: 2}[kind]
-    lhs = _theta_value(kind, math.exp(-math.pi / t))
-    rhs = math.sqrt(t) * _theta_value(partner, math.exp(-math.pi * t))
+    lhs = theta_eval_product(kind, math.exp(-math.pi / t))
+    rhs = math.sqrt(t) * theta_eval_product(partner, math.exp(-math.pi * t))
     return abs(lhs - rhs)

@@ -35,6 +35,13 @@ _RULE_ORDERS = (10, 14)
 # Most kernel entries (radii x nodes) ``ft_quadrature_many`` holds at once.
 _KERNEL_CHUNK = 2**20
 
+# Least subinterval limit of the adaptive quadrature in ``ft_quadrature``.
+_MAX_PANELS = 400
+
+# Relative margin ``_choose_r_max`` keeps below the tail budget: the inverse
+# incomplete gamma function rounds, and has read 1 + 4.4e-15 of its target.
+_TAIL_MARGIN = 1e-6
+
 
 # -- radial profiles -----------------------------------------------------
 
@@ -107,8 +114,6 @@ RadialFunction = Union[GaussPoly, Sampled]
 class TransformSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_panels: int = 400
-    r_max: float | None = None  # None: choose from the decay of f
     experimental_dim: bool = False  # allow 0 < d < 1, no accuracy contract
 
 
@@ -128,14 +133,6 @@ def _check_dim(d: float, settings: TransformSettings) -> float:
 
 
 # -- scalar special functions --------------------------------------------
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def hyp0f1(a: float, z: float) -> float:
@@ -275,17 +272,26 @@ def _radial_tail(f: RadialFunction, R: float, d: float) -> float:
     return total
 
 
-def _choose_r_max(f: RadialFunction, d: float, budget: float,
-                  settings: TransformSettings) -> float:
-    if settings.r_max is not None:
-        return float(settings.r_max)
-    rate = min(alpha for _, _, alpha in _tail_envelope(f))
-    R = max(2.0, 2.0 / math.sqrt(rate))
-    for _ in range(60):
-        if _radial_tail(f, R, d) < budget:
-            return R
-        R *= 1.5
-    raise ToleranceNotMet(f"could not bound the radial tail below {budget!r}")
+def _choose_r_max(f: RadialFunction, d: float, budget: float) -> float:
+    """A radius R with ``_radial_tail(f, R, d) < budget``, in closed form.
+
+    Each envelope term gets an even share of the budget, less a relative
+    margin of ``_TAIL_MARGIN`` for the rounding of the inverse, and its
+    incomplete-gamma tail is inverted for R with ``special.gammainccinv``.
+    R is the largest of these radii (the least one for a single term), or
+    one decay length if every term's whole integral already fits its share.
+    """
+    envelope = _tail_envelope(f)
+    share = (1.0 - _TAIL_MARGIN) * budget / len(envelope)
+    R = 0.0
+    for c, k, alpha in envelope:
+        a = k + 0.5 * d
+        whole = c * 0.5 * math.gamma(a) / alpha**a
+        if whole > share:
+            R = max(R, math.sqrt(float(special.gammainccinv(a, share / whole)) / alpha))
+    if not math.isfinite(R):
+        raise ToleranceNotMet(f"could not bound the radial tail below {budget!r}")
+    return R if R > 0.0 else 1.0 / math.sqrt(min(alpha for _, _, alpha in envelope))
 
 
 def ft_quadrature(f: RadialFunction, p: float, d: float,
@@ -303,7 +309,7 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
     a = 0.5 * d
     prefactor = 2.0 * math.pi**a / math.gamma(a)
     tail_budget = 0.1 * settings.abs_tol / prefactor
-    R = _choose_r_max(f, d, tail_budget, settings)
+    R = _choose_r_max(f, d, tail_budget)
     tail = prefactor * _radial_tail(f, R, d)
 
     fv = f.eval
@@ -324,7 +330,7 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
         if n_pts > 0:
             points = np.arange(1, n_pts + 1) * step
             points = points[points < R]
-    limit = max(settings.max_panels, (len(points) if points is not None else 0) + 10)
+    limit = max(_MAX_PANELS, (len(points) if points is not None else 0) + 10)
     res = integrate.quad(
         integrand, 0.0, R,
         epsabs=0.5 * settings.abs_tol / prefactor,
@@ -405,7 +411,7 @@ def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float,
         return np.zeros(0), np.zeros(0)
     a = 0.5 * d
     prefactor = 2.0 * math.pi**a / math.gamma(a)
-    R = _choose_r_max(f, d, 0.1 * settings.abs_tol / prefactor, settings)
+    R = _choose_r_max(f, d, 0.1 * settings.abs_tol / prefactor)
     tail = prefactor * _radial_tail(f, R, d)
     panels = max(16, math.ceil(R * float(ps.max())))
 

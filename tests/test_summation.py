@@ -3,6 +3,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from thetasum import qseries as qs
@@ -212,12 +213,55 @@ def test_per_term_table_of_sampled_profile_matches_closed_route():
         assert got["term"] == pytest.approx(ref["term"], rel=1e-10, abs=1e-12)
 
 
-def test_per_term_table_uses_caller_settings():
-    # a tolerance the transform cannot reach must reach the table too
+def test_per_term_table_adds_no_build_or_transform(monkeypatch):
+    # the table is cut from the shells both sides summed
+    calls = {"build": 0, "transform": 0}
+    build, many = th.build, tr.ft_quadrature_many
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_many(*args, **kwargs):
+        calls["transform"] += 1
+        return many(*args, **kwargs)
+
+    monkeypatch.setattr(th, "build", counted_build)
+    monkeypatch.setattr(tr, "ft_quadrature_many", counted_many)
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
-    settings = tr.TransformSettings(rel_tol=1e-16, abs_tol=1e-30)
-    with pytest.raises(ToleranceNotMet):
-        sm._term_table(th.preset("zd", 2), f, settings)
+    counts = []
+    for with_table in (False, True):
+        calls.update(build=0, transform=0)
+        report = sm.verify(th.preset("zd", 2.5), f, tol=1e-8, with_table=with_table)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["transform"] > 0
+    assert {row["side"] for row in report.per_term_table} == {"lhs", "rhs"}
+
+
+def test_folded_dual_grid_evaluates_only_nonzero_shells(monkeypatch):
+    # the theta2^d dual of dd at d = 4.113 has offset d/4, which folds its
+    # grid 4000-fold: 49 shells among 128001 stored coefficients at L = 32
+    spec = th.preset("dd", 4.113)
+    f = tr.GaussPoly(((1.0, 2, 11.33), (-0.31, 0, 13.52)))
+    built, evaluated = [], []
+    build, evaluate = th.build, tr.GaussPoly.eval
+
+    def recording_build(sp, L):
+        series = build(sp, L)
+        built.append((np.count_nonzero(series.coeffs), series.coeffs.size))
+        return series
+
+    def recording_eval(self, r):
+        evaluated.append(np.size(r))
+        return evaluate(self, r)
+
+    monkeypatch.setattr(th, "build", recording_build)
+    monkeypatch.setattr(tr.GaussPoly, "eval", recording_eval)
+    report = sm.verify(spec, f, tol=1e-10)
+    assert report.passed
+    assert evaluated and set(evaluated) <= {nonzero for nonzero, _ in built}
+    assert max(stored for _, stored in built) > 1000 * max(evaluated)
 
 
 def test_report_table_absent_by_default():

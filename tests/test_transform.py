@@ -13,22 +13,6 @@ from thetasum.errors import DomainError, ToleranceNotMet
 GAUSS = tr.GaussPoly(((1.0, 0, 1.0),))
 
 
-def test_gamma_fn_frozen_value():
-    assert tr.gamma_fn(3.7) == pytest.approx(4.170651783796603, rel=1e-15)
-    assert tr.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-
-def test_gamma_fn_matches_mpmath_on_grid():
-    for x in (0.1, 0.75, 1.0, 2.5, 7.3, 15.0):
-        assert tr.gamma_fn(x) == pytest.approx(float(mp.gamma(x)), rel=1e-14)
-
-
-def test_gamma_fn_rejects_nonpositive():
-    for bad in (0.0, -1.0, -2.5):
-        with pytest.raises(DomainError):
-            tr.gamma_fn(bad)
-
-
 @pytest.mark.parametrize("z", [0.1, 1.0, 3.0, 7.0, 12.0])
 def test_hyp0f1_cos_identity(z):
     # 0F1(1/2; -z^2/4) = cos z
@@ -211,6 +195,25 @@ def test_slow_decay_hint_exhausts_panels():
     s = tr.Sampled(lambda r: math.exp(-1e-6 * r * r), decay_hint=(1.0, 1e-6))
     with pytest.raises(ToleranceNotMet):
         tr.ft_quadrature(s, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize("hint", [(1.2, 1.0), (1.0, 0.907), (1.01, 0.655), (1.0, 3.7)])
+@pytest.mark.parametrize("abs_tol", [1e-12, 1e-8])
+def test_radius_meets_tail_budget_without_overshoot(d, hint, abs_tol):
+    # R is where the tail bound meets its budget, not a step past it
+    f = tr.Sampled(lambda r: 0.0, decay_hint=hint)
+    prefactor = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    budget = 0.1 * abs_tol / prefactor
+    R = tr._choose_r_max(f, d, budget)
+    assert tr._radial_tail(f, R, d) <= budget < tr._radial_tail(f, 0.99 * R, d)
+
+
+def test_radius_splits_tail_budget_over_envelope_terms():
+    f = tr.GaussPoly(((1.0, 0, 1.0), (0.5, 1, 2.0), (-0.2, 2, 0.8)))
+    for budget in (1e-14, 1e-10, 1e-4):
+        R = tr._choose_r_max(f, 2.5, budget)
+        assert tr._radial_tail(f, R, 2.5) < budget
 
 
 # -- shared-grid transform ---------------------------------------------------
