@@ -122,6 +122,9 @@ def cmd_dual(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     f = _parse_gauss(args.f)
     radii = _parse_floats(args.p, "--p")
+    bad = [p for p in radii if not (math.isfinite(p) and p >= 0)]
+    if bad:
+        raise DomainError(f"--p radii must be finite and >= 0, got {bad[0]!r}")
     fhat = tr.ft_gausspoly(f, args.dim, _settings(args))
     rows = [{"p": p, "value": float(fhat.eval(p))} for p in radii]
     _emit_rows(rows, ("p", "value"), args)
@@ -158,6 +161,8 @@ def cmd_jacobi_check(args: argparse.Namespace) -> int:
 def cmd_hermite_demo(args: argparse.Namespace) -> int:
     if not args.alpha > -0.5:
         raise DomainError(f"--alpha must exceed -1/2, got {args.alpha}")
+    if args.n_max < 0:
+        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
     profile = lambda x: math.exp(-args.alpha * x * x)
     rows = []
     for n in range(args.n_max + 1):

@@ -4,7 +4,7 @@ h_n(x) = e^{-x^2/2} H_n(x) / sqrt(sqrt(pi) 2^n n!) with the physicists'
 H_n, evaluated through the normalized three-term recurrence (raw H_n
 overflows past n ~ 150).  ``gaussian_hermite_coeff`` carries the closed
 form for <e^{-alpha x^2}, h_n>; the quadrature route exists to check it
-and to expand arbitrary profiles.
+and to expand arbitrary profiles.  Only the quadrature route loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, IllConditioned, ToleranceNotMet
 
@@ -80,6 +79,8 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
                              abs_tol: float = 1e-11,
                              x_max: float | None = None) -> float:
     """<f, h_n> by adaptive quadrature over the effective support of h_n."""
+    from scipy import integrate
+
     n = int(n)
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")

@@ -128,8 +128,14 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     the nonzero shells; ``tail_of(series, A, N, terms, errors) -> (tail,
     at_floor)`` estimates the truncated remainder, and at_floor stops the
     doubling where it cannot help.  The sum, its magnitude and its error
-    budget are exactly rounded (``math.fsum``).
+    budget are exactly rounded (``math.fsum``).  A tol that is not a
+    finite positive number, or an L_cap below 1, raises ``DomainError``
+    before any build.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if L_cap < 1:
+        raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
     L = 32
     while True:
         series = th.build(spec, L)

@@ -19,11 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidSpec
+from .errors import DomainError, InvalidSpec, ToleranceNotMet
 from . import qseries as qs
 from .qseries import QSeries, Rational
 
 _POWER_SUM_TOL = 1e-12
+
+# Most factors ``theta_eval_product`` multiplies before it refuses; enough
+# for q up to about 1 - 2e-4 (jacobi_residual up to t ~ 1.6e4).
+_PRODUCT_FACTOR_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,13 @@ def theta_eval_product(kind: int, q: float) -> float:
     theta2 = 2 q^{1/4} prod (1-q^{2m}) (1+q^{2m})^2
     theta3 =           prod (1-q^{2m}) (1+q^{2m-1})^2
     theta4 =           prod (1-q^{2m}) (1-q^{2m-1})^2
+
+    The product stops once q^{2m-1} < 1e-17; if that takes more than
+    ``_PRODUCT_FACTOR_CAP`` factors (q above about 1 - 2e-4) it raises
+    ``ToleranceNotMet`` instead of returning a truncated value.  The running
+    product is kept as a mantissa and a power of two: for q near 1 the
+    partial products of kinds 2 and 3 dip below the smallest double before
+    the later factors lift them back, and must not underflow to zero.
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
@@ -212,7 +223,7 @@ def theta_eval_product(kind: int, q: float) -> float:
         raise DomainError(f"q must lie in [0, 1), got {q!r}")
     if q == 0.0:
         return 0.0 if kind == 2 else 1.0
-    prod = 1.0
+    prod, scale = 1.0, 0  # the product is ldexp(prod, scale)
     m = 1
     while True:
         q2m = q ** (2 * m)
@@ -223,12 +234,17 @@ def theta_eval_product(kind: int, q: float) -> float:
             odd = 1.0 + q ** (2 * m - 1)
         else:
             odd = 1.0 - q ** (2 * m - 1)
-        prod *= even * odd * odd
+        prod, e = math.frexp(prod * (even * odd * odd))
+        scale += e
         if q2m < 1e-17 and q ** (2 * m - 1) < 1e-17:
             break
         m += 1
-        if m > 100000:  # unreachable for q < 1 - 1e-5; guards pathological q
-            break
+        if m > _PRODUCT_FACTOR_CAP:
+            raise ToleranceNotMet(
+                f"theta{kind} product at q = {q!r} has not converged "
+                f"after {_PRODUCT_FACTOR_CAP} factors"
+            )
+    prod = math.ldexp(prod, scale)
     if kind == 2:
         return 2.0 * q ** 0.25 * prod
     return prod
@@ -359,6 +375,8 @@ def jacobi_residual(kind: int, t: float) -> float:
     Pairs: 2 <-> 4 swap, 3 stays.  Identically zero in exact arithmetic.
     Both sides come from the product form, ``theta_eval_product``.
     """
+    if kind not in (2, 3, 4):
+        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
     t = float(t)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")

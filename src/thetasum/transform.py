@@ -9,6 +9,10 @@ radial function at integer d.  Gaussian-polynomial profiles transform in
 closed form (``ft_closed``/``ft_gausspoly``).  Sampled profiles go through
 ``ft_quadrature_many``, one shared quadrature grid for many radii at once;
 ``ft_quadrature`` is the independent adaptive route that cross-checks both.
+
+scipy is imported inside the functions that call it, so the closed-form
+paths never load it: ``scipy.special`` by the quadrature helpers and the
+Bessel branch of ``hyp0f1``, ``scipy.integrate`` by ``ft_quadrature`` only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, ToleranceNotMet
 
@@ -157,6 +160,8 @@ def hyp0f1(a: float, z: float) -> float:
             terms.append(t)
             k += 1
         return math.fsum(terms)
+    from scipy import special
+
     x = abs(z)
     y = 2.0 * math.sqrt(x)
     log_front = math.lgamma(a) - 0.5 * (a - 1.0) * math.log(x)
@@ -265,6 +270,8 @@ def _tail_envelope(f: RadialFunction) -> list[tuple[float, int, float]]:
 
 def _radial_tail(f: RadialFunction, R: float, d: float) -> float:
     """Upper bound on int_R^inf |f(r)| r^{d-1} dr via incomplete gamma."""
+    from scipy import special
+
     total = 0.0
     for c, k, alpha in _tail_envelope(f):
         a = k + 0.5 * d
@@ -281,6 +288,8 @@ def _choose_r_max(f: RadialFunction, d: float, budget: float) -> float:
     R is the largest of these radii (the least one for a single term), or
     one decay length if every term's whole integral already fits its share.
     """
+    from scipy import special
+
     envelope = _tail_envelope(f)
     share = (1.0 - _TAIL_MARGIN) * budget / len(envelope)
     R = 0.0
@@ -302,6 +311,8 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
     oscillation scale ~1/(2p); R is chosen so the neglected tail stays
     below a tenth of the absolute tolerance and enters the error estimate.
     """
+    from scipy import integrate
+
     p = float(p)
     if p < 0:
         raise DomainError(f"p must be nonnegative, got {p!r}")
@@ -363,6 +374,8 @@ def _kernel(a: float, x: np.ndarray) -> np.ndarray:
     accuracy as x -> 0, where ``special.hyp0f1`` loses up to 4e-12 at a = 1/2.
     At d = 2 the kernel is J_0(2x), and ``special.j0`` is six times faster.
     """
+    from scipy import special
+
     if a == 1.0:
         return special.j0(2.0 * x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -377,6 +390,8 @@ def _composite_rule(R: float, panels: int, d: float, n: int) -> tuple[np.ndarray
     branch point at r = 0 is integrated exactly; Gauss-Legendre on the
     other panels, with r^{d-1} folded into the weights.
     """
+    from scipy import special
+
     h = R / panels
     xj, wj = special.roots_jacobi(n, 0.0, d - 1.0)
     xg, wg = special.roots_legendre(n)

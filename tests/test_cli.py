@@ -200,3 +200,42 @@ def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
     assert code == (3 if cls is errors.ToleranceNotMet else 2)
     assert out == ""
     assert err == "error: boom\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--L-cap", "0"], ["--L-cap", "-4"],
+], ids=lambda extra: " ".join(extra))
+def test_verify_rejects_bad_tol_or_cap_before_building(capsys, monkeypatch, extra):
+    def no_build(spec, L):
+        raise AssertionError("built a series")
+
+    monkeypatch.setattr(th, "build", no_build)
+    code, out, err = run(capsys, [
+        "verify", "--preset", "zd", "--dim", "2", "--f", "1,0,1", *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("radii", ["-1", "nan", "inf", "0,1,-0.5", "-1,nan,inf"])
+def test_transform_rejects_bad_radii(capsys, radii):
+    code, out, err = run(capsys, [
+        "transform", "--f", "1,0,1", "--dim", "2", f"--p={radii}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_hermite_demo_rejects_negative_order(capsys):
+    code, out, err = run(capsys, ["hermite-demo", "--n-max", "-2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_jacobi_check_refuses_unconverged_product(capsys):
+    code, out, err = run(capsys, ["jacobi-check", "--t", "2e4"])
+    assert code == 3
+    assert out == ""
+    assert "has not converged" in err

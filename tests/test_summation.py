@@ -280,3 +280,28 @@ def test_verify_propagates_cap():
     f = tr.GaussPoly(((1.0, 0, 0.01),))
     with pytest.raises(ToleranceNotMet):
         sm.verify(th.preset("zd", 3), f, tol=1e-12, L_cap=64)
+
+
+BAD_TOLS = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("side", ["verify", "lhs_sum", "rhs_sum"])
+def test_bad_tol_raises_before_any_build(monkeypatch, side, tol):
+    def no_build(spec, L):
+        raise AssertionError("built a series")
+
+    monkeypatch.setattr(th, "build", no_build)
+    with pytest.raises(DomainError, match="tol"):
+        getattr(sm, side)(th.preset("zd", 2), GAUSS, tol)
+
+
+@pytest.mark.parametrize("L_cap", [0, -8])
+@pytest.mark.parametrize("side", ["verify", "lhs_sum", "rhs_sum"])
+def test_order_cap_below_one_raises_before_any_build(monkeypatch, side, L_cap):
+    def no_build(spec, L):
+        raise AssertionError("built a series")
+
+    monkeypatch.setattr(th, "build", no_build)
+    with pytest.raises(DomainError, match="L_cap"):
+        getattr(sm, side)(th.preset("zd", 2), GAUSS, 1e-10, L_cap=L_cap)

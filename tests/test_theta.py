@@ -10,7 +10,7 @@ import pytest
 
 from thetasum import qseries as qs
 from thetasum import theta as th
-from thetasum.errors import DomainError, InvalidSpec
+from thetasum.errors import DomainError, InvalidSpec, ToleranceNotMet
 
 from conftest import even_sum_counts, lattice_counts, signed_counts
 
@@ -339,6 +339,30 @@ def test_jacobi_residual_small(kind, t):
 def test_jacobi_residual_rejects_nonpositive_t():
     with pytest.raises(DomainError):
         th.jacobi_residual(3, 0.0)
+
+
+def test_jacobi_residual_rejects_bad_kind():
+    with pytest.raises(DomainError):
+        th.jacobi_residual(5, 1.0)
+
+
+@pytest.mark.parametrize("kind", [2, 3, 4])
+def test_product_form_refuses_to_truncate(kind):
+    # q = e^{-pi/2e4} needs about 125000 factors, above the cap
+    with pytest.raises(ToleranceNotMet):
+        th.theta_eval_product(kind, math.exp(-math.pi / 2e4))
+    with pytest.raises(ToleranceNotMet):
+        th.jacobi_residual(kind, 2e4)
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+def test_product_form_survives_its_dip_below_the_smallest_double(kind):
+    # at t = 1.6e4 the running product falls under 1e-308 before the later
+    # factors lift it back to theta(e^{-pi/t}) = sqrt(t) (1 + O(e^{-pi t}))
+    t = 1.6e4
+    assert th.theta_eval_product(kind, math.exp(-math.pi / t)) == pytest.approx(
+        math.sqrt(t), rel=1e-10)
+    assert th.jacobi_residual(kind, t) < 1e-9 * math.sqrt(t)
 
 
 def test_theta_values_at_exp_minus_pi():
