@@ -1,10 +1,9 @@
-"""Arithmetic on q-series with exponents on a uniform rational grid.
+"""Arithmetic on q-series with exponents on a uniform grid.
 
 A series is stored as coefficients N_0..N_L against exponents
-A_l = (l + offset_A) / denom_V.  The grid denominator and offset are kept
-canonical: rational offsets live on the integer grid (offset_A is then an
-integer), while offsets produced by irrational real powers are carried as
-plain floats with the grid denominator untouched.
+A_l = (l + offset_A) / denom_V.  The offset is an int when it is a whole
+number of grid steps and a plain float otherwise (a real power of theta2
+shifts its exponents by a real amount); it never refines the grid.
 
 All operations are pure; instances are immutable after construction.
 """
@@ -27,7 +26,7 @@ from .errors import (
 
 Rational = Fraction
 
-OffsetLike = Union[int, float, Fraction]
+OffsetLike = Union[int, float]
 
 # Offsets are compared against the integer grid at this absolute slack;
 # float offsets come from f64 inputs, so 1e-9 separates "same grid point"
@@ -39,11 +38,7 @@ _OFFSET_DEN_CAP = 4096
 
 
 def _as_offset(value: OffsetLike) -> int | float:
-    """Normalize an offset to int (exact) or float (inexact)."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return value  # handled by the constructor (folded into the grid)
+    """Normalize an offset to int (when whole) or float, a Fraction included."""
     if isinstance(value, int):
         return value
     v = float(value)
@@ -53,7 +48,7 @@ def _as_offset(value: OffsetLike) -> int | float:
 
 
 class QSeries:
-    """Truncated series sum_l N_l q^{(l + offset_A)/denom_V}.
+    """Truncated series sum_l N_l q^{(l + offset_A)/denom_V}, offset_A an int or float.
 
     ``exact=True`` marks a polynomial: coefficients beyond trunc_L are
     exactly zero, so the truncation order never clamps a partner series.
@@ -71,15 +66,6 @@ class QSeries:
         if not np.all(np.isfinite(arr)):
             raise CoefficientOverflow("non-finite coefficient")
         off = _as_offset(offset_A)
-
-        # fold a non-integer rational offset onto a refined integer grid
-        if isinstance(off, Fraction):
-            r = off.denominator
-            V *= r
-            stretched = np.zeros((arr.size - 1) * r + 1, dtype=np.float64)
-            stretched[::r] = arr
-            arr = stretched
-            off = int(off * r)
 
         if (isinstance(off, int) and off < 0) or (isinstance(off, float) and off < -_OFFSET_TOL):
             raise DomainError(f"offset_A must be nonnegative, got {off!r}")
@@ -212,19 +198,6 @@ def _aligned_offsets(offsets: Sequence[int | float], V: int) -> tuple[int, int |
     return m, base_scaled, shifts
 
 
-def _power_offset(alpha: float, offset: OffsetLike) -> OffsetLike:
-    """alpha * offset, kept exact when both are rational.
-
-    alpha counts as rational when it is a fraction with denominator at most
-    the cap; otherwise, or for a float offset, the product is a float.
-    """
-    if isinstance(offset, (int, Fraction)):
-        fr = Fraction(alpha).limit_denominator(_OFFSET_DEN_CAP)
-        if float(fr) == alpha:
-            return fr * offset
-    return alpha * float(offset)
-
-
 def _fsum_dot(x: np.ndarray, y: np.ndarray) -> float:
     """Exactly-rounded dot product of two equal-length arrays."""
     return math.fsum(x * y)
@@ -306,8 +279,8 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
 
         n b_n a_0 = sum_{k=1..n} ((alpha+1) k - n) a_k b_{n-k},  b_0 = a_0^alpha.
 
-    The exponent offset multiplies by alpha; rational results fold back
-    onto an integer grid, irrational ones are carried as floats.
+    The exponent offset multiplies by alpha on the same grid; the product
+    is an int when it is whole and a float otherwise.
 
     The recurrence amplifies rounding on sparse inputs such as theta
     series.  For non-integer powers of a theta series at L = 1024, measured
@@ -325,7 +298,7 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
     if alpha == 0.0:
         return unit()
 
-    off = _power_offset(alpha, a.offset_A)
+    off = alpha * a.offset_A
     c = a.coeffs
     L = a.trunc_L
     b = np.zeros(L + 1, dtype=np.float64)

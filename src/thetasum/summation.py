@@ -28,11 +28,11 @@ _EPS_FLOOR = 2.0**-50
 
 class ShellSum(NamedTuple):
     value: float
-    L_used: int
+    L_used: int     # largest order among the spec's terms, in index units
     tail: float
     abs_sum: float  # sum of |term| magnitudes, for rounding floors
     budget: float   # accumulated transform error estimates
-    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells
+    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells, by A_l
 
 
 def _poly_gauss_tail(C: float, n: float, A0: float, h: float, alpha: float) -> float:
@@ -54,25 +54,28 @@ def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
 def _majorant(f: RadialFunction, d: float):
     """Tail estimator: sum_{l > trunc} |N_l| env(A_l) with |N_l| <= C A^d.
 
-    env is the incomplete-gamma envelope of f, and C is ``_coeff_growth``.
+    env is the incomplete-gamma envelope of f.  Each term of the spec adds
+    its own tail, on its own grid, with its own ``_coeff_growth`` C.
     """
     if not isinstance(f, (GaussPoly, Sampled)):
         raise TypeError("radial profile must be GaussPoly or Sampled")
     envelope = tr._tail_envelope(f)
 
-    def tail(series, A, N, terms, errors):
-        C = _coeff_growth(A, N, d)
-        h = 1.0 / series.denom_V
-        A_next = series.reliable_exponent() + h
+    def tail(series, which, A, N, terms, errors):
         total = 0.0
-        for c, k, alpha in envelope:
-            total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
+        for i, s in enumerate(series):
+            mine = which == i
+            C = _coeff_growth(A[mine], N[mine], d)
+            h = 1.0 / s.denom_V
+            A_next = s.reliable_exponent() + h
+            for c, k, alpha in envelope:
+                total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
         return total, False
 
     return tail
 
 
-def _measured_decay(series, A, N, terms, errors):
+def _measured_decay(series, which, A, N, terms, errors):
     """Tail estimator from the term mass of two adjacent wide windows.
 
     The remainder is extrapolated geometrically from the windows' ratio.
@@ -80,9 +83,10 @@ def _measured_decay(series, A, N, terms, errors):
     transformed profiles with genuine Gaussian tails accept quickly.  When
     the windows hold no more mass than the transform's error estimates
     allow, they hold rounding noise, doubling cannot shrink it, and the
-    second value (the noise floor) is True.
+    second value (the noise floor) is True.  The windows end at the least
+    reliable exponent of the terms.
     """
-    top = series.reliable_exponent()
+    top = min(s.reliable_exponent() for s in series)
     width = max(1.0, top / 8.0)
     near = A > top - width
     far = (A > top - 2.0 * width) & ~near
@@ -122,26 +126,34 @@ def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
 
 
 def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> ShellSum:
-    """Shell sum of ``profile`` over spec, doubling the order until the tail is < tol/10.
+    """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
+    until the tail is < tol/10.
 
-    ``profile(radii) -> (values, errors)`` gives the summand's profile at
-    the nonzero shells; ``tail_of(series, A, N, terms, errors) -> (tail,
-    at_floor)`` estimates the truncated remainder, and at_floor stops the
-    doubling where it cannot help.  The sum, its magnitude and its error
-    budget are exactly rounded (``math.fsum``).  A tol that is not a
-    finite positive number, or an L_cap below 1, raises ``DomainError``
-    before any build.
+    Each term of the spec is built on its own grid, and the terms' nonzero
+    shells are summed side by side, sorted by exponent.  ``profile(radii)
+    -> (values, errors)`` gives the summand's profile at those shells;
+    ``tail_of(series, which, A, N, terms, errors) -> (tail, at_floor)``
+    estimates the truncated remainder from the terms' series and the term
+    index of every shell, and at_floor stops the doubling where it cannot
+    help.  The sum, its magnitude and its error budget are exactly rounded
+    (``math.fsum``).  A tol that is not a finite positive number, or an
+    L_cap below 1, raises ``DomainError`` before any build.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if L_cap < 1:
         raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
-    L = 32
+    one_term_specs = [ThetaSpec(terms=(term,), dim_d=spec.dim_d) for term in spec.terms]
+    L = min(32, L_cap)
     while True:
-        series = th.build(spec, L)
-        l = np.flatnonzero(series.coeffs)
-        A = series.exponents()[l]
-        N = series.coeffs[l]
+        series = [th.build(s, L) for s in one_term_specs]
+        nonzero = [np.flatnonzero(s.coeffs) for s in series]
+        which = np.repeat(np.arange(len(series)), [l.size for l in nonzero])
+        l = np.concatenate(nonzero)
+        A = np.concatenate([s.exponents()[i] for s, i in zip(series, nonzero)])
+        N = np.concatenate([s.coeffs[i] for s, i in zip(series, nonzero)])
+        by_A = np.argsort(A, kind="stable")
+        which, l, A, N = which[by_A], l[by_A], A[by_A], N[by_A]
         radii = np.sqrt(A)
         values, errors = profile(radii)
         bad = np.flatnonzero(~np.isfinite(values))
@@ -150,9 +162,9 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
             raise DomainError(f"radial profile is {values[i]} at r = {float(radii[i])!r}")
         terms = N * values
         errors = np.abs(N) * errors
-        tail, at_floor = tail_of(series, A, N, terms, errors)
+        tail, at_floor = tail_of(series, which, A, N, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(math.fsum(terms), series.trunc_L, tail,
+            return ShellSum(math.fsum(terms), max(s.trunc_L for s in series), tail,
                             math.fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"

@@ -317,8 +317,8 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
     over the theta2 factors, and s' is 2s for theta2 and s otherwise.  The
     factor logs are added on the term's grid and one exp recurrence gives
     the term.  A factor covers relative exponent ceil(L/s) s, as its theta
-    series would, and the term the least of these.  The offset w stays
-    exact under the same rule as ``qseries.pow_real``.
+    series would, and the term the least of these.  The offset w is summed
+    as a float; ``qseries.lincomb`` merges the terms.
     """
     L = int(L)
     if L < 0:
@@ -338,7 +338,7 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
         coeffs = np.zeros(top + 1)
         coeffs[::g] = _exp_series(h)
         theta2 = [f for f in fs if f.kind == 2]
-        offset = sum(qs._power_offset(f.power, f.scale * D / 4) for f in theta2)
+        offset = math.fsum(f.power * float(f.scale * D) / 4 for f in theta2)
         scale = 2.0 ** math.fsum(f.power for f in theta2)
         pieces.append((coeff * scale, QSeries(D, offset, coeffs)))
     return qs.lincomb(pieces)

@@ -163,6 +163,23 @@ def test_resource_cap_exit_code(capsys):
     assert "error" in err
 
 
+def test_order_cap_below_first_order_exit_code(capsys):
+    code, out, err = run(capsys, [
+        "verify", "--preset", "zd", "--dim", "2", "--f", "1,0,1",
+        "--tol", "1e-8", "--L-cap", "4",
+    ])
+    assert code == 3
+    assert out == ""
+    assert "order cap 4" in err
+
+
+def test_verify_dd_at_four_decimal_dimension(capsys):
+    code, out, _ = run(capsys, [
+        "verify", "--preset", "dd", "--dim", "3.2707", "--f", "1,0,1"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["bogus"])

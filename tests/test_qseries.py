@@ -51,11 +51,12 @@ def test_leading_zeros_move_into_offset():
     assert a.coeffs[0] == 5.0
 
 
-def test_fraction_offset_folds_onto_grid():
-    a = qs.QSeries(1, Fraction(1, 4), [2.0])
-    assert a.denom_V == 4
-    assert a.offset_A == 1
-    assert a.offset_exponent() == 0.25
+def test_fraction_offset_is_carried_as_float():
+    a = qs.QSeries(1, Fraction(1, 4), [2.0, 3.0])
+    assert a.denom_V == 1
+    assert type(a.offset_A) is float and a.offset_A == 0.25
+    assert list(a.coeffs) == [2.0, 3.0]
+    assert type(qs.QSeries(1, Fraction(6, 3), [2.0]).offset_A) is int
 
 
 def test_immutability():

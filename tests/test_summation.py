@@ -171,7 +171,7 @@ def test_sampled_dual_sum_stops_at_transform_noise_floor(name, d, a, b, hint):
     assert time.perf_counter() - t0 < 1.0
     assert report.passed
     assert report.residual < 1e-8
-    assert report.L_star_used == th.build(th.dual(spec), 32).trunc_L
+    assert report.L_star_used == 32
 
 
 def test_tails_enter_pass_rule():
@@ -239,9 +239,9 @@ def test_per_term_table_adds_no_build_or_transform(monkeypatch):
     assert {row["side"] for row in report.per_term_table} == {"lhs", "rhs"}
 
 
-def test_folded_dual_grid_evaluates_only_nonzero_shells(monkeypatch):
-    # the theta2^d dual of dd at d = 4.113 has offset d/4, which folds its
-    # grid 4000-fold: 49 shells among 128001 stored coefficients at L = 32
+def test_dual_builds_store_few_more_entries_than_nonzero_shells(monkeypatch):
+    # the theta2^d term of the dual of dd at d = 4.113 has offset d/4; summed
+    # on a grid common to both terms it would take 4000 times the entries
     spec = th.preset("dd", 4.113)
     f = tr.GaussPoly(((1.0, 2, 11.33), (-0.31, 0, 13.52)))
     built, evaluated = [], []
@@ -260,8 +260,9 @@ def test_folded_dual_grid_evaluates_only_nonzero_shells(monkeypatch):
     monkeypatch.setattr(tr.GaussPoly, "eval", recording_eval)
     report = sm.verify(spec, f, tol=1e-10)
     assert report.passed
-    assert evaluated and set(evaluated) <= {nonzero for nonzero, _ in built}
-    assert max(stored for _, stored in built) > 1000 * max(evaluated)
+    assert all(stored <= 4 * nonzero for nonzero, stored in built)
+    # every nonzero shell of every build is evaluated once, and nothing else
+    assert sum(evaluated) == sum(nonzero for nonzero, _ in built)
 
 
 def test_report_table_absent_by_default():
@@ -305,3 +306,36 @@ def test_order_cap_below_one_raises_before_any_build(monkeypatch, side, L_cap):
     monkeypatch.setattr(th, "build", no_build)
     with pytest.raises(DomainError, match="L_cap"):
         getattr(sm, side)(th.preset("zd", 2), GAUSS, 1e-10, L_cap=L_cap)
+
+
+def test_small_order_cap_bounds_every_order(monkeypatch):
+    # the doubling starts at min(32, L_cap), so a cap below 32 caps too;
+    # dd at d = 2.417 has a theta2^d dual term with offset d/4
+    orders = []
+    build = th.build
+
+    def recording_build(sp, L):
+        orders.append(L)
+        return build(sp, L)
+
+    monkeypatch.setattr(th, "build", recording_build)
+    f = tr.GaussPoly(((1.0, 0, 4.0),))
+    for name, d in (("zd", 2), ("dd", 2.417), ("theta4d", 3.3)):
+        orders.clear()
+        with pytest.raises(ToleranceNotMet, match="order cap 4"):
+            sm.verify(th.preset(name, d), f, tol=1e-6, L_cap=4)
+        assert max(orders) <= 4
+        report = sm.verify(th.preset(name, d), f, tol=1e-6, L_cap=16)
+        assert report.passed
+        assert max(report.L_used, report.L_star_used) <= 16
+        assert max(orders) <= 16
+
+
+@pytest.mark.parametrize("name,d", [("dd", 3.2707), ("dd", 2.4131), ("theta4d", 2.7183)])
+def test_dimension_to_four_decimals_verifies(name, d):
+    # the theta2^d term of the dual has offset d/4; for dd it shares no grid
+    # of denominator <= 4096 with the theta3^d term, so each term is summed
+    # on its own grid
+    report = sm.verify(th.preset(name, d), GAUSS, tol=1e-10)
+    assert report.passed
+    assert report.residual < 1e-12
