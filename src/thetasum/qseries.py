@@ -82,11 +82,7 @@ class QSeries:
 
         # compact a reducible grid: divide out the gcd of the denominator,
         # the nonzero indices and (for exact offsets) the offset itself
-        g = V
-        for idx in nz:
-            g = math.gcd(g, int(idx))
-            if g == 1:
-                break
+        g = int(np.gcd.reduce(nz, initial=V))
         if isinstance(off, int):
             g = math.gcd(g, off)
         if g > 1:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import qseries as qs
 from . import theta as th
 from . import transform as tr
 from .errors import DomainError, ToleranceNotMet
@@ -103,8 +104,8 @@ def _measured_decay(series, which, A, N, terms, errors):
 
 
 def _exact(f: RadialFunction):
-    """Profile values at the shell radii, with no error estimate."""
-    return lambda radii: (f.eval(radii), 0.0)
+    """Profile values at the shell radii, with zero error estimates."""
+    return lambda radii: (f.eval(radii), np.zeros(radii.size))
 
 
 def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
@@ -125,28 +126,43 @@ def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
     return transformed
 
 
-def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> ShellSum:
+def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
+                builders: dict) -> ShellSum:
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
 
     Each term of the spec is built on its own grid, and the terms' nonzero
-    shells are summed side by side, sorted by exponent.  ``profile(radii)
-    -> (values, errors)`` gives the summand's profile at those shells;
-    ``tail_of(series, which, A, N, terms, errors) -> (tail, at_floor)``
-    estimates the truncated remainder from the terms' series and the term
-    index of every shell, and at_floor stops the doubling where it cannot
-    help.  The sum, its magnitude and its error budget are exactly rounded
-    (``math.fsum``).  A tol that is not a finite positive number, or an
-    L_cap below 1, raises ``DomainError`` before any build.
+    shells are summed side by side, sorted by exponent.  ``builders`` maps
+    a term's factor tuple to its ``theta._TermBuilder``: a term grows in
+    place across the doublings, and a term whose factors another sum over
+    the same table already built (the theta3^d term on both sides of
+    ``verify``) continues from where that sum stopped.  The term
+    coefficient is applied to the built series afterwards.
+
+    ``profile(radii) -> (values, errors)`` gives the summand's profile,
+    once per distinct radius; ``tail_of(series, which, A, N, terms,
+    errors) -> (tail, at_floor)`` estimates the truncated remainder from
+    the terms' series and the term index of every shell, and at_floor stops
+    the doubling where it cannot help.  The sum, its magnitude and its
+    error budget are exactly rounded (``math.fsum``).  A tol that is not a
+    finite positive number, or an L_cap that is not an integer >= 1,
+    raises ``DomainError`` before any build.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if not isinstance(L_cap, (int, np.integer)) or isinstance(L_cap, bool):
+        raise DomainError(f"L_cap must be an integer, got {L_cap!r}")
     if L_cap < 1:
         raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
-    one_term_specs = [ThetaSpec(terms=(term,), dim_d=spec.dim_d) for term in spec.terms]
+    terms_of = []
+    for coeff, factors in spec.terms:
+        if factors not in builders:
+            builders[factors] = th._TermBuilder(factors)
+        builder = builders[factors]
+        terms_of.append((coeff * builder.prefactor, builder))
     L = min(32, L_cap)
     while True:
-        series = [th.build(s, L) for s in one_term_specs]
+        series = [qs.lincomb([(c, builder.series(L))]) for c, builder in terms_of]
         nonzero = [np.flatnonzero(s.coeffs) for s in series]
         which = np.repeat(np.arange(len(series)), [l.size for l in nonzero])
         l = np.concatenate(nonzero)
@@ -155,7 +171,11 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         by_A = np.argsort(A, kind="stable")
         which, l, A, N = which[by_A], l[by_A], A[by_A], N[by_A]
         radii = np.sqrt(A)
-        values, errors = profile(radii)
+        first = np.ones(A.size, dtype=bool)  # first shell at each distinct radius
+        first[1:] = A[1:] != A[:-1]
+        values, errors = profile(radii[first])
+        at = np.cumsum(first) - 1
+        values, errors = values[at], errors[at]
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = bad[0]
@@ -172,10 +192,26 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         L = min(2 * L, L_cap)
 
 
+def _direct(spec: ThetaSpec, f: RadialFunction, tol: float, L_cap: int,
+            builders: dict) -> ShellSum:
+    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d), builders)
+
+
+def _dual(spec: ThetaSpec, f: RadialFunction, tol: float, settings: TransformSettings,
+          L_cap: int, builders: dict) -> ShellSum:
+    dspec = th.dual(spec)
+    d = spec.dim_d
+    if isinstance(f, GaussPoly):
+        fhat = tr.ft_gausspoly(f, d, settings)
+        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d), builders)
+    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay,
+                       builders)
+
+
 def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
             L_cap: int = 4096) -> ShellSum:
     """Direct-side shell sum, truncated where the majorant tail is < tol/10."""
-    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d))
+    return _direct(spec, f, tol, L_cap, {})
 
 
 def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
@@ -191,12 +227,7 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     once the decay windows hold no more than the transform's own error
     estimates, its noise floor.
     """
-    dspec = th.dual(spec)
-    d = spec.dim_d
-    if isinstance(f, GaussPoly):
-        fhat = tr.ft_gausspoly(f, d, settings)
-        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d))
-    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay)
+    return _dual(spec, f, tol, settings, L_cap, {})
 
 
 @dataclass(frozen=True)
@@ -240,8 +271,9 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
     The multiplier (default 10) absorbs correlated rounding across many
     shells; it is configurable and recorded nowhere else.
     """
-    left = lhs_sum(spec, f, tol, L_cap)
-    right = rhs_sum(spec, f, tol, settings, L_cap)
+    builders: dict = {}  # one per distinct factor tuple, shared by both sides
+    left = _direct(spec, f, tol, L_cap, builders)
+    right = _dual(spec, f, tol, settings, L_cap, builders)
     residual = abs(left.value - right.value)
     floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
     budget = left.budget + right.budget + floor

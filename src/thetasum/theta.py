@@ -274,73 +274,103 @@ _LOG_WEIGHTS = {
 }
 
 
-def _log_coeffs(kind: int, n: int) -> np.ndarray:
-    """e[k] = k [x^k] log P(x) for k <= n: integer divisor sums, exact in f64.
+def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
+    """e[k - lo - 1] = k [x^k] log P(x) for lo < k <= n: exact integers in f64.
 
-    P is theta3 or theta4 itself, and theta2(q) = 2 q^{1/4} P(q^2).  Each
-    divisor pair is visited from its member that is at most sqrt(n).
+    P is theta3 or theta4 itself, and theta2(q) = 2 q^{1/4} P(q^2).  Every
+    divisor pair a * j = k in (lo, n] adds its weight in one ``bincount``;
+    the sums are exact, so their order does not matter.
     """
+    a = np.arange(1, n + 1)
+    count = n // a - lo // a          # the j with lo < a j <= n
+    start = np.cumsum(count) - count  # where the pairs of each a start
+    j = np.arange(count.sum()) + np.repeat(lo // a + 1 - start, count)
+    a = np.repeat(a, count)
     w = np.array(_LOG_WEIGHTS[kind], dtype=np.float64)
-    e = np.zeros(n + 1)
-    r = math.isqrt(n)
-    for a in range(1, r + 1):
-        j = np.arange(1, n // a + 1)
-        e[a * j] += a * w[a % 2, j % 2]
-    for j in range(1, n // (r + 1) + 1):
-        a = np.arange(r + 1, n // j + 1)
-        e[a * j] += a * w[a % 2, j % 2]
-    return e
+    return np.bincount(a * j - lo - 1, weights=a * w[a % 2, j % 2], minlength=n - lo)
 
 
-def _exp_series(h: np.ndarray) -> np.ndarray:
-    """Coefficients of exp(G) from h[k] = k [x^k] G, with G(0) = 0.
+class _TermBuilder:
+    """Coefficients of one term prod theta_kind(q^s)^p, grown in place.
 
-    n b_n = sum_{k=1..n} h_k b_{n-k}, b_0 = 1.  Fed with the divisor sums
-    of ``_log_coeffs`` it stays within ~1e-12 of the running maximum of the
-    coefficients to n = 4096 (the tests check it against mpmath and
+    By the Jacobi triple product the term equals 2^a q^w exp(sum p log
+    P_kind(q^s')), where a and w sum p and p s / 4 over the theta2 factors,
+    and s' is 2s for theta2 and s otherwise.  The factor logs h are added
+    on the term's grid (denominator D, stride g) and the exp recurrence
+
+        n b_n = sum_{k=1..n} h_k b_{n-k},  b_0 = 1,
+
+    gives the term.  The recurrence is online: asked for a higher order,
+    the builder extends h and runs it only for the new indices, and each
+    b_n sees the same operands as in a build from scratch, so a grown
+    series is bit-identical to one built in one step.  Fed with the divisor
+    sums of ``_log_coeffs`` it stays within ~1e-12 of the running maximum
+    of the coefficients to n = 4096 (the tests check it against mpmath and
     lattice counts).
     """
-    N = h.size - 1
-    hr = np.ascontiguousarray(h[::-1])  # hr[N-n:N] = h_n .. h_1
-    b = np.zeros(N + 1)
-    b[0] = 1.0
-    for n in range(1, N + 1):
-        b[n] = np.dot(hr[N - n:N], b[:n]) / n
-    return b
+
+    def __init__(self, factors: Sequence[ThetaFactor]):
+        fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
+        self.factors = fs
+        self.D = D = math.lcm(*(f.scale.denominator for f in fs))
+        # scale s = num/den as (num, den, s D): each factor's variable is
+        # x = q^{step/D}, and the recurrence runs in units of g
+        self.scales = [(f.scale.numerator, f.scale.denominator, int(f.scale * D)) for f in fs]
+        steps = [sD * (2 if f.kind == 2 else 1) for f, (_, _, sD) in zip(fs, self.scales)]
+        self.g = math.gcd(*steps)
+        self.strides = [step // self.g for step in steps]
+        theta2 = [f for f in fs if f.kind == 2]
+        self.offset = math.fsum(f.power * float(f.scale * D) / 4 for f in theta2)
+        self.prefactor = 2.0 ** math.fsum(f.power for f in theta2)
+        self.h = np.zeros(1)
+        self.b = np.ones(1)
+
+    def _grow(self, N: int) -> None:
+        """Extend h and b to index N, computing only the indices above the old end."""
+        n0 = self.b.size - 1
+        h = np.zeros(N + 1)
+        h[:n0 + 1] = self.h
+        for f, k in zip(self.factors, self.strides):
+            j0 = n0 // k
+            h[(j0 + 1) * k::k] += f.power * k * _log_coeffs(f.kind, N // k, j0)
+        hr = np.ascontiguousarray(h[::-1])  # hr[N-n:N] = h_n .. h_1
+        b = np.zeros(N + 1)
+        b[:n0 + 1] = self.b
+        for n in range(n0 + 1, N + 1):
+            b[n] = np.dot(hr[N - n:N], b[:n]) / n
+        self.h, self.b = h, b
+
+    def series(self, L: int) -> QSeries:
+        """The term without its 2^a prefactor, exact for exponents up to ~L.
+
+        A factor covers relative exponent ceil(L/s) s, as its theta series
+        would, and the term the least of these.
+        """
+        top = min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
+        n = top // self.g
+        if n >= self.b.size:
+            self._grow(n)
+        coeffs = np.zeros(top + 1)
+        coeffs[::self.g] = self.b[:n + 1]
+        return QSeries(self.D, self.offset, coeffs)
 
 
 def build(spec: ThetaSpec, L: int) -> QSeries:
     """QSeries of the spec, coefficients exact for exponents up to ~L.
 
-    By the Jacobi triple product each term prod theta_kind(q^s)^p equals
-    2^a q^w exp(sum p log P_kind(q^s')), where a and w sum p and p s / 4
-    over the theta2 factors, and s' is 2s for theta2 and s otherwise.  The
-    factor logs are added on the term's grid and one exp recurrence gives
-    the term.  A factor covers relative exponent ceil(L/s) s, as its theta
-    series would, and the term the least of these.  The offset w is summed
-    as a float; ``qseries.lincomb`` merges the terms.
+    Each term comes from its own ``_TermBuilder`` in one step, and
+    ``qseries.lincomb`` merges the terms, each times its coefficient and
+    its 2^a prefactor.  ``summation`` keeps the builders instead: it grows
+    them across its doublings and shares them between the two sides of
+    ``verify``.
     """
     L = int(L)
     if L < 0:
         raise DomainError(f"order must be nonnegative, got {L}")
     pieces = []
     for coeff, factors in spec.terms:
-        fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
-        D = math.lcm(*(f.scale.denominator for f in fs))
-        top = int(min(max(1, math.ceil(L / f.scale)) * f.scale * D for f in fs))
-        # each factor's variable x = q^{step/D}; the recurrence runs in units of g
-        steps = [int(f.scale * D) * (2 if f.kind == 2 else 1) for f in fs]
-        g = math.gcd(*steps)
-        h = np.zeros(top // g + 1)
-        for f, step in zip(fs, steps):
-            k = step // g
-            h[::k] += f.power * k * _log_coeffs(f.kind, (h.size - 1) // k)
-        coeffs = np.zeros(top + 1)
-        coeffs[::g] = _exp_series(h)
-        theta2 = [f for f in fs if f.kind == 2]
-        offset = math.fsum(f.power * float(f.scale * D) / 4 for f in theta2)
-        scale = 2.0 ** math.fsum(f.power for f in theta2)
-        pieces.append((coeff * scale, QSeries(D, offset, coeffs)))
+        term = _TermBuilder(factors)
+        pieces.append((coeff * term.prefactor, term.series(L)))
     return qs.lincomb(pieces)
 
 

@@ -45,6 +45,33 @@ def test_canonical_form_compacts_grid():
     assert list(a.coeffs) == [1.0, 2.0, 3.0]
 
 
+def _compacted_index_by_index(V, off, coeffs):
+    """Reference compaction: the grid gcd taken one nonzero index at a time."""
+    g = V
+    for idx in np.flatnonzero(coeffs):
+        g = math.gcd(g, int(idx))
+    if isinstance(off, int):
+        g = math.gcd(g, off)
+    return V // g, (off // g if isinstance(off, int) else off / g), coeffs[::g]
+
+
+@pytest.mark.parametrize("V,off,stride", [
+    (2, 0.4, 2),   # the dual of theta3(q)^1.2 theta4(q^2)^0.8: theta2(q^{1/2}) on V = 2
+    (6, 4, 4),
+    (12, 6, 6),
+    (4, 0, 3),
+    (8, 2.5, 8),
+])
+def test_compaction_when_every_index_shares_the_grid_factor(V, off, stride):
+    coeffs = np.zeros(4097)
+    coeffs[::stride] = np.arange(1.0, coeffs[::stride].size + 1)
+    a = qs.QSeries(V, off, coeffs)
+    want_V, want_off, want_coeffs = _compacted_index_by_index(V, off, coeffs)
+    assert (a.denom_V, a.offset_A) == (want_V, want_off)
+    assert type(a.offset_A) is type(want_off)
+    assert np.array_equal(a.coeffs, want_coeffs)
+
+
 def test_leading_zeros_move_into_offset():
     a = qs.QSeries(2, 0, [0.0, 0.0, 0.0, 5.0, 7.0])
     assert a.offset_exponent() == 1.5

@@ -216,17 +216,17 @@ def test_per_term_table_of_sampled_profile_matches_closed_route():
 def test_per_term_table_adds_no_build_or_transform(monkeypatch):
     # the table is cut from the shells both sides summed
     calls = {"build": 0, "transform": 0}
-    build, many = th.build, tr.ft_quadrature_many
+    series, many = th._TermBuilder.series, tr.ft_quadrature_many
 
-    def counted_build(*args, **kwargs):
+    def counted_series(self, L):
         calls["build"] += 1
-        return build(*args, **kwargs)
+        return series(self, L)
 
     def counted_many(*args, **kwargs):
         calls["transform"] += 1
         return many(*args, **kwargs)
 
-    monkeypatch.setattr(th, "build", counted_build)
+    monkeypatch.setattr(th._TermBuilder, "series", counted_series)
     monkeypatch.setattr(tr, "ft_quadrature_many", counted_many)
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
     counts = []
@@ -235,7 +235,7 @@ def test_per_term_table_adds_no_build_or_transform(monkeypatch):
         report = sm.verify(th.preset("zd", 2.5), f, tol=1e-8, with_table=with_table)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["transform"] > 0
+    assert counts[0]["build"] > 0 and counts[0]["transform"] > 0
     assert {row["side"] for row in report.per_term_table} == {"lhs", "rhs"}
 
 
@@ -245,24 +245,82 @@ def test_dual_builds_store_few_more_entries_than_nonzero_shells(monkeypatch):
     spec = th.preset("dd", 4.113)
     f = tr.GaussPoly(((1.0, 2, 11.33), (-0.31, 0, 13.52)))
     built, evaluated = [], []
-    build, evaluate = th.build, tr.GaussPoly.eval
+    series, evaluate = th._TermBuilder.series, tr.GaussPoly.eval
 
-    def recording_build(sp, L):
-        series = build(sp, L)
-        built.append((np.count_nonzero(series.coeffs), series.coeffs.size))
-        return series
+    def recording_series(self, L):
+        out = series(self, L)
+        built.append((out.exponents()[np.flatnonzero(out.coeffs)], out.coeffs.size))
+        return out
 
     def recording_eval(self, r):
         evaluated.append(np.size(r))
         return evaluate(self, r)
 
-    monkeypatch.setattr(th, "build", recording_build)
+    monkeypatch.setattr(th._TermBuilder, "series", recording_series)
     monkeypatch.setattr(tr.GaussPoly, "eval", recording_eval)
     report = sm.verify(spec, f, tol=1e-10)
     assert report.passed
-    assert all(stored <= 4 * nonzero for nonzero, stored in built)
-    # every nonzero shell of every build is evaluated once, and nothing else
-    assert sum(evaluated) == sum(nonzero for nonzero, _ in built)
+    assert all(stored <= 4 * nonzero.size for nonzero, stored in built)
+    # both sides build their two terms at each order; every distinct radius
+    # of each order is evaluated once, and nothing else.  theta3^d and
+    # theta4^d share their exponents, so the direct side evaluates half its
+    # shells.
+    pairs = [np.concatenate([built[i][0], built[i + 1][0]]) for i in range(0, len(built), 2)]
+    assert sum(evaluated) == sum(np.unique(A).size for A in pairs)
+    assert sum(evaluated) < sum(A.size for A in pairs)
+
+
+def test_profile_is_evaluated_once_per_distinct_radius():
+    # theta3^d and theta4^d have nonzero shells at the same exponents
+    radii = []
+
+    def f(r):
+        radii.append(r)
+        return math.exp(-r * r)
+
+    left = sm.lhs_sum(th.preset("dd", 2.4), tr.Sampled(f, decay_hint=(1.0, 1.0)), 1e-8)
+    assert left.L_used == 32
+    assert len(radii) == len(set(radii)) == 33
+    assert left.shells[1].size == 66
+
+
+def test_verify_computes_each_recurrence_index_once(monkeypatch):
+    # zd is self-dual: both sides of verify grow one theta3^d builder
+    grown = []
+    grow = th._TermBuilder._grow
+
+    def recording_grow(self, N):
+        grown.append((id(self), self.b.size - 1, N))
+        grow(self, N)
+
+    monkeypatch.setattr(th._TermBuilder, "_grow", recording_grow)
+    report = sm.verify(th.preset("zd", 2.5), GAUSS, tol=1e-10)
+    assert report.passed and report.L_used > 32
+    assert len({who for who, _, _ in grown}) == 1
+    assert [old for _, old, _ in grown[1:]] == [new for _, _, new in grown[:-1]]
+    assert sum(new - old for _, old, new in grown) == max(new for _, _, new in grown)
+
+
+def test_verify_builds_a_shared_dual_term_once(monkeypatch):
+    # dd has theta3^d and theta4^d, its dual theta3^d and theta2^d
+    made = []
+    init = th._TermBuilder.__init__
+
+    def recording_init(self, factors):
+        made.append(tuple(factors))
+        init(self, factors)
+
+    monkeypatch.setattr(th._TermBuilder, "__init__", recording_init)
+    spec = th.preset("dd", 2.4)
+    assert sm.verify(spec, GAUSS, tol=1e-10).passed
+    theta3 = spec.terms[0][1]
+    assert made.count(theta3) == 1
+    assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
+    # lhs_sum and rhs_sum on their own each build it
+    made.clear()
+    sm.lhs_sum(spec, GAUSS, 1e-10)
+    sm.rhs_sum(spec, GAUSS, 1e-10)
+    assert made.count(theta3) == 2
 
 
 def test_report_table_absent_by_default():
@@ -286,13 +344,14 @@ def test_verify_propagates_cap():
 BAD_TOLS = [0.0, -1.0, math.nan, math.inf]
 
 
+def _no_build(factors):
+    raise AssertionError("made a term builder")
+
+
 @pytest.mark.parametrize("tol", BAD_TOLS)
 @pytest.mark.parametrize("side", ["verify", "lhs_sum", "rhs_sum"])
 def test_bad_tol_raises_before_any_build(monkeypatch, side, tol):
-    def no_build(spec, L):
-        raise AssertionError("built a series")
-
-    monkeypatch.setattr(th, "build", no_build)
+    monkeypatch.setattr(th, "_TermBuilder", _no_build)
     with pytest.raises(DomainError, match="tol"):
         getattr(sm, side)(th.preset("zd", 2), GAUSS, tol)
 
@@ -300,11 +359,17 @@ def test_bad_tol_raises_before_any_build(monkeypatch, side, tol):
 @pytest.mark.parametrize("L_cap", [0, -8])
 @pytest.mark.parametrize("side", ["verify", "lhs_sum", "rhs_sum"])
 def test_order_cap_below_one_raises_before_any_build(monkeypatch, side, L_cap):
-    def no_build(spec, L):
-        raise AssertionError("built a series")
-
-    monkeypatch.setattr(th, "build", no_build)
+    monkeypatch.setattr(th, "_TermBuilder", _no_build)
     with pytest.raises(DomainError, match="L_cap"):
+        getattr(sm, side)(th.preset("zd", 2), GAUSS, 1e-10, L_cap=L_cap)
+
+
+@pytest.mark.parametrize("L_cap", [100.5, 64.0, True, "64"])
+@pytest.mark.parametrize("side", ["verify", "lhs_sum", "rhs_sum"])
+def test_non_integer_order_cap_raises_before_any_build(monkeypatch, side, L_cap):
+    # 100.5 would be floored to 100 and True read as 1
+    monkeypatch.setattr(th, "_TermBuilder", _no_build)
+    with pytest.raises(DomainError, match="L_cap must be an integer"):
         getattr(sm, side)(th.preset("zd", 2), GAUSS, 1e-10, L_cap=L_cap)
 
 
@@ -312,19 +377,20 @@ def test_small_order_cap_bounds_every_order(monkeypatch):
     # the doubling starts at min(32, L_cap), so a cap below 32 caps too;
     # dd at d = 2.417 has a theta2^d dual term with offset d/4
     orders = []
-    build = th.build
+    series = th._TermBuilder.series
 
-    def recording_build(sp, L):
+    def recording_series(self, L):
         orders.append(L)
-        return build(sp, L)
+        return series(self, L)
 
-    monkeypatch.setattr(th, "build", recording_build)
+    monkeypatch.setattr(th._TermBuilder, "series", recording_series)
     f = tr.GaussPoly(((1.0, 0, 4.0),))
     for name, d in (("zd", 2), ("dd", 2.417), ("theta4d", 3.3)):
         orders.clear()
         with pytest.raises(ToleranceNotMet, match="order cap 4"):
             sm.verify(th.preset(name, d), f, tol=1e-6, L_cap=4)
         assert max(orders) <= 4
+        orders.clear()
         report = sm.verify(th.preset(name, d), f, tol=1e-6, L_cap=16)
         assert report.passed
         assert max(report.L_used, report.L_star_used) <= 16

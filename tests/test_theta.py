@@ -117,6 +117,16 @@ C5_SPEC = th.ThetaSpec(
 )
 
 
+THREE_FACTOR_SPEC = th.ThetaSpec(
+    terms=((0.5, (th.ThetaFactor(3, 0.5, Fraction(1)),
+                  th.ThetaFactor(4, 0.7, Fraction(2)),
+                  th.ThetaFactor(2, 1.3, Fraction(1, 2)))),
+           (-0.25, (th.ThetaFactor(2, 2.0, Fraction(3)),
+                    th.ThetaFactor(3, 0.5, Fraction(1, 3)))),),
+    dim_d=2.5,
+)
+
+
 def _power_and_product_build(spec, L):
     """Reference route: each factor by Miller's power recurrence, then products."""
     pieces = []
@@ -140,14 +150,7 @@ def _power_and_product_build(spec, L):
     th.dual(th.preset("theta4d", math.pi)),  # float offset
     C5_SPEC,
     th.dual(C5_SPEC),
-    th.ThetaSpec(
-        terms=((0.5, (th.ThetaFactor(3, 0.5, Fraction(1)),
-                      th.ThetaFactor(4, 0.7, Fraction(2)),
-                      th.ThetaFactor(2, 1.3, Fraction(1, 2)))),
-               (-0.25, (th.ThetaFactor(2, 2.0, Fraction(3)),
-                        th.ThetaFactor(3, 0.5, Fraction(1, 3)))),),
-        dim_d=2.5,
-    ),
+    THREE_FACTOR_SPEC,
 ], ids=["zd", "dd", "theta4d", "dual-dd", "dual-theta4d", "dual-dd-fold",
         "dual-theta4d-float", "c5", "dual-c5", "three-factor"])
 @pytest.mark.parametrize("L", [1, 5, 16])
@@ -159,6 +162,35 @@ def test_build_keeps_grid_of_power_and_product_route(spec, L):
     assert new.offset_A == pytest.approx(ref.offset_A, rel=1e-15)
     scale = np.maximum.accumulate(np.abs(ref.coeffs))
     assert np.all(np.abs(new.coeffs - ref.coeffs) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("spec", [
+    th.preset("zd", 2.5),
+    th.preset("theta4d", 3.3),
+    th.dual(th.preset("dd", 2.4131)),  # theta2^d term with a float offset
+    THREE_FACTOR_SPEC,
+], ids=["zd", "theta4d", "dual-dd-float", "three-factor"])
+def test_grown_term_equals_one_step_build(spec):
+    # a term grown by doubling its order is bit-identical to a fresh build
+    for coeff, factors in spec.terms:
+        one_term = th.ThetaSpec(terms=((coeff, factors),), dim_d=spec.dim_d)
+        term = th._TermBuilder(factors)
+        L = 32
+        while L <= 4096:
+            grown = qs.lincomb([(coeff * term.prefactor, term.series(L))])
+            fresh = th.build(one_term, L)
+            assert (grown.denom_V, grown.offset_A, grown.trunc_L) == (
+                fresh.denom_V, fresh.offset_A, fresh.trunc_L)
+            assert type(grown.offset_A) is type(fresh.offset_A)
+            assert np.array_equal(grown.coeffs, fresh.coeffs)
+            L *= 2
+
+
+def test_term_builder_serves_a_lower_order_from_its_prefix():
+    term = th._TermBuilder(th.preset("zd", 2.5).terms[0][1])
+    high = term.series(256)
+    assert term.series(64) == th.build(th.preset("zd", 2.5), 64)
+    assert np.array_equal(high.coeffs[:65], term.series(64).coeffs)
 
 
 _BITS = 200
