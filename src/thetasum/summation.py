@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qseries as qs
 from . import theta as th
 from . import transform as tr
 from .errors import DomainError, ToleranceNotMet
@@ -137,7 +136,8 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
     place across the doublings, and a term whose factors another sum over
     the same table already built (the theta3^d term on both sides of
     ``verify``) continues from where that sum stopped.  The term
-    coefficient is applied to the built series afterwards.
+    coefficient (times the term's 2^a prefactor) scales the built
+    coefficients afterwards.
 
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
     once per distinct radius; ``tail_of(series, which, A, N, terms,
@@ -162,12 +162,13 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
         terms_of.append((coeff * builder.prefactor, builder))
     L = min(32, L_cap)
     while True:
-        series = [qs.lincomb([(c, builder.series(L))]) for c, builder in terms_of]
-        nonzero = [np.flatnonzero(s.coeffs) for s in series]
+        series = [builder.series(L) for _, builder in terms_of]
+        scaled = [c * s.coeffs for (c, _), s in zip(terms_of, series)]
+        nonzero = [np.flatnonzero(N) for N in scaled]
         which = np.repeat(np.arange(len(series)), [l.size for l in nonzero])
         l = np.concatenate(nonzero)
         A = np.concatenate([s.exponents()[i] for s, i in zip(series, nonzero)])
-        N = np.concatenate([s.coeffs[i] for s, i in zip(series, nonzero)])
+        N = np.concatenate([N[i] for N, i in zip(scaled, nonzero)])
         by_A = np.argsort(A, kind="stable")
         which, l, A, N = which[by_A], l[by_A], A[by_A], N[by_A]
         radii = np.sqrt(A)

@@ -9,6 +9,10 @@ radial function at integer d.  Gaussian-polynomial profiles transform in
 closed form (``ft_closed``/``ft_gausspoly``).  Sampled profiles go through
 ``ft_quadrature_many``, one shared quadrature grid for many radii at once;
 ``ft_quadrature`` is the independent adaptive route that cross-checks both.
+The shared grid's kernel takes its Bessel function from the Hankel
+expansion at large arguments (``_kernel``); ``hyp0f1`` and so
+``ft_quadrature`` stay on ``special.jv``, which keeps the cross-check
+independent of that expansion.
 
 scipy is imported inside the functions that call it, so the closed-form
 paths never load it: ``scipy.special`` by the quadrature helpers and the
@@ -36,7 +40,23 @@ _SERIES_SWITCH = 25.0
 _RULE_ORDERS = (10, 14)
 
 # Most kernel entries (radii x nodes) ``ft_quadrature_many`` holds at once.
-_KERNEL_CHUNK = 2**20
+# Small enough that the temporaries of ``_kernel`` stay in cache: on 4096
+# radii at d = 2.5 (2-core Xeon, 4 MB L2) 2^14 and 2^15 ran fastest of 2^14
+# to 2^18, best of three 2.5 and 3.0 s against 4.3 s at 2^18.
+_KERNEL_CHUNK = 2**15
+
+# ``_kernel`` takes J_{a-1}(2x) from its Hankel expansion, ``_HANKEL_TERMS``
+# terms in all (P and Q together), from 2x = ``_hankel_start(a - 1)`` up, and
+# from ``special.jv`` below.  That start is never below ``_HANKEL_SWITCH``:
+# ``special.jv`` itself switches to its asymptotic expansion near 21.8, and
+# below that it errs by up to 7e-14 of the kernel envelope at non-integer
+# order, so a lower switch would leave points just below it outside the
+# kernel's 1.1e-14 bar.  Above it the start rises with the order until 18
+# terms meet 2^-53 (2x = 22.8 at d = 2.5, 23.9 at d = 8, 34.7 at d = 24), and
+# past d = 39 it is inf.  Measured, not tunable: 18 terms keep the start
+# within 1.3 of 22 over the d of the benchmarks (1 to 4.2).
+_HANKEL_SWITCH = 22.0
+_HANKEL_TERMS = 18
 
 # Least subinterval limit of the adaptive quadrature in ``ft_quadrature``.
 _MAX_PANELS = 400
@@ -370,17 +390,99 @@ def _kernel(a: float, x: np.ndarray) -> np.ndarray:
     """0F1(a; -x^2) on an array of x >= 0.
 
     Gamma(a) x^{1-a} J_{a-1}(2x), the Bessel relation ``hyp0f1`` uses past
-    its series range, on the whole axis: ``special.jv`` keeps its relative
-    accuracy as x -> 0, where ``special.hyp0f1`` loses up to 4e-12 at a = 1/2.
-    At d = 2 the kernel is J_0(2x), and ``special.j0`` is six times faster.
+    its series range, on the whole axis.  Where 2x >= ``_hankel_start(a - 1)``
+    it comes from the Hankel expansion (``_hankel``), about 80 ns an entry
+    where ``special.jv`` takes 470-1280 ns at non-integer order.  Below that
+    start, and at every x for an order the expansion's error bound does not
+    cover, it comes from ``special.jv``, which keeps its relative accuracy
+    as x -> 0, where ``special.hyp0f1`` loses up to 4e-12 at a = 1/2.  At
+    d = 2 the kernel is J_0(2x), and ``special.j0`` is faster than either.
     """
     from scipy import special
 
     if a == 1.0:
         return special.j0(2.0 * x)
+    out = np.empty_like(x)
+    far = x >= 0.5 * _hankel_start(a - 1.0)
+    out[far] = _hankel(a, x[far])
+    near = ~far
+    xn = x[near]
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x)
-    return np.where(x == 0.0, 1.0, k)
+        k = math.gamma(a) * xn ** (1.0 - a) * special.jv(a - 1.0, 2.0 * xn)
+    out[near] = np.where(xn == 0.0, 1.0, k)
+    return out
+
+
+def _hankel(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a) x^{1-a} J_nu(2x), nu = a - 1, by the Hankel expansion.
+
+    J_nu(z) ~ sqrt(2/(pi z)) (P cos w - Q sin w), w = z - nu pi/2 - pi/4,
+    where P and Q sum the even and the odd terms (-1)^{floor(k/2)}
+    a_k(nu) / z^k (DLMF 10.17.3), ``_HANKEL_TERMS`` of them in all, by
+    Horner's rule in 1/z^2.  cos w and sin w are taken from cos z and sin z
+    and the constant angle, so the phase w is never rounded: at z in the
+    thousands its rounding alone would cost ~1e-13.  The arithmetic runs in
+    place on a few arrays the size of x.
+    """
+    nu = a - 1.0
+    ak = _hankel_coeffs(nu)[:_HANKEL_TERMS]
+    signed = [c if k % 4 < 2 else -c for k, c in enumerate(ak)]
+    z = 2.0 * x
+    t = np.reciprocal(z * z)
+    P, Q = (_horner(signed[i::2], t) for i in (0, 1))
+    Q /= z
+    c = 0.5 * math.pi * nu + 0.25 * math.pi
+    cc, sc = math.cos(c), math.sin(c)
+    # P cos w - Q sin w = cos z (P cos c + Q sin c) + sin z (P sin c - Q cos c)
+    cos_part = cc * P
+    cos_part += sc * Q
+    P *= sc
+    Q *= cc
+    P -= Q
+    P *= np.sin(z)
+    cos_part *= np.cos(z, out=t)
+    cos_part += P
+    cos_part *= (math.gamma(a) / math.sqrt(math.pi)) * x ** (0.5 - a)
+    return cos_part
+
+
+def _hankel_coeffs(nu: float) -> list[float]:
+    """a_k(nu) of DLMF 10.17.1 for k = 0 .. ``_HANKEL_TERMS`` + 1."""
+    mu = 4.0 * nu * nu
+    ak = [1.0]
+    for k in range(1, _HANKEL_TERMS + 2):
+        ak.append(ak[-1] * (mu - (2 * k - 1) ** 2) / (8 * k))
+    return ak
+
+
+def _hankel_start(nu: float) -> float:
+    """Least z = 2x from which ``_kernel`` takes J_nu(z) from ``_hankel``.
+
+    DLMF 10.17(iii): for real nu and z > 0, the remainder of P after its
+    first l terms is at most its first omitted term in size when
+    l >= nu/2 - 1/4, and that of Q when l >= nu/2 - 3/4; P and Q depend on
+    nu^2 only.  With l = ``_HANKEL_TERMS``/2 terms in each, the start is the
+    least z >= ``_HANKEL_SWITCH`` at which both first omitted terms,
+    a_N(nu)/z^N and a_{N+1}(nu)/z^{N+1} with N = ``_HANKEL_TERMS``, are
+    below 2^-53, so the truncation stays under 2^-52 of the envelope
+    sqrt(2/(pi z)).  Where the bound does not hold (|nu| > 18.5 with 18
+    terms) it is inf, and the kernel stays on ``special.jv``.
+    """
+    nu = abs(nu)
+    n = _HANKEL_TERMS
+    if nu > n + 0.5:
+        return math.inf
+    ak = _hankel_coeffs(nu)
+    return max(_HANKEL_SWITCH, *((abs(ak[k]) * 2.0**53) ** (1.0 / k) for k in (n, n + 1)))
+
+
+def _horner(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k, in place on one new array."""
+    out = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    return out
 
 
 def _composite_rule(R: float, panels: int, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
 """Dimensionally continued radial transform and its kernel."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from thetasum import transform as tr
 from thetasum.errors import DomainError, ToleranceNotMet
@@ -243,7 +244,9 @@ def test_shared_grid_error_estimate_is_honest(d, g):
     values, errors = tr.ft_quadrature_many(_as_sampled(g), ps, d)
     closed = tr.ft_gausspoly(g, d).eval(ps)
     prefactor = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
-    assert np.all(np.abs(values - closed) <= errors + 1e-15 * prefactor)
+    # every radius whose actual error is above the rounding floor
+    # 1e-15 * prefactor keeps it under 0.6 of its estimate
+    assert np.all(np.abs(values - closed) <= np.maximum(0.6 * errors, 1e-15 * prefactor))
     assert np.all(errors < 1e-12)
 
 
@@ -256,15 +259,31 @@ def test_shared_grid_refuses_structure_finer_than_its_panels():
         tr.ft_quadrature_many(f, [0.0, 0.5], 2.5)
 
 
-@pytest.mark.parametrize("d", [2.0, 2.5])
+CUSP = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
+
+
+@pytest.mark.parametrize("d", [1.9, 2.0, 2.5, 3.5])
 def test_shared_grid_matches_adaptive_oracle(d):
-    # the cusp has no closed form; ft_quadrature is the independent route
-    f = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
+    # the cusp has no closed form; ft_quadrature is the independent route.
+    # At non-integer d the kernel at 12.0 is mostly the Hankel expansion.
     ps = [0.0, 0.7, 3.1, 12.0]
-    values, errors = tr.ft_quadrature_many(f, ps, d)
+    values, errors = tr.ft_quadrature_many(CUSP, ps, d)
     for p, v, e in zip(ps, values, errors):
-        want = tr.ft_quadrature(f, p, d)
+        want = tr.ft_quadrature(CUSP, p, d)
         assert abs(v - want.value) <= e + want.error
+
+
+def test_adaptive_oracle_never_reaches_the_shared_grid_kernel(monkeypatch):
+    # ft_quadrature stays on hyp0f1 and special.jv, so it checks the
+    # Hankel expansion of the shared grid instead of sharing it
+    def refuse(*args):
+        raise AssertionError("ft_quadrature called the shared-grid kernel")
+
+    monkeypatch.setattr(tr, "_kernel", refuse)
+    monkeypatch.setattr(tr, "_hankel", refuse)
+    for d in (1.9, 3.5):
+        for p in (0.7, 12.0):
+            assert math.isfinite(tr.ft_quadrature(CUSP, p, d).value)
 
 
 def test_shared_grid_evaluates_the_profile_once():
@@ -287,11 +306,67 @@ def test_shared_grid_evaluates_the_profile_once():
 
 @pytest.mark.parametrize("a", [0.5, 0.75, 1.0, 1.35, 1.5, 2.0, 2.35])
 def test_vectorised_kernel_matches_scalar_across_series_switch(a):
-    z = np.array([0.0, 1e-3, 0.5, 7.0, 24.0, 24.99, 25.01, 26.0, 400.0, 4e4])
+    # z = x^2 straddles the series switch of hyp0f1 (z = 25), the least
+    # Hankel start of _kernel (2x = 22, z = 121) and the start at order a - 1
+    z0 = (0.5 * tr._hankel_start(a - 1.0)) ** 2
+    z = np.array([0.0, 1e-3, 0.5, 7.0, 24.0, 24.99, 25.01, 26.0, 120.0, 120.99, 121.0,
+                  121.01, 122.0, z0 * (1 - 1e-9), z0, z0 * (1 + 1e-9), 400.0, 4e4])
     assert tr._SERIES_SWITCH == 25.0
+    assert tr._HANKEL_SWITCH == 22.0
     got = tr._kernel(a, np.sqrt(z))
     want = [tr.hyp0f1(a, -zz) for zz in z]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_hankel_start_follows_the_order():
+    # the least start wherever 18 terms already meet 2^-53 there (and where
+    # the expansion ends, at half-integer order), later at higher order,
+    # and never past |nu| = 18.5, where DLMF 10.17(iii) stops bounding
+    # the remainder by the first omitted term
+    assert tr._hankel_start(-0.5) == tr._hankel_start(0.5) == tr._hankel_start(11.5) == 22.0
+    assert 22.0 < tr._hankel_start(0.25) == tr._hankel_start(-0.25) < 23.0
+    assert tr._hankel_start(7.0) < tr._hankel_start(11.0) < tr._hankel_start(18.0)
+    assert math.isfinite(tr._hankel_start(18.5))
+    assert tr._hankel_start(19.0) == math.inf
+
+
+@pytest.mark.parametrize("d", [1.0, 1.5, 1.9, 2.5, 2.7, 3.0, 3.5, 3.9, 4.2, 8.0,
+                               16.0, 24.0, 24.5, 25.0, 38.0, 40.0])
+def test_kernel_matches_mpmath_hyp0f1(d):
+    # from just below the least Hankel start, and from just below the start
+    # at this order, up to x = pi p R, the largest kernel argument of a
+    # shared grid for p = 64, with R the radius the grid takes for the cusp.
+    # The error is measured against the kernel envelope
+    # Gamma(a)/sqrt(pi) x^{1/2-a}: within 1.1e-14 of it, or no worse than
+    # special.jv where that itself misses the bar (past d = 30, between the
+    # turning point and the Hankel start; d = 40 is all special.jv).
+    a = 0.5 * d
+    starts = [0.5 * tr._HANKEL_SWITCH, 0.5 * min(tr._hankel_start(a - 1.0), 200.0)]
+    prefactor = 2.0 * math.pi**a / math.gamma(a)
+    top = math.pi * 64 * tr._choose_r_max(CUSP, d, 1e-13 / prefactor)
+    x = np.concatenate([x0 + np.linspace(-0.05, 0.05, 11) for x0 in starts]
+                       + [np.geomspace(starts[0] + 0.1, top, 50)])
+    got = tr._kernel(a, x)
+    with mp.workdps(40):
+        want = np.array([float(mp.hyp0f1(a, -mp.mpf(v) ** 2)) for v in x.tolist()])
+    envelope = math.gamma(a) / math.sqrt(math.pi) * x ** (0.5 - a)
+    jv = math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x)
+    assert np.all(np.abs(got - want) <= np.maximum(1.1e-14 * envelope, np.abs(jv - want)))
+
+
+def test_shared_grid_kernel_memory_is_bounded():
+    # traced peak of the 4096-radius grid; 32.5 MiB was the peak with
+    # special.jv on the whole axis and 2^20-entry chunks
+    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    ps = np.sqrt(np.arange(4096.0))
+    tr.ft_quadrature_many(f, ps[:2], 2.5)  # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        tr.ft_quadrature_many(f, ps, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32.5 * 2**20
 
 
 def test_shared_grid_rejects_bad_input():
