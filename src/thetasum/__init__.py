@@ -1,10 +1,11 @@
 """Generalized theta series with noninteger dimension parameters.
 
-Layers, bottom up: ``qseries`` (generalized power series arithmetic),
-``theta`` (theta factors, specs, duals), ``transform`` (the dimensionally
-continued radial Fourier transform), ``summation`` (both sides of the
-summation identity and its verification), ``hermite`` (Gaussian expansion
-diagnostics), ``cli`` (command line front end).
+Layers, bottom up: ``qseries`` (the series container ``build`` returns,
+plus the reference route the tests compare against), ``theta`` (theta
+factors, specs, duals), ``transform`` (the dimensionally continued radial
+Fourier transform), ``summation`` (both sides of the summation identity and
+its verification), ``hermite`` (Gaussian expansion diagnostics), ``cli``
+(command line front end).
 """
 
 from .errors import (
@@ -25,17 +26,7 @@ from .hermite import (
     hermite_coeff_quadrature,
     hermite_h,
 )
-from .qseries import (
-    EvalResult,
-    QSeries,
-    Rational,
-    evaluate,
-    lincomb,
-    mul,
-    pow_real,
-    rescale,
-    unit,
-)
+from .qseries import QSeries, lincomb
 from .summation import (
     ShellSum,
     VerificationReport,
@@ -52,7 +43,6 @@ from .theta import (
     jacobi_residual,
     preset,
     theta_eval_product,
-    theta_series,
 )
 from .transform import (
     FTResult,
@@ -73,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientOverflow",
     "DomainError",
-    "EvalResult",
     "FTResult",
     "FitResult",
     "GaussPoly",
@@ -82,7 +71,6 @@ __all__ = [
     "NegativeExponent",
     "OffsetMismatch",
     "QSeries",
-    "Rational",
     "Sampled",
     "ShellSum",
     "ThetaFactor",
@@ -96,7 +84,6 @@ __all__ = [
     "coeff_bound",
     "dual",
     "eigen_residual",
-    "evaluate",
     "ft_closed",
     "ft_gausspoly",
     "ft_quadrature",
@@ -110,13 +97,8 @@ __all__ = [
     "laplacian_d",
     "lhs_sum",
     "lincomb",
-    "mul",
-    "pow_real",
     "preset",
-    "rescale",
     "rhs_sum",
     "theta_eval_product",
-    "theta_series",
-    "unit",
     "verify",
 ]

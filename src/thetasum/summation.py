@@ -24,6 +24,8 @@ from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled, TransformSettings
 
 _EPS_FLOOR = 2.0**-50
+# verify's PASS allowance, in units of the two tails plus the error budget
+_PASS_MULTIPLIER = 10.0
 
 
 class ShellSum(NamedTuple):
@@ -262,15 +264,13 @@ class VerificationReport:
 
 def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
            settings: TransformSettings = tr._DEFAULT_SETTINGS,
-           L_cap: int = 4096, pass_multiplier: float = 10.0,
-           with_table: bool = False) -> VerificationReport:
+           L_cap: int = 4096, with_table: bool = False) -> VerificationReport:
     """Check the summation identity for (spec, f) at tolerance tol.
 
-    PASS iff residual <= tol + pass_multiplier * (tail_lhs + tail_rhs +
+    PASS iff residual <= tol + _PASS_MULTIPLIER * (tail_lhs + tail_rhs +
     error budget), where the budget collects quadrature error estimates
     and an explicit rounding floor proportional to the summed magnitudes.
-    The multiplier (default 10) absorbs correlated rounding across many
-    shells; it is configurable and recorded nowhere else.
+    The multiplier 10 absorbs correlated rounding across many shells.
     """
     builders: dict = {}  # one per distinct factor tuple, shared by both sides
     left = _direct(spec, f, tol, L_cap, builders)
@@ -278,7 +278,7 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
     residual = abs(left.value - right.value)
     floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
     budget = left.budget + right.budget + floor
-    passed = residual <= tol + pass_multiplier * (left.tail + right.tail + budget)
+    passed = residual <= tol + _PASS_MULTIPLIER * (left.tail + right.tail + budget)
     return VerificationReport(
         lhs=left.value,
         rhs=right.value,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSpec, ToleranceNotMet
 from . import qseries as qs
-from .qseries import QSeries, Rational
+from .qseries import QSeries
 
 _POWER_SUM_TOL = 1e-12
 
@@ -36,7 +36,7 @@ class ThetaFactor:
 
     kind: int
     power: float
-    scale: Rational
+    scale: Fraction
 
     def __post_init__(self):
         if self.kind not in (2, 3, 4):
@@ -72,6 +72,8 @@ class ThetaSpec:
             raise InvalidSpec("spec without terms")
         object.__setattr__(self, "terms", tuple(norm))
         d = float(self.dim_d)
+        if not math.isfinite(d):
+            raise InvalidSpec(f"dim_d must be finite, got {self.dim_d!r}")
         object.__setattr__(self, "dim_d", d)
         for c, fs in self.terms:
             total = math.fsum(f.power for f in fs)

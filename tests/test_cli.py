@@ -145,6 +145,14 @@ def test_unreadable_spec_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_finite_dim_in_spec_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(th.preset("zd", 2).to_json().replace('"dim_d": 2.0', '"dim_d": NaN'))
+    code, out, err = run(capsys, ["verify", "--spec", str(path), "--f", "1,0,1"])
+    assert code == 2
+    assert out == "" and "dim_d must be finite" in err
+
+
 def test_dim_below_one_is_usage_error_without_flag(capsys):
     code, _, _ = run(capsys, [
         "transform", "--f", "1,0,1", "--dim", "0.5"])
@@ -192,10 +200,10 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     real = sm.verify
 
     def strict(spec, f, **kw):
-        kw["pass_multiplier"] = 0.0
         kw["tol"] = 1e-18
         return real(spec, f, **kw)
 
+    monkeypatch.setattr(sm, "_PASS_MULTIPLIER", 0.0)
     monkeypatch.setattr(sm, "verify", strict)
     code, out, err = run(capsys, [
         "verify", "--preset", "zd", "--dim", "3", "--f", "1,0,1"])

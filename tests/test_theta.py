@@ -296,6 +296,23 @@ def test_spec_dim_below_one_rejected():
         th.preset("zd", 0.5)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_dimension(d):
+    # a NaN dim_d compares False against every power-sum and range check
+    with pytest.raises(InvalidSpec, match="finite"):
+        th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 2.0, Fraction(1)),)),), dim_d=d)
+
+
+def test_from_json_rejects_non_finite_dimension():
+    data = th.preset("zd", 2).to_json_dict()
+    data["dim_d"] = math.nan
+    with pytest.raises(InvalidSpec, match="finite"):
+        th.ThetaSpec.from_json_dict(data)
+    text = th.preset("zd", 2).to_json().replace('"dim_d": 2.0', '"dim_d": NaN')
+    with pytest.raises(InvalidSpec, match="finite"):
+        th.ThetaSpec.from_json(text)
+
+
 def test_dim_one_only_for_plain_cubic_form():
     assert th.preset("zd", 1).is_zd_form
     with pytest.raises(InvalidSpec):
