@@ -81,8 +81,11 @@ def _settings(args: argparse.Namespace) -> tr.TransformSettings:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ThetasumError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -101,13 +104,8 @@ def _emit_rows(rows: list[dict], header: Sequence[str], args: argparse.Namespace
 
 def cmd_theta_coeffs(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    series = th.build(spec, args.L)
-    exps = series.exponents()
-    rows = []
-    for l, coeff in enumerate(series.coeffs):
-        if exps[l] > args.L + 1e-9:
-            break
-        rows.append({"l": l, "A_l": float(exps[l]), "N_l": float(coeff)})
+    A, N = th.coeff_table(spec, args.L)
+    rows = [{"l": l, "A_l": a, "N_l": n} for l, (a, n) in enumerate(zip(A.tolist(), N.tolist()))]
     _emit_rows(rows, ("l", "A_l", "N_l"), args)
     return 0
 

@@ -3,7 +3,7 @@
 A series is stored as coefficients N_0..N_L against exponents
 A_l = (l + offset_A) / denom_V.  The offset is a plain float (a real power
 of theta2 shifts its exponents by a real amount); it never refines the grid.
-``build`` returns a ``QSeries`` and merges a spec's terms with ``lincomb``.
+``build`` returns a ``QSeries`` and merges terms on one grid with ``lincomb``.
 ``mul``, ``pow_real``, ``rescale`` and ``evaluate`` are the reference route
 the tests compare the product-form build against; nothing else calls them.
 
@@ -30,9 +30,6 @@ from .errors import (
 # float offsets come from f64 inputs, so 1e-9 separates "same grid point"
 # from "genuinely incompatible" with a wide margin on both sides.
 _OFFSET_TOL = 1e-9
-# Largest denominator considered when deciding whether a float offset
-# difference lies on some refined integer grid.
-_OFFSET_DEN_CAP = 4096
 
 
 class QSeries:
@@ -138,45 +135,26 @@ def _common_grid(parts: Sequence[QSeries]) -> tuple[int, list[int]]:
     return V, [V // s.denom_V for s in parts]
 
 
-def _aligned_offsets(offsets: Sequence[float]) -> tuple[int, float, list[int]]:
-    """Place offsets (all in units of one grid step) on one integer grid.
-
-    Returns (refinement m, base offset in units of the refined step,
-    integer shifts).  Raises OffsetMismatch when no refinement with
-    denominator <= cap works.
-    """
-    base = min(offsets)
-    m = 1
-    snapped: list[Fraction] = []
-    for dd in (o - base for o in offsets):
-        fr = Fraction(dd).limit_denominator(_OFFSET_DEN_CAP)
-        if abs(float(fr) - dd) > _OFFSET_TOL:
-            raise OffsetMismatch(
-                f"offset difference {dd!r} is not on any integer grid refinement "
-                f"(denominator cap {_OFFSET_DEN_CAP})"
-            )
-        snapped.append(fr)
-        m = m * fr.denominator // math.gcd(m, fr.denominator)
-    return m, base * m, [int(fr * m) for fr in snapped]
-
-
 # -- operations --------------------------------------------------------
 
 
 def lincomb(terms: Sequence[tuple[float, QSeries]]) -> QSeries:
     """Linear combination sum_i c_i * s_i on the least common grid.
 
-    Offsets differing by an exact multiple of a (possibly refined) grid
-    step are lifted into index shifts; incompatible offsets raise
-    OffsetMismatch.  The truncation order of the result is the minimum
-    reliable order across the inputs.
+    Offsets differing by whole steps of that grid are lifted into index
+    shifts; any other offsets raise OffsetMismatch.  The truncation order
+    of the result is the minimum reliable order across the inputs.
     """
     if len(terms) == 0:
         raise DomainError("lincomb of an empty term list")
     parts = [s for _, s in terms]
-    V0, k0 = _common_grid(parts)
-    m, base, shifts = _aligned_offsets([s.offset_A * k for s, k in zip(parts, k0)])
-    stretch = [k * m for k in k0]
+    V, stretch = _common_grid(parts)
+    offsets = [s.offset_A * k for s, k in zip(parts, stretch)]
+    base = min(offsets)
+    shifts = [round(o - base) for o in offsets]
+    for o, sh in zip(offsets, shifts):
+        if abs(o - base - sh) > _OFFSET_TOL:
+            raise OffsetMismatch(f"offset difference {o - base!r} is not on the common grid")
     L = min(s.trunc_L * k + sh for s, k, sh in zip(parts, stretch, shifts))
 
     out = np.zeros(L + 1, dtype=np.float64)
@@ -184,7 +162,7 @@ def lincomb(terms: Sequence[tuple[float, QSeries]]) -> QSeries:
         idx = np.arange(s.coeffs.size) * k + sh
         keep = idx <= L
         out[idx[keep]] += float(c) * s.coeffs[keep]
-    return QSeries(V0 * m, base, out)
+    return QSeries(V, base, out)
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:

@@ -5,21 +5,22 @@ A spec describes a finite linear combination of products of theta factors
     sum_i c_i * prod_m theta_{kind}(q^{scale})^{power}
 
 with real nonnegative powers summing to the dimension parameter d in every
-term.  ``build`` turns a spec into a QSeries on its natural exponent grid,
-``dual`` applies the modular transformation rule factor by factor.
+term.  ``build`` turns a spec into one QSeries, ``coeff_table`` lists it term
+by term, ``dual`` applies the modular transformation rule factor by factor.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidSpec, ToleranceNotMet
+from .errors import CoefficientOverflow, DomainError, InvalidSpec, ToleranceNotMet
 from . import qseries as qs
 from .qseries import QSeries
 
@@ -133,15 +134,17 @@ class ThetaSpec:
             for t in data["terms"]:
                 factors = tuple(
                     ThetaFactor(
-                        kind=int(f["kind"]),
+                        # JSON integers only: 3.0, 1.5 and a zero denominator raise
+                        kind=operator.index(f["kind"]),
                         power=float(f["power"]),
-                        scale=Fraction(int(f["scale"][0]), int(f["scale"][1])),
+                        scale=Fraction(f["scale"][0], f["scale"][1]),
                     )
                     for f in t["factors"]
                 )
                 terms.append((float(t["coeff"]), factors))
             return cls(terms=tuple(terms), dim_d=float(data["dim_d"]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
             if isinstance(exc, InvalidSpec):
                 raise
             raise InvalidSpec(f"malformed spec JSON: {exc}") from exc
@@ -357,23 +360,43 @@ class _TermBuilder:
         return QSeries(self.D, self.offset, coeffs)
 
 
-def build(spec: ThetaSpec, L: int) -> QSeries:
-    """QSeries of the spec, coefficients exact for exponents up to ~L.
-
-    Each term comes from its own ``_TermBuilder`` in one step, and
-    ``qseries.lincomb`` merges the terms, each times its coefficient and
-    its 2^a prefactor.  ``summation`` keeps the builders instead: it grows
-    them across its doublings and shares them between the two sides of
-    ``verify``.
-    """
+def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, QSeries]]:
+    """Each term's series to order L, and its coefficient times its 2^a prefactor."""
     L = int(L)
     if L < 0:
         raise DomainError(f"order must be nonnegative, got {L}")
-    pieces = []
-    for coeff, factors in spec.terms:
-        term = _TermBuilder(factors)
-        pieces.append((coeff * term.prefactor, term.series(L)))
-    return qs.lincomb(pieces)
+    builders = [(coeff, _TermBuilder(factors)) for coeff, factors in spec.terms]
+    return [(coeff * term.prefactor, term.series(L)) for coeff, term in builders]
+
+
+def build(spec: ThetaSpec, L: int) -> QSeries:
+    """QSeries of the spec, coefficients exact for exponents up to ~L.
+
+    ``qseries.lincomb`` merges the terms, each from its own ``_TermBuilder``
+    in one step, and raises ``OffsetMismatch`` for terms on no common grid.
+    ``summation`` keeps and grows the builders instead.
+    """
+    return qs.lincomb(_terms(spec, L))
+
+
+def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents A <= L of the spec, sorted, and its coefficients N there.
+
+    Every point of each term's own grid is a row, and the terms add where
+    their exponents coincide within ``lincomb``'s slack; no term is moved
+    onto another's grid.
+    """
+    pieces = _terms(spec, L)
+    A = np.concatenate([s.exponents() for _, s in pieces])
+    N = np.concatenate([c * s.coeffs for c, s in pieces])
+    order = np.argsort(A, kind="stable")
+    A, N = A[order], N[order]
+    first = np.r_[True, np.diff(A) > qs._OFFSET_TOL]
+    A, N = A[first], np.bincount(np.cumsum(first) - 1, weights=N)
+    keep = A <= L + qs._OFFSET_TOL
+    if not np.all(np.isfinite(N[keep])):
+        raise CoefficientOverflow("non-finite coefficient")
+    return A[keep], N[keep]
 
 
 def dual(spec: ThetaSpec) -> ThetaSpec:

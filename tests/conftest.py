@@ -1,7 +1,22 @@
-"""Shared brute-force oracles: direct lattice enumeration, no series math."""
+"""Shared brute-force oracles (direct lattice enumeration, no series math),
+and a fresh interpreter for checks that must not see this session's imports."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports thetasum from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def lattice_counts(d: int, l_max: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,78 @@ def test_theta_coeffs_json_shape(capsys):
     rows = json.loads(out)
     assert rows[0] == {"l": 0, "A_l": 0.0, "N_l": 1.0}
     assert all(set(r) == {"l", "A_l", "N_l"} for r in rows)
+
+
+def _dual_spec_file(tmp_path, name, d):
+    path = tmp_path / "dual.json"
+    path.write_text(th.dual(th.preset(name, d)).to_json())
+    return str(path)
+
+
+def test_theta_coeffs_csv_of_a_theta2_dual(capsys, tmp_path):
+    # 0.5 theta3^2 on the integers plus 0.5 theta2^2 = 2 q^{1/2} (1 + 2 q^2 + ...)
+    # on the half-integers
+    code, out, _ = run(capsys, [
+        "theta-coeffs", "--spec", _dual_spec_file(tmp_path, "dd", 2), "--L", "4",
+        "--format", "csv",
+    ])
+    assert code == 0
+    assert out == (
+        "l,A_l,N_l\n"
+        "0,0.0,0.5\n"
+        "1,0.5,2.0\n"
+        "2,1.0,2.0\n"
+        "3,1.5,0.0\n"
+        "4,2.0,2.0\n"
+        "5,2.5,4.0\n"
+        "6,3.0,0.0\n"
+        "7,3.5,0.0\n"
+        "8,4.0,2.0\n"
+    )
+
+
+def test_theta_coeffs_lists_the_union_of_two_denominators(capsys, tmp_path):
+    # theta3(q^{1/2})^2 on the halves plus theta3(q^{1/3})^2 on the thirds:
+    # no row for a sixth that neither term has
+    spec = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 2.0, Fraction(1, 2)),)),
+                               (1.0, (th.ThetaFactor(3, 2.0, Fraction(1, 3)),))), dim_d=2.0)
+    path = tmp_path / "spec.json"
+    path.write_text(spec.to_json())
+    code, out, _ = run(capsys, [
+        "theta-coeffs", "--spec", str(path), "--L", "2", "--format", "csv"])
+    assert code == 0
+    assert out == (
+        "l,A_l,N_l\n"
+        "0,0.0,2.0\n"
+        "1,0.3333333333333333,4.0\n"
+        "2,0.5,4.0\n"
+        "3,0.6666666666666666,4.0\n"
+        "4,1.0,4.0\n"
+        "5,1.3333333333333333,4.0\n"
+        "6,1.5,0.0\n"
+        "7,1.6666666666666667,8.0\n"
+        "8,2.0,4.0\n"
+    )
+
+
+def test_theta_coeffs_lists_each_term_on_its_own_grid(capsys, tmp_path):
+    # the theta2^d term sits d/4 = 0.603275 off the integers, on no common grid
+    code, out, _ = run(capsys, [
+        "theta-coeffs", "--spec", _dual_spec_file(tmp_path, "dd", 2.4131), "--L", "64",
+    ])
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["l"] for r in rows] == list(range(65 + 64))
+    A = [r["A_l"] for r in rows]
+    assert A == sorted([float(l) for l in range(65)] + [l + 0.603275 for l in range(64)])
+    assert rows[0]["N_l"] == 0.5 and rows[1]["N_l"] != 0.0
+
+
+def test_theta_coeffs_rejects_a_negative_order(capsys):
+    code, out, err = run(capsys, ["theta-coeffs", "--preset", "zd", "--dim", "2", "--L", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_theta_coeffs_from_spec_file(capsys, tmp_path):
@@ -145,6 +218,36 @@ def test_unreadable_spec_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("scale", [1e400, 1]), ("scale", [1, 0]), ("scale", [1.5, 1]), ("scale", [1.0, 1]),
+    ("kind", 3.7), ("kind", 3.0),
+], ids=["scale-overflow", "scale-zero-denominator", "scale-not-whole", "scale-float",
+        "kind-not-whole", "kind-float"])
+def test_bad_number_in_spec_file_is_usage_error(capsys, tmp_path, key, value):
+    data = th.preset("zd", 2).to_json_dict()
+    data["terms"][0]["factors"][0][key] = value
+    with pytest.raises(errors.InvalidSpec):
+        th.ThetaSpec.from_json_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["theta-coeffs", "--spec", str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--preset", "dd", "--dim", "2"],
+    ["theta-coeffs", "--preset", "dd", "--dim", "2"],
+    ["verify", "--preset", "dd", "--dim", "2", "--f", "1,0,1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
+    out_path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write --out file")
+
+
 def test_non_finite_dim_in_spec_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(th.preset("zd", 2).to_json().replace('"dim_d": 2.0', '"dim_d": NaN'))
@@ -220,7 +323,7 @@ def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
     def fail(spec, L):
         raise error
 
-    monkeypatch.setattr(th, "build", fail)
+    monkeypatch.setattr(th, "coeff_table", fail)
     code, out, err = run(capsys, ["theta-coeffs", "--preset", "zd", "--dim", "2"])
     assert code == (3 if cls is errors.ToleranceNotMet else 2)
     assert out == ""
@@ -232,10 +335,10 @@ def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
     ["--L-cap", "0"], ["--L-cap", "-4"],
 ], ids=lambda extra: " ".join(extra))
 def test_verify_rejects_bad_tol_or_cap_before_building(capsys, monkeypatch, extra):
-    def no_build(spec, L):
-        raise AssertionError("built a series")
+    def no_build(factors):
+        raise AssertionError("made a term builder")
 
-    monkeypatch.setattr(th, "build", no_build)
+    monkeypatch.setattr(th, "_TermBuilder", no_build)
     code, out, err = run(capsys, [
         "verify", "--preset", "zd", "--dim", "2", "--f", "1,0,1", *extra])
     assert code == 2

@@ -5,19 +5,8 @@ fresh interpreter and reports the scipy modules it ended with.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+from conftest import run_fresh
 
 
 def scipy_modules_after(code: str) -> list[str]:

@@ -10,7 +10,8 @@ import pytest
 
 from thetasum import qseries as qs
 from thetasum import theta as th
-from thetasum.errors import DomainError, InvalidSpec, ToleranceNotMet
+from thetasum.errors import (CoefficientOverflow, DomainError, InvalidSpec, OffsetMismatch,
+                             ToleranceNotMet)
 
 from conftest import even_sum_counts, lattice_counts, signed_counts
 
@@ -140,28 +141,46 @@ def _power_and_product_build(spec, L):
     return qs.lincomb(pieces)
 
 
-@pytest.mark.parametrize("spec", [
-    th.preset("zd", 2.5),
-    th.preset("dd", 2.4),
-    th.preset("theta4d", 3.3),
-    th.dual(th.preset("dd", 2.4)),
-    th.dual(th.preset("theta4d", 3.3)),
-    th.dual(th.preset("dd", 2.417)),       # offset folded onto a 4000x grid
-    th.dual(th.preset("theta4d", math.pi)),  # float offset
-    C5_SPEC,
-    th.dual(C5_SPEC),
-    THREE_FACTOR_SPEC,
+# by_term: the terms of the spec lie on no common grid, so build refuses it whole
+@pytest.mark.parametrize("spec,by_term", [
+    (th.preset("zd", 2.5), False),
+    (th.preset("dd", 2.4), False),
+    (th.preset("theta4d", 3.3), False),
+    (th.dual(th.preset("dd", 2.4)), True),
+    (th.dual(th.preset("theta4d", 3.3)), False),
+    (th.dual(th.preset("dd", 2.417)), True),       # offset d/4 on a 4000x finer grid
+    (th.dual(th.preset("theta4d", math.pi)), False),  # float offset
+    (C5_SPEC, False),
+    (th.dual(C5_SPEC), False),
+    (THREE_FACTOR_SPEC, True),
 ], ids=["zd", "dd", "theta4d", "dual-dd", "dual-theta4d", "dual-dd-fold",
         "dual-theta4d-float", "c5", "dual-c5", "three-factor"])
 @pytest.mark.parametrize("L", [1, 5, 16])
-def test_build_keeps_grid_of_power_and_product_route(spec, L):
-    new = th.build(spec, L)
-    ref = _power_and_product_build(spec, L)
-    assert (new.denom_V, new.trunc_L) == (ref.denom_V, ref.trunc_L)
-    assert type(new.offset_A) is type(ref.offset_A)
-    assert new.offset_A == pytest.approx(ref.offset_A, rel=1e-15)
-    scale = np.maximum.accumulate(np.abs(ref.coeffs))
-    assert np.all(np.abs(new.coeffs - ref.coeffs) <= 1e-12 * scale)
+def test_build_keeps_grid_of_power_and_product_route(spec, by_term, L):
+    if not by_term:
+        new = th.build(spec, L)
+        ref = _power_and_product_build(spec, L)
+        assert (new.denom_V, new.trunc_L) == (ref.denom_V, ref.trunc_L)
+        assert type(new.offset_A) is type(ref.offset_A)
+        assert new.offset_A == pytest.approx(ref.offset_A, rel=1e-15)
+        scale = np.maximum.accumulate(np.abs(ref.coeffs))
+        assert np.all(np.abs(new.coeffs - ref.coeffs) <= 1e-12 * scale)
+        return
+    with pytest.raises(OffsetMismatch):
+        th.build(spec, L)
+    for term in spec.terms:
+        one_term = th.ThetaSpec(terms=(term,), dim_d=spec.dim_d)
+        new = th.build(one_term, L)
+        ref = _power_and_product_build(one_term, L)
+        # a lone term may sit on a coarser grid than the product route's
+        # (three-factor's second term: V = 3 here, V = 6 there), never a finer one
+        assert ref.denom_V % new.denom_V == 0
+        assert new.offset_exponent() == pytest.approx(ref.offset_exponent(), rel=1e-15)
+        assert new.reliable_exponent() == pytest.approx(ref.reliable_exponent(), rel=1e-15)
+        diff = qs.lincomb([(1.0, new), (-1.0, ref)])
+        at = np.searchsorted(ref.exponents(), diff.exponents() + 1e-9) - 1
+        scale = np.maximum.accumulate(np.abs(ref.coeffs))[at]
+        assert np.all(np.abs(diff.coeffs) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("spec", [
@@ -184,6 +203,26 @@ def test_grown_term_equals_one_step_build(spec):
             assert type(grown.offset_A) is type(fresh.offset_A)
             assert np.array_equal(grown.coeffs, fresh.coeffs)
             L *= 2
+
+
+def test_coeff_table_refuses_an_overflowing_coefficient():
+    spec = th.ThetaSpec(terms=((1e308, (th.ThetaFactor(3, 8.0, Fraction(1)),)),), dim_d=8.0)
+    with np.errstate(over="ignore"), pytest.raises(CoefficientOverflow):
+        th.coeff_table(spec, 4)
+
+
+def test_coeff_table_merges_offsets_that_differ_by_rounding():
+    # theta2^d and theta2^p theta2^(d-p) start at d/4 and p/4 + (d-p)/4,
+    # 1 ulp apart here; they are one row, as build puts them on one grid
+    d, p = 3.7566, 1.6392
+    spec = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(2, d, Fraction(1)),)),
+                               (1.0, (th.ThetaFactor(2, p, Fraction(1)),
+                                      th.ThetaFactor(2, d - p, Fraction(1))))), dim_d=d)
+    A, N = th.coeff_table(spec, 8)
+    series = th.build(spec, 8)
+    assert A.size == 8
+    assert np.allclose(A, series.exponents()[:8], rtol=0, atol=1e-12)
+    assert np.array_equal(N, series.coeffs[:8])
 
 
 def test_term_builder_serves_a_lower_order_from_its_prefix():
@@ -220,15 +259,15 @@ def _mp_factor_power(kind: int, power: float, n: int) -> tuple[int, ...]:
         return tuple(int(mp.nint(x * 2**_BITS)) for x in b)
 
 
-def _oracle_coeffs(spec, series):
-    """Coefficients of spec on the grid of series, and their running magnitude."""
-    want = np.zeros(series.trunc_L + 1)
-    mag = np.zeros(series.trunc_L + 1)
+def _oracle_coeffs(spec, A):
+    """Coefficients of spec at the sorted exponents A, and their running magnitude."""
+    want = np.zeros(A.size)
+    mag = np.zeros(A.size)
     for coeff, factors in spec.terms:
         steps = [f.scale * (2 if f.kind == 2 else 1) for f in factors]
         D = math.lcm(*(st.denominator for st in steps))
         x0 = math.fsum(f.power * f.scale / 4 for f in factors if f.kind == 2)
-        n = math.floor((series.reliable_exponent() - x0) * D + 1e-9)
+        n = math.floor((A[-1] - x0) * D + 1e-9)
         prod = np.zeros(n + 1, dtype=object)
         prod[0] = 1 << _BITS
         for f, st in zip(factors, steps):
@@ -240,28 +279,35 @@ def _oracle_coeffs(spec, series):
                 out[i:i + k * m:k] += prod[i] * fac[:m]
             prod = out >> _BITS
         c = coeff * 2.0 ** math.fsum(f.power for f in factors if f.kind == 2)
-        pos = (x0 + np.arange(n + 1) / D) * series.denom_V - float(series.offset_A)
-        idx = np.rint(pos).astype(int)
-        assert np.all(np.abs(pos - idx) < 1e-6) and idx[-1] <= series.trunc_L
+        exps = x0 + np.arange(n + 1) / D
+        idx = np.searchsorted(A, exps - 1e-7)
+        assert idx[-1] < A.size and np.all(np.abs(A[idx] - exps) < 1e-7)
         vals = c * np.array([v / 2**_BITS for v in prod])
         want[idx] += vals
         mag[idx] += np.abs(vals)
     return want, np.maximum.accumulate(mag)
 
 
-@pytest.mark.parametrize("spec", [
-    th.preset("zd", 2.5),
-    th.preset("dd", 2.4),
-    th.preset("theta4d", 3.3),
-    th.dual(th.preset("dd", 2.4)),
-    th.dual(th.preset("theta4d", 3.3)),
-    C5_SPEC,
-    th.dual(C5_SPEC),
-], ids=["zd", "dd", "theta4d", "dual-dd", "dual-theta4d", "c5", "dual-c5"])
-def test_build_matches_mpmath_oracle_at_order_1024(spec):
-    series = th.build(spec, 1024)
-    want, scale = _oracle_coeffs(spec, series)
-    assert np.all(np.abs(series.coeffs - want) <= 1e-11 * scale)
+def _build_rows(spec, L):
+    series = th.build(spec, L)
+    return series.exponents(), series.coeffs
+
+
+@pytest.mark.parametrize("spec,rows", [
+    (th.preset("zd", 2.5), _build_rows),
+    (th.preset("dd", 2.4), _build_rows),
+    (th.preset("theta4d", 3.3), _build_rows),
+    # the theta2^d term of a dual of dd lies on no common grid with theta3^d
+    (th.dual(th.preset("dd", 2.4)), th.coeff_table),
+    (th.dual(th.preset("dd", 2.417)), th.coeff_table),
+    (th.dual(th.preset("theta4d", 3.3)), _build_rows),
+    (C5_SPEC, _build_rows),
+    (th.dual(C5_SPEC), _build_rows),
+], ids=["zd", "dd", "theta4d", "dual-dd", "dual-dd-fold", "dual-theta4d", "c5", "dual-c5"])
+def test_build_matches_mpmath_oracle_at_order_1024(spec, rows):
+    A, N = rows(spec, 1024)
+    want, scale = _oracle_coeffs(spec, A)
+    assert np.all(np.abs(N - want) <= 1e-11 * scale)
 
 
 @pytest.mark.parametrize("name,counts", [("zd", lattice_counts),
