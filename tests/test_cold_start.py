@@ -4,7 +4,11 @@ The pytest session has imported scipy already, so each check runs in a
 fresh interpreter and reports the scipy modules it ended with.
 """
 
+import ast
 import json
+from pathlib import Path
+
+import thetasum
 
 from conftest import run_fresh
 
@@ -24,7 +28,7 @@ def test_import_loads_no_scipy():
     assert scipy_modules_after("import thetasum") == []
 
 
-def test_closed_form_cli_commands_load_no_scipy():
+def test_every_cli_command_loads_no_scipy():
     code = """
 import contextlib, io
 from thetasum import cli
@@ -34,6 +38,7 @@ commands = [
     ["dual", "--preset", "theta4d", "--dim", "3"],
     ["transform", "--f", "1,0,1", "--dim", "2.5"],
     ["jacobi-check"],
+    ["hermite-demo", "--n-max", "4"],
 ]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -62,3 +67,35 @@ def test_hermite_demo_still_gives_its_table():
     rows = json.loads(proc.stdout)
     assert [row["n"] for row in rows] == [0, 1, 2, 3, 4]
     assert all(row["abs_diff"] < 1e-10 for row in rows)
+    assert scipy_modules_after(
+        "from thetasum import cli\n"
+        "assert cli.main(['hermite-demo', '--n-max', '4']) == 0") == []
+
+
+def _integrate_users() -> set[tuple[str, str]]:
+    """(module, enclosing function) of every import of scipy.integrate, or
+    ``scipy.integrate`` attribute access, in the package."""
+    found = set()
+    for path in Path(thetasum.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+                   for name in names):
+                owner = [name for name, fn in scopes
+                         if fn.lineno <= node.lineno <= fn.end_lineno]
+                found.add((path.stem, owner[-1] if owner else "<module>"))
+    return found
+
+
+def test_scipy_integrate_is_imported_only_by_ft_quadrature():
+    assert _integrate_users() == {("transform", "ft_quadrature")}

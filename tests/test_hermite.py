@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -102,6 +103,64 @@ def test_quadrature_tolerance_surface():
     with pytest.raises(ToleranceNotMet):
         hm.hermite_coeff_quadrature(
             lambda x: math.exp(-0.5 * x * x), 4, abs_tol=1e-18)
+
+
+_GAUSS = lambda x: math.exp(-x * x)
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (_GAUSS, {"x_max": -3.0}), (_GAUSS, {"x_max": 0.0}),
+    (_GAUSS, {"x_max": float("nan")}), (_GAUSS, {"x_max": float("inf")}),
+    (_GAUSS, {"abs_tol": 0.0}), (_GAUSS, {"abs_tol": -1e-11}),
+    (_GAUSS, {"abs_tol": float("nan")}), (_GAUSS, {"abs_tol": float("inf")}),
+    (lambda x: float("nan") if x > 1.0 else 1.0, {}),
+    (lambda x: math.inf, {}),
+], ids=["x_max-negative", "x_max-zero", "x_max-nan", "x_max-inf", "abs_tol-zero",
+        "abs_tol-negative", "abs_tol-nan", "abs_tol-inf", "profile-nan", "profile-inf"])
+def test_quadrature_rejects_bad_input(f, kwargs):
+    # x_max = -3 used to integrate from 3 to -3 and flip the sign of the answer
+    with pytest.raises(DomainError, match="x_max|abs_tol|at x = "):
+        hm.hermite_coeff_quadrature(f, 2, **kwargs)
+
+
+def _mp_coeff(profile, n: int, cuts=(0.0,)) -> float:
+    """<profile, h_n> by mpmath at 30 digits, split at the cuts and on the tails."""
+    with mp.workdps(30):
+        norm = mp.sqrt(mp.sqrt(mp.pi) * 2**n * mp.factorial(n))
+        h = lambda x: mp.hermite(n, x) * mp.exp(-x * x / 2) / norm
+        return float(mp.quad(lambda x: profile(x) * h(x),
+                             [-mp.inf, -10, -5, *sorted(cuts), 5, 10, mp.inf]))
+
+
+# name: (float profile, the same profile in mpmath)
+_PROFILES = {
+    "sech": (lambda x: 1.0 / math.cosh(x), mp.sech),
+    "gauss-lorentz": (lambda x: math.exp(-x * x) / (1.0 + x * x),
+                      lambda x: mp.exp(-x * x) / (1 + x * x)),
+    "kink-at-0": (lambda x: abs(x) * math.exp(-x * x), lambda x: abs(x) * mp.exp(-x * x)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+@pytest.mark.parametrize("n", [0, 5, 17, 40])
+def test_quadrature_matches_mpmath_beyond_gaussians(name, n):
+    f, f_mp = _PROFILES[name]
+    assert abs(hm.hermite_coeff_quadrature(f, n) - _mp_coeff(f_mp, n)) <= 1e-11
+
+
+@pytest.mark.parametrize("c, n", [(0.37, 2), (0.5, 2), (-0.8, 3), (1.3, 1)])
+def test_quadrature_resolves_a_step_inside_a_panel(c, n):
+    # on a half of a bisected panel the two rules can agree to 1e-13 while
+    # both are off by 1e-7; the change the bisection made keeps it searching
+    step = lambda x: 1.0 if x < c else 0.0
+    want = _mp_coeff(step, n, cuts=(0.0, c))
+    assert abs(hm.hermite_coeff_quadrature(step, n) - want) <= 1e-11
+
+
+def test_quadrature_refuses_at_the_panel_cap():
+    # ~1600 periods per unit: no 400-panel grid of 14-point rules resolves them
+    with pytest.raises(ToleranceNotMet):
+        hm.hermite_coeff_quadrature(lambda x: math.exp(-x * x) * math.sin(1e4 * x), 3)
 
 
 def test_expansion_reconstructs_profile():
