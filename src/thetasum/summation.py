@@ -12,6 +12,7 @@ the residual together with every error source that was accepted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,17 +128,15 @@ def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
     return transformed
 
 
-def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
-                builders: dict) -> ShellSum:
+def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> ShellSum:
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
 
     Each term of the spec is built on its own grid, and the terms' nonzero
-    shells are summed side by side, sorted by exponent.  ``builders`` maps
-    a term's factor tuple to its ``theta._TermBuilder``: a term grows in
-    place across the doublings, and a term whose factors another sum over
-    the same table already built (the theta3^d term on both sides of
-    ``verify``) continues from where that sum stopped.  The term
+    shells are summed side by side, sorted by exponent.  Each term's builder
+    comes from ``theta._builder``, kept for the process, and grows only past
+    the order an earlier sum reached (the theta3^d term on both sides of
+    ``verify``, or the same spec under another profile).  The term
     coefficient (times the term's 2^a prefactor) scales the built
     coefficients afterwards.
 
@@ -147,21 +146,18 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
     the terms' series and the term index of every shell, and at_floor stops
     the doubling where it cannot help.  The sum, its magnitude and its
     error budget are exactly rounded (``math.fsum``).  A tol that is not a
-    finite positive number, or an L_cap that is not an integer >= 1,
-    raises ``DomainError`` before any build.
+    finite positive real (a bool is not one), or an L_cap that is not an
+    integer >= 1, raises ``DomainError`` before any build.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if not isinstance(L_cap, (int, np.integer)) or isinstance(L_cap, bool):
         raise DomainError(f"L_cap must be an integer, got {L_cap!r}")
     if L_cap < 1:
         raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
-    terms_of = []
-    for coeff, factors in spec.terms:
-        if factors not in builders:
-            builders[factors] = th._TermBuilder(factors)
-        builder = builders[factors]
-        terms_of.append((coeff * builder.prefactor, builder))
+    builders = [th._builder(factors) for _, factors in spec.terms]
+    terms_of = [(coeff * b.prefactor, b) for (coeff, _), b in zip(spec.terms, builders)]
     L = min(32, L_cap)
     while True:
         series = [builder.series(L) for _, builder in terms_of]
@@ -195,26 +191,10 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of,
         L = min(2 * L, L_cap)
 
 
-def _direct(spec: ThetaSpec, f: RadialFunction, tol: float, L_cap: int,
-            builders: dict) -> ShellSum:
-    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d), builders)
-
-
-def _dual(spec: ThetaSpec, f: RadialFunction, tol: float, settings: TransformSettings,
-          L_cap: int, builders: dict) -> ShellSum:
-    dspec = th.dual(spec)
-    d = spec.dim_d
-    if isinstance(f, GaussPoly):
-        fhat = tr.ft_gausspoly(f, d, settings)
-        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d), builders)
-    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay,
-                       builders)
-
-
 def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
             L_cap: int = 4096) -> ShellSum:
     """Direct-side shell sum, truncated where the majorant tail is < tol/10."""
-    return _direct(spec, f, tol, L_cap, {})
+    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d))
 
 
 def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
@@ -230,7 +210,12 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     once the decay windows hold no more than the transform's own error
     estimates, its noise floor.
     """
-    return _dual(spec, f, tol, settings, L_cap, {})
+    dspec = th.dual(spec)
+    d = spec.dim_d
+    if isinstance(f, GaussPoly):
+        fhat = tr.ft_gausspoly(f, d, settings)
+        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d))
+    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay)
 
 
 @dataclass(frozen=True)
@@ -272,9 +257,8 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
     and an explicit rounding floor proportional to the summed magnitudes.
     The multiplier 10 absorbs correlated rounding across many shells.
     """
-    builders: dict = {}  # one per distinct factor tuple, shared by both sides
-    left = _direct(spec, f, tol, L_cap, builders)
-    right = _dual(spec, f, tol, settings, L_cap, builders)
+    left = lhs_sum(spec, f, tol, L_cap)
+    right = rhs_sum(spec, f, tol, settings, L_cap)
     residual = abs(left.value - right.value)
     floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
     budget = left.budget + right.budget + floor

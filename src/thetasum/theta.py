@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,8 +41,10 @@ class ThetaFactor:
     scale: Fraction
 
     def __post_init__(self):
-        if self.kind not in (2, 3, 4):
+        # integers only, so the JSON round-trips: 3.0 and True raise
+        if not isinstance(self.kind, (int, np.integer)) or self.kind not in (2, 3, 4):
             raise InvalidSpec(f"kind must be 2, 3 or 4, got {self.kind!r}")
+        object.__setattr__(self, "kind", int(self.kind))
         p = float(self.power)
         if not math.isfinite(p) or p < 0:
             raise InvalidSpec(f"power must be a finite real >= 0, got {self.power!r}")
@@ -135,7 +138,7 @@ class ThetaSpec:
                 factors = tuple(
                     ThetaFactor(
                         # JSON integers only: 3.0, 1.5 and a zero denominator raise
-                        kind=operator.index(f["kind"]),
+                        kind=f["kind"],
                         power=float(f["power"]),
                         scale=Fraction(f["scale"][0], f["scale"][1]),
                     )
@@ -311,10 +314,11 @@ class _TermBuilder:
     series is bit-identical to one built in one step.  Fed with the divisor
     sums of ``_log_coeffs`` it stays within ~1e-12 of the running maximum
     of the coefficients to n = 4096 (the tests check it against mpmath and
-    lattice counts).
+    lattice counts).  ``_builder`` keeps it for the process.
     """
 
     def __init__(self, factors: Sequence[ThetaFactor]):
+        self.key = tuple(factors)
         fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
         self.factors = fs
         self.D = D = math.lcm(*(f.scale.denominator for f in fs))
@@ -331,7 +335,10 @@ class _TermBuilder:
         self.b = np.ones(1)
 
     def _grow(self, N: int) -> None:
-        """Extend h and b to index N, computing only the indices above the old end."""
+        """Extend h and b to index N, computing only the indices above the old end.
+
+        The caller holds ``_cache_lock``: a grow is whole before another starts.
+        """
         n0 = self.b.size - 1
         h = np.zeros(N + 1)
         h[:n0 + 1] = self.h
@@ -344,6 +351,8 @@ class _TermBuilder:
         for n in range(n0 + 1, N + 1):
             b[n] = np.dot(hr[N - n:N], b[:n]) / n
         self.h, self.b = h, b
+        if _cache.get(self.key) is self:
+            _use(self.key, N - n0)
 
     def series(self, L: int) -> QSeries:
         """The term without its 2^a prefactor, exact for exponents up to ~L.
@@ -353,11 +362,47 @@ class _TermBuilder:
         """
         top = min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
         n = top // self.g
-        if n >= self.b.size:
-            self._grow(n)
+        with _cache_lock:
+            if n >= self.b.size:
+                self._grow(n)
+            b = self.b
         coeffs = np.zeros(top + 1)
-        coeffs[::self.g] = self.b[:n + 1]
+        coeffs[::self.g] = b[:n + 1]
         return QSeries(self.D, self.offset, coeffs)
+
+
+_CACHE_INDICES = 2**18  # most recurrence indices cached in all (16 bytes each: 4 MB)
+_cache: OrderedDict = OrderedDict()  # factor tuple -> builder, least recently used first
+_cache_lock = threading.Lock()       # guards _cache, _held and every grow
+_held = 0                            # recurrence indices of the cached builders
+
+
+def _use(key: tuple, added: int) -> None:
+    """Mark key most recently used and count ``added`` more indices held;
+    evict from the least recently used end while they are too many."""
+    global _held
+    _cache.move_to_end(key)
+    _held += added
+    while _held > _CACHE_INDICES and len(_cache) > 1:
+        _held -= _cache.popitem(last=False)[1].b.size
+
+
+def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
+    """The process-wide builder of a term's factors, made on first use."""
+    with _cache_lock:
+        new = factors not in _cache
+        if new:
+            _cache[factors] = _TermBuilder(factors)
+        _use(factors, int(new))  # a new builder holds b_0
+        return _cache[factors]
+
+
+def _clear_builders() -> None:
+    """Drop every cached builder."""
+    global _held
+    with _cache_lock:
+        _cache.clear()
+        _held = 0
 
 
 def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, QSeries]]:
@@ -365,16 +410,16 @@ def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, QSeries]]:
     L = int(L)
     if L < 0:
         raise DomainError(f"order must be nonnegative, got {L}")
-    builders = [(coeff, _TermBuilder(factors)) for coeff, factors in spec.terms]
+    builders = [(coeff, _builder(factors)) for coeff, factors in spec.terms]
     return [(coeff * term.prefactor, term.series(L)) for coeff, term in builders]
 
 
 def build(spec: ThetaSpec, L: int) -> QSeries:
     """QSeries of the spec, coefficients exact for exponents up to ~L.
 
-    ``qseries.lincomb`` merges the terms, each from its own ``_TermBuilder``
-    in one step, and raises ``OffsetMismatch`` for terms on no common grid.
-    ``summation`` keeps and grows the builders instead.
+    ``qseries.lincomb`` merges the terms, and raises ``OffsetMismatch`` for
+    terms on no common grid.  Each term comes from its ``_builder``, grown
+    only past the order an earlier call of this process reached.
     """
     return qs.lincomb(_terms(spec, L))
 

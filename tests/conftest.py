@@ -1,5 +1,6 @@
 """Shared brute-force oracles (direct lattice enumeration, no series math),
-and a fresh interpreter for checks that must not see this session's imports."""
+a fresh interpreter for checks that must not see this session's imports,
+and an empty term-builder cache for every test."""
 
 import itertools
 import math
@@ -8,7 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from thetasum import theta as th
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def empty_builder_cache():
+    """Each test starts with no cached term builder, whatever ran before it."""
+    th._clear_builders()
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -332,6 +332,7 @@ def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
 
 @pytest.mark.parametrize("extra", [
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--tol=-inf"], ["--tol", "1e-400"],
     ["--L-cap", "0"], ["--L-cap", "-4"],
 ], ids=lambda extra: " ".join(extra))
 def test_verify_rejects_bad_tol_or_cap_before_building(capsys, monkeypatch, extra):
@@ -344,6 +345,20 @@ def test_verify_rejects_bad_tol_or_cap_before_building(capsys, monkeypatch, extr
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["true", "None", "1j", "1e-10x"])
+def test_verify_rejects_a_tol_that_is_not_a_number_before_building(capsys, monkeypatch, tol):
+    def no_build(factors):
+        raise AssertionError("made a term builder")
+
+    monkeypatch.setattr(th, "_TermBuilder", no_build)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--preset", "zd", "--dim", "2", "--f", "1,0,1", "--tol", tol])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
 
 
 @pytest.mark.parametrize("radii", ["-1", "nan", "inf", "0,1,-0.5", "-1,nan,inf"])

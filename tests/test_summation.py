@@ -285,7 +285,8 @@ def test_profile_is_evaluated_once_per_distinct_radius():
 
 
 def test_verify_computes_each_recurrence_index_once(monkeypatch):
-    # zd is self-dual: both sides of verify grow one theta3^d builder
+    # zd is self-dual: both sides of verify grow one theta3^d builder, and a
+    # repeated verify of the spec finds it grown far enough
     grown = []
     grow = th._TermBuilder._grow
 
@@ -299,6 +300,9 @@ def test_verify_computes_each_recurrence_index_once(monkeypatch):
     assert len({who for who, _, _ in grown}) == 1
     assert [old for _, old, _ in grown[1:]] == [new for _, _, new in grown[:-1]]
     assert sum(new - old for _, old, new in grown) == max(new for _, _, new in grown)
+    grown.clear()
+    assert sm.verify(th.preset("zd", 2.5), GAUSS, tol=1e-10) == report
+    assert grown == []
 
 
 def test_verify_builds_a_shared_dual_term_once(monkeypatch):
@@ -316,11 +320,13 @@ def test_verify_builds_a_shared_dual_term_once(monkeypatch):
     theta3 = spec.terms[0][1]
     assert made.count(theta3) == 1
     assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
-    # lhs_sum and rhs_sum on their own each build it
+    # lhs_sum then rhs_sum share it through the cache too
+    th._clear_builders()
     made.clear()
     sm.lhs_sum(spec, GAUSS, 1e-10)
     sm.rhs_sum(spec, GAUSS, 1e-10)
-    assert made.count(theta3) == 2
+    assert made.count(theta3) == 1
+    assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
 
 
 def test_report_table_absent_by_default():
@@ -341,7 +347,7 @@ def test_verify_propagates_cap():
         sm.verify(th.preset("zd", 3), f, tol=1e-12, L_cap=64)
 
 
-BAD_TOLS = [0.0, -1.0, math.nan, math.inf]
+BAD_TOLS = [0.0, -1.0, math.nan, math.inf, True, "1e-10", None, 1j]
 
 
 def _no_build(factors):

@@ -197,6 +197,7 @@ def test_grown_term_equals_one_step_build(spec):
         L = 32
         while L <= 4096:
             grown = qs.lincomb([(coeff * term.prefactor, term.series(L))])
+            th._clear_builders()  # build would reuse the builder it grew last time
             fresh = th.build(one_term, L)
             assert (grown.denom_V, grown.offset_A, grown.trunc_L) == (
                 fresh.denom_V, fresh.offset_A, fresh.trunc_L)
@@ -414,6 +415,28 @@ def test_json_roundtrip_is_bit_identical():
     back = th.ThetaSpec.from_json(spec.to_json())
     assert back == spec
     assert back.terms[0][1][1].scale == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("kind", [4, np.int64(4), np.int8(4)])
+def test_factor_kind_is_stored_as_a_plain_int(kind):
+    factor = th.ThetaFactor(kind, 2.0, Fraction(1))
+    assert type(factor.kind) is int and factor.kind == 4
+    spec = th.ThetaSpec(terms=((1.0, (factor,)),), dim_d=2.0)
+    assert th.ThetaSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("kind", [3.0, np.float64(3.0), True, False, "3", None, 1])
+def test_factor_rejects_a_kind_that_is_not_an_integer_of_two_to_four(kind):
+    with pytest.raises(InvalidSpec, match="kind"):
+        th.ThetaFactor(kind, 2.0, Fraction(1))
+
+
+@pytest.mark.parametrize("kind", ["3.0", "true", '"3"'])
+def test_from_json_rejects_a_kind_that_is_not_an_integer(kind):
+    factor = f'{{"kind": {kind}, "power": 2.0, "scale": [1, 1]}}'
+    text = f'{{"dim_d": 2.0, "terms": [{{"coeff": 1.0, "factors": [{factor}]}}]}}'
+    with pytest.raises(InvalidSpec, match="kind"):
+        th.ThetaSpec.from_json(text)
 
 
 def test_from_json_rejects_malformed():
