@@ -48,7 +48,6 @@ from .transform import (
     FTResult,
     GaussPoly,
     Sampled,
-    TransformSettings,
     eigen_residual,
     ft_closed,
     ft_gausspoly,
@@ -77,7 +76,6 @@ __all__ = [
     "ThetaSpec",
     "ThetasumError",
     "ToleranceNotMet",
-    "TransformSettings",
     "VerificationReport",
     "ZeroLeadingCoefficient",
     "build",

@@ -73,12 +73,6 @@ def _load_spec(args: argparse.Namespace) -> th.ThetaSpec:
     raise InvalidSpec("give either --spec PATH or --preset NAME --dim D")
 
 
-def _settings(args: argparse.Namespace) -> tr.TransformSettings:
-    return tr.TransformSettings(
-        experimental_dim=bool(getattr(args, "experimental_dim", False))
-    )
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         try:
@@ -123,7 +117,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     bad = [p for p in radii if not (math.isfinite(p) and p >= 0)]
     if bad:
         raise DomainError(f"--p radii must be finite and >= 0, got {bad[0]!r}")
-    fhat = tr.ft_gausspoly(f, args.dim, _settings(args))
+    fhat = tr.ft_gausspoly(f, args.dim, experimental_dim=args.experimental_dim)
     rows = [{"p": p, "value": float(fhat.eval(p))} for p in radii]
     _emit_rows(rows, ("p", "value"), args)
     return 0
@@ -132,8 +126,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     f = _parse_gauss(args.f)
-    report = sm.verify(spec, f, tol=args.tol, settings=_settings(args),
-                       L_cap=args.L_cap)
+    report = sm.verify(spec, f, tol=args.tol, L_cap=args.L_cap)
     _write(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
            args.out)
     verdict = "PASS" if report.passed else "FAIL"

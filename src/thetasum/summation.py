@@ -22,7 +22,7 @@ from . import theta as th
 from . import transform as tr
 from .errors import DomainError, ToleranceNotMet
 from .theta import ThetaSpec
-from .transform import GaussPoly, RadialFunction, Sampled, TransformSettings
+from .transform import GaussPoly, RadialFunction, Sampled
 
 _EPS_FLOOR = 2.0**-50
 # verify's PASS allowance, in units of the two tails plus the error budget
@@ -39,19 +39,41 @@ class ShellSum(NamedTuple):
 
 
 def _poly_gauss_tail(C: float, n: float, A0: float, h: float, alpha: float) -> float:
-    """Bound on sum_{j>=0} C (A0 + j h)^n e^{-alpha (A0 + j h)} by ratio majorant."""
+    """Bound on sum_{j>=0} C (A0 + j h)^n e^{-alpha (A0 + j h)} by ratio majorant.
+
+    Where a power overflows (large n), the first term and the ratio are
+    taken in logs instead.
+    """
     if C == 0.0:
         return 0.0
-    t0 = C * max(A0, 1e-300) ** n * math.exp(-alpha * A0)
-    r = ((A0 + h) / A0) ** n * math.exp(-alpha * h) if A0 > 0 else 1.0
+    try:
+        t0 = C * max(A0, 1e-300) ** n * math.exp(-alpha * A0)
+        r = ((A0 + h) / A0) ** n * math.exp(-alpha * h) if A0 > 0 else 1.0
+    except OverflowError:
+        t0 = r = math.nan
+    if not math.isfinite(t0 * r):
+        log_r = n * math.log1p(h / A0) - alpha * h
+        if log_r >= 0.0:
+            return math.inf
+        try:
+            return math.exp(math.log(C) + n * math.log(A0) - alpha * A0) / -math.expm1(log_r)
+        except OverflowError:
+            return math.inf
     if r >= 1.0:
         return math.inf
     return t0 / (1.0 - r)
 
 
 def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
-    """Measured constant C with |N_l| <= C max(A_l, 1)^d on the built range."""
-    return 4.0 * float(np.max(np.abs(N) / np.maximum(A, 1.0)**d, initial=0.0))
+    """Measured constant C with |N_l| <= C max(A_l, 1)^d on the built range.
+
+    A is sorted and N nonzero.  Where A^d may overflow (large d; the largest
+    double is about e^709.78), the ratios are taken in logs.
+    """
+    A = np.maximum(A, 1.0)
+    if A.size and d * math.log(A[-1]) > 709.0:
+        return 4.0 * float(np.exp(np.max(np.log(np.abs(N)) - d * np.log(A))))
+    return 4.0 * float(np.max(np.abs(N) / A**d, initial=0.0))
 
 
 def _majorant(f: RadialFunction, d: float):
@@ -64,13 +86,12 @@ def _majorant(f: RadialFunction, d: float):
         raise TypeError("radial profile must be GaussPoly or Sampled")
     envelope = tr._tail_envelope(f)
 
-    def tail(series, which, A, N, terms, errors):
+    def tail(listing, which, A, N, terms, errors):
         total = 0.0
-        for i, s in enumerate(series):
+        for i, (h, top) in enumerate(zip(listing.step, listing.top)):
             mine = which == i
             C = _coeff_growth(A[mine], N[mine], d)
-            h = 1.0 / s.denom_V
-            A_next = s.reliable_exponent() + h
+            A_next = top + h
             for c, k, alpha in envelope:
                 total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
         return total, False
@@ -78,7 +99,7 @@ def _majorant(f: RadialFunction, d: float):
     return tail
 
 
-def _measured_decay(series, which, A, N, terms, errors):
+def _measured_decay(listing, which, A, N, terms, errors):
     """Tail estimator from the term mass of two adjacent wide windows.
 
     The remainder is extrapolated geometrically from the windows' ratio.
@@ -89,7 +110,7 @@ def _measured_decay(series, which, A, N, terms, errors):
     second value (the noise floor) is True.  The windows end at the least
     reliable exponent of the terms.
     """
-    top = min(s.reliable_exponent() for s in series)
+    top = min(listing.top)
     width = max(1.0, top / 8.0)
     near = A > top - width
     far = (A > top - 2.0 * width) & ~near
@@ -110,7 +131,7 @@ def _exact(f: RadialFunction):
     return lambda radii: (f.eval(radii), np.zeros(radii.size))
 
 
-def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
+def _shared_grid(f: Sampled, d: float):
     """Transform values and error estimates from ``ft_quadrature_many``.
 
     Each call transforms only the radii not seen before, on one grid.
@@ -121,7 +142,7 @@ def _shared_grid(f: Sampled, d: float, settings: TransformSettings):
         keys = [round(p, 12) for p in radii.tolist()]
         new = sorted(set(keys).difference(cache))
         if new:
-            values, errors = tr.ft_quadrature_many(f, new, d, settings)
+            values, errors = tr.ft_quadrature_many(f, new, d)
             cache.update(zip(new, zip(values.tolist(), errors.tolist())))
         return np.array([cache[k] for k in keys]).reshape(-1, 2).T
 
@@ -132,22 +153,21 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
 
-    Each term of the spec is built on its own grid, and the terms' nonzero
-    shells are summed side by side, sorted by exponent.  Each term's builder
-    comes from ``theta._builder``, kept for the process, and grows only past
-    the order an earlier sum reached (the theta3^d term on both sides of
-    ``verify``, or the same spec under another profile).  The term
-    coefficient (times the term's 2^a prefactor) scales the built
-    coefficients afterwards.
+    The shells are the nonzero points of ``theta.shells``: each term on its
+    own grid, sorted by exponent.  Each term's builder is kept for the
+    process and grows only past the order an earlier sum reached (the
+    theta3^d term on both sides of ``verify``, or the same spec under
+    another profile).
 
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
-    once per distinct radius; ``tail_of(series, which, A, N, terms,
+    once per distinct radius; ``tail_of(listing, which, A, N, terms,
     errors) -> (tail, at_floor)`` estimates the truncated remainder from
-    the terms' series and the term index of every shell, and at_floor stops
-    the doubling where it cannot help.  The sum, its magnitude and its
-    error budget are exactly rounded (``math.fsum``).  A tol that is not a
-    finite positive real (a bool is not one), or an L_cap that is not an
-    integer >= 1, raises ``DomainError`` before any build.
+    the listing's per-term steps and reliable exponents and the term index
+    of every shell, and at_floor stops the doubling where it cannot help.
+    The sum, its magnitude and its error budget are exactly rounded
+    (``math.fsum``).  A tol that is not a finite positive real (a bool is
+    not one), or an L_cap that is not an integer >= 1, raises
+    ``DomainError`` before any build.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
@@ -156,19 +176,11 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         raise DomainError(f"L_cap must be an integer, got {L_cap!r}")
     if L_cap < 1:
         raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
-    builders = [th._builder(factors) for _, factors in spec.terms]
-    terms_of = [(coeff * b.prefactor, b) for (coeff, _), b in zip(spec.terms, builders)]
     L = min(32, L_cap)
     while True:
-        series = [builder.series(L) for _, builder in terms_of]
-        scaled = [c * s.coeffs for (c, _), s in zip(terms_of, series)]
-        nonzero = [np.flatnonzero(N) for N in scaled]
-        which = np.repeat(np.arange(len(series)), [l.size for l in nonzero])
-        l = np.concatenate(nonzero)
-        A = np.concatenate([s.exponents()[i] for s, i in zip(series, nonzero)])
-        N = np.concatenate([N[i] for N, i in zip(scaled, nonzero)])
-        by_A = np.argsort(A, kind="stable")
-        which, l, A, N = which[by_A], l[by_A], A[by_A], N[by_A]
+        listing = th.shells(spec, L)
+        nonzero = listing.N != 0.0
+        which, l, A, N = (column[nonzero] for column in listing[:4])
         radii = np.sqrt(A)
         first = np.ones(A.size, dtype=bool)  # first shell at each distinct radius
         first[1:] = A[1:] != A[:-1]
@@ -181,9 +193,9 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
             raise DomainError(f"radial profile is {values[i]} at r = {float(radii[i])!r}")
         terms = N * values
         errors = np.abs(N) * errors
-        tail, at_floor = tail_of(series, which, A, N, terms, errors)
+        tail, at_floor = tail_of(listing, which, A, N, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(math.fsum(terms), max(s.trunc_L for s in series), tail,
+            return ShellSum(math.fsum(terms), max(listing.order), tail,
                             math.fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
@@ -191,14 +203,13 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         L = min(2 * L, L_cap)
 
 
-def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
+def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float, *,
             L_cap: int = 4096) -> ShellSum:
     """Direct-side shell sum, truncated where the majorant tail is < tol/10."""
     return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d))
 
 
-def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
-            settings: TransformSettings = tr._DEFAULT_SETTINGS,
+def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float, *,
             L_cap: int = 4096) -> ShellSum:
     """Dual-side shell sum of the transformed profile.
 
@@ -213,9 +224,9 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float,
     dspec = th.dual(spec)
     d = spec.dim_d
     if isinstance(f, GaussPoly):
-        fhat = tr.ft_gausspoly(f, d, settings)
+        fhat = tr.ft_gausspoly(f, d)
         return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d))
-    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d, settings), _measured_decay)
+    return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d), _measured_decay)
 
 
 @dataclass(frozen=True)
@@ -247,8 +258,7 @@ class VerificationReport:
         }
 
 
-def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
-           settings: TransformSettings = tr._DEFAULT_SETTINGS,
+def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10, *,
            L_cap: int = 4096, with_table: bool = False) -> VerificationReport:
     """Check the summation identity for (spec, f) at tolerance tol.
 
@@ -257,8 +267,8 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10,
     and an explicit rounding floor proportional to the summed magnitudes.
     The multiplier 10 absorbs correlated rounding across many shells.
     """
-    left = lhs_sum(spec, f, tol, L_cap)
-    right = rhs_sum(spec, f, tol, settings, L_cap)
+    left = lhs_sum(spec, f, tol, L_cap=L_cap)
+    right = rhs_sum(spec, f, tol, L_cap=L_cap)
     residual = abs(left.value - right.value)
     floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
     budget = left.budget + right.budget + floor

@@ -5,8 +5,10 @@ A spec describes a finite linear combination of products of theta factors
     sum_i c_i * prod_m theta_{kind}(q^{scale})^{power}
 
 with real nonnegative powers summing to the dimension parameter d in every
-term.  ``build`` turns a spec into one QSeries, ``coeff_table`` lists it term
-by term, ``dual`` applies the modular transformation rule factor by factor.
+term.  ``build`` turns a spec into one QSeries, ``shells`` lists it point by
+point on each term's own grid (the one listing behind the shell sums and
+``coeff_table``), ``dual`` applies the modular transformation rule factor by
+factor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,13 +141,14 @@ class ThetaSpec:
                     ThetaFactor(
                         # JSON integers only: 3.0, 1.5 and a zero denominator raise
                         kind=f["kind"],
-                        power=float(f["power"]),
-                        scale=Fraction(f["scale"][0], f["scale"][1]),
+                        power=_json_number(f["power"], "power"),
+                        scale=Fraction(_json_number(f["scale"][0], "scale", int),
+                                       _json_number(f["scale"][1], "scale", int)),
                     )
                     for f in t["factors"]
                 )
-                terms.append((float(t["coeff"]), factors))
-            return cls(terms=tuple(terms), dim_d=float(data["dim_d"]))
+                terms.append((_json_number(t["coeff"], "coeff"), factors))
+            return cls(terms=tuple(terms), dim_d=_json_number(data["dim_d"], "dim_d"))
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError) as exc:
             if isinstance(exc, InvalidSpec):
@@ -159,6 +162,15 @@ class ThetaSpec:
         except json.JSONDecodeError as exc:
             raise InvalidSpec(f"spec is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _json_number(value, name: str, kinds: type | tuple = (int, float)) -> float | int:
+    """``value`` if it is a JSON number of ``kinds`` (a float unless ``kinds`` is
+    int); a string or a bool raises ``InvalidSpec``."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        what = "integer" if kinds is int else "number"
+        raise InvalidSpec(f"{name} must be a JSON {what}, got {value!r}")
+    return value if kinds is int else float(value)
 
 
 def preset(name: str, d: float) -> ThetaSpec:
@@ -348,8 +360,9 @@ class _TermBuilder:
         hr = np.ascontiguousarray(h[::-1])  # hr[N-n:N] = h_n .. h_1
         b = np.zeros(N + 1)
         b[:n0 + 1] = self.b
-        for n in range(n0 + 1, N + 1):
-            b[n] = np.dot(hr[N - n:N], b[:n]) / n
+        with np.errstate(over="ignore", invalid="ignore"):  # QSeries refuses what overflows
+            for n in range(n0 + 1, N + 1):
+                b[n] = np.dot(hr[N - n:N], b[:n]) / n
         self.h, self.b = h, b
         if _cache.get(self.key) is self:
             _use(self.key, N - n0)
@@ -390,11 +403,12 @@ def _use(key: tuple, added: int) -> None:
 def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
     """The process-wide builder of a term's factors, made on first use."""
     with _cache_lock:
-        new = factors not in _cache
+        term = _cache.get(factors)
+        new = term is None
         if new:
-            _cache[factors] = _TermBuilder(factors)
-        _use(factors, int(new))  # a new builder holds b_0
-        return _cache[factors]
+            term = _cache[factors] = _TermBuilder(factors)
+        _use(term.key, int(new))  # a new builder holds b_0
+        return term
 
 
 def _clear_builders() -> None:
@@ -424,23 +438,44 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
     return qs.lincomb(_terms(spec, L))
 
 
-def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents A <= L of the spec, sorted, and its coefficients N there.
+class Shells(NamedTuple):
+    term: np.ndarray  # the term of each point, stable-sorted by exponent A
+    l: np.ndarray     # its index on that term's grid
+    A: np.ndarray
+    N: np.ndarray     # its coefficient, times the term coefficient and 2^a prefactor
+    step: tuple       # per term: its grid step
+    top: tuple        # per term: its reliable exponent
+    order: tuple      # per term: its largest index
 
-    Every point of each term's own grid is a row, and the terms add where
-    their exponents coincide within ``lincomb``'s slack; no term is moved
-    onto another's grid.
-    """
+
+def shells(spec: ThetaSpec, L: int) -> Shells:
+    """Every point of each term of the spec to order L, on the term's own grid,
+    sorted by exponent.  A scaled coefficient that is not a finite double
+    raises ``CoefficientOverflow``."""
     pieces = _terms(spec, L)
+    for c, s in pieces:  # c times a finite coefficient overflows only if |c| > 1, first at the largest
+        if abs(c) > 1.0 and not math.isfinite(c * float(np.max(np.abs(s.coeffs)))):
+            raise CoefficientOverflow("non-finite coefficient")
+    term = np.repeat(np.arange(len(pieces)), [s.coeffs.size for _, s in pieces])
+    l = np.concatenate([np.arange(s.coeffs.size) for _, s in pieces])
     A = np.concatenate([s.exponents() for _, s in pieces])
     N = np.concatenate([c * s.coeffs for c, s in pieces])
-    order = np.argsort(A, kind="stable")
-    A, N = A[order], N[order]
-    first = np.r_[True, np.diff(A) > qs._OFFSET_TOL]
-    A, N = A[first], np.bincount(np.cumsum(first) - 1, weights=N)
-    keep = A <= L + qs._OFFSET_TOL
-    if not np.all(np.isfinite(N[keep])):
+    if len(pieces) > 1:  # a term's own exponents are sorted already
+        by_A = np.argsort(A, kind="stable")
+        term, l, A, N = term[by_A], l[by_A], A[by_A], N[by_A]
+    per_term = [(1.0 / s.denom_V, s.reliable_exponent(), s.trunc_L) for _, s in pieces]
+    return Shells(term, l, A, N, *zip(*per_term))
+
+
+def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents A <= L of the spec, sorted, and its coefficients N there: the
+    points of ``shells``, added where they coincide within ``lincomb``'s slack."""
+    listing = shells(spec, L)
+    first = np.r_[True, np.diff(listing.A) > qs._OFFSET_TOL]
+    A, N = listing.A[first], np.bincount(np.cumsum(first) - 1, weights=listing.N)
+    if not np.all(np.isfinite(N)):  # two finite coefficients can add to an overflow
         raise CoefficientOverflow("non-finite coefficient")
+    keep = A <= L + qs._OFFSET_TOL
     return A[keep], N[keep]
 
 

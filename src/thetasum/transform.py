@@ -22,7 +22,7 @@ Bessel branch of ``hyp0f1``, ``scipy.integrate`` by ``ft_quadrature`` only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -60,6 +60,10 @@ _HANKEL_TERMS = 18
 
 # Least subinterval limit of the adaptive quadrature in ``ft_quadrature``.
 _MAX_PANELS = 400
+
+# Both quadrature transforms raise ToleranceNotMet past max(_ABS_TOL, _REL_TOL |value|).
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
 
 # Relative margin ``_choose_r_max`` keeps below the tail budget: the inverse
 # incomplete gamma function rounds, and has read 1 + 4.4e-15 of its target.
@@ -133,25 +137,15 @@ class Sampled:
 RadialFunction = Union[GaussPoly, Sampled]
 
 
-@dataclass(frozen=True)
-class TransformSettings:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    experimental_dim: bool = False  # allow 0 < d < 1, no accuracy contract
-
-
-_DEFAULT_SETTINGS = TransformSettings()
-
-
-def _check_dim(d: float, settings: TransformSettings) -> float:
+def _check_dim(d: float, experimental_dim: bool = False) -> float:
     d = float(d)
     if d >= 1.0:
         return d
-    if settings.experimental_dim and d > 0.0:
+    if experimental_dim and d > 0.0:
         return d
     raise DomainError(
         f"dimension parameter must be >= 1 (got {d!r}); "
-        "0 < d < 1 requires TransformSettings(experimental_dim=True)"
+        "0 < d < 1 requires experimental_dim=True"
     )
 
 
@@ -193,14 +187,17 @@ def hyp0f1(a: float, z: float) -> float:
 # -- closed-form transform ------------------------------------------------
 
 
-def ft_gausspoly(f: GaussPoly, d: float, settings: TransformSettings = _DEFAULT_SETTINGS) -> GaussPoly:
+def ft_gausspoly(f: GaussPoly, d: float, experimental_dim: bool = False) -> GaussPoly:
     """Exact transform of a Gaussian-polynomial profile, again a GaussPoly.
 
     Each r^{2k} e^{-alpha r^2} maps to (-d/dalpha)^k of (pi/alpha)^{d/2}
     e^{-pi^2 p^2/alpha}; the derivative is tracked as a polynomial in
     u = 1/alpha and beta = pi^2 p^2, so only the final substitution rounds.
+    experimental_dim admits 0 < d < 1, with no accuracy contract.  A
+    transformed coefficient that is not a finite double raises
+    ``DomainError``.
     """
-    d = _check_dim(d, settings)
+    d = _check_dim(d, experimental_dim)
     s = 0.5 * d
     out: dict[tuple[int, float], float] = {}
     for c, k, alpha in f.terms:
@@ -214,26 +211,31 @@ def ft_gausspoly(f: GaussPoly, d: float, settings: TransformSettings = _DEFAULT_
                 nxt[(i + 2, j + 1)] = nxt.get((i + 2, j + 1), 0.0) - v
             Q = nxt
         u = 1.0 / alpha
-        front = c * math.pi**s * u**s
-        new_alpha = math.pi**2 * u
-        by_j: dict[int, list[float]] = {}
-        for (i, j), v in Q.items():
-            by_j.setdefault(j, []).append(v * u**i)
-        for j, parts in by_j.items():
-            coef = front * math.fsum(parts) * math.pi ** (2 * j)
-            key = (j, new_alpha)
-            out[key] = out.get(key, 0.0) + coef
+        try:
+            try:
+                front = c * math.pi**s * u**s
+            except OverflowError:  # a power overflows (large d): their product in logs
+                front = c * math.exp(s * math.log(math.pi * u))
+            new_alpha = math.pi**2 * u
+            by_j: dict[int, list[float]] = {}
+            for (i, j), v in Q.items():
+                by_j.setdefault(j, []).append(v * u**i)
+            for j, parts in by_j.items():
+                coef = front * math.fsum(parts) * math.pi ** (2 * j)
+                key = (j, new_alpha)
+                out[key] = out.get(key, 0.0) + coef
+        except (OverflowError, ValueError):  # fsum refuses an overflow and inf - inf
+            raise DomainError(f"transform of the term {(c, k, alpha)!r} overflows at d = {d!r}") from None
     terms = tuple((v, k, alpha) for (k, alpha), v in sorted(out.items()))
-    return GaussPoly(terms=terms)
+    return GaussPoly(terms=terms)  # a coefficient that is inf or nan raises DomainError
 
 
-def ft_closed(f: GaussPoly, p: float, d: float,
-              settings: TransformSettings = _DEFAULT_SETTINGS) -> float:
+def ft_closed(f: GaussPoly, p: float, d: float) -> float:
     """Closed-form transform value at radius p >= 0."""
     p = float(p)
     if p < 0:
         raise DomainError(f"p must be nonnegative, got {p!r}")
-    return ft_gausspoly(f, d, settings).eval(p)
+    return ft_gausspoly(f, d).eval(p)
 
 
 def laplacian_d(f: GaussPoly, d: float, n: int = 1) -> GaussPoly:
@@ -264,11 +266,10 @@ def laplacian_d(f: GaussPoly, d: float, n: int = 1) -> GaussPoly:
     return GaussPoly(terms=terms)
 
 
-def eigen_residual(f: GaussPoly, p: float, d: float, n: int = 1,
-                   settings: TransformSettings = _DEFAULT_SETTINGS) -> float:
+def eigen_residual(f: GaussPoly, p: float, d: float, n: int = 1) -> float:
     """|ft(laplacian^n f)(p) - (-4 pi^2 p^2)^n ft(f)(p)|, zero in exact arithmetic."""
-    lhs = ft_closed(laplacian_d(f, d, n), p, d, settings)
-    rhs = (-4.0 * math.pi**2 * p * p) ** n * ft_closed(f, p, d, settings)
+    lhs = ft_closed(laplacian_d(f, d, n), p, d)
+    rhs = (-4.0 * math.pi**2 * p * p) ** n * ft_closed(f, p, d)
     return abs(lhs - rhs)
 
 
@@ -323,8 +324,7 @@ def _choose_r_max(f: RadialFunction, d: float, budget: float) -> float:
     return R if R > 0.0 else 1.0 / math.sqrt(min(alpha for _, _, alpha in envelope))
 
 
-def ft_quadrature(f: RadialFunction, p: float, d: float,
-                  settings: TransformSettings = _DEFAULT_SETTINGS) -> FTResult:
+def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
     """Numerical transform value with an error estimate.
 
     Adaptive Gauss-Kronrod panels on [0, R] with breakpoints at the kernel
@@ -336,10 +336,10 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
     p = float(p)
     if p < 0:
         raise DomainError(f"p must be nonnegative, got {p!r}")
-    d = _check_dim(d, settings)
+    d = _check_dim(d)
     a = 0.5 * d
     prefactor = 2.0 * math.pi**a / math.gamma(a)
-    tail_budget = 0.1 * settings.abs_tol / prefactor
+    tail_budget = 0.1 * _ABS_TOL / prefactor
     R = _choose_r_max(f, d, tail_budget)
     tail = prefactor * _radial_tail(f, R, d)
 
@@ -364,8 +364,8 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
     limit = max(_MAX_PANELS, (len(points) if points is not None else 0) + 10)
     res = integrate.quad(
         integrand, 0.0, R,
-        epsabs=0.5 * settings.abs_tol / prefactor,
-        epsrel=0.25 * settings.rel_tol,
+        epsabs=0.5 * _ABS_TOL / prefactor,
+        epsrel=0.25 * _REL_TOL,
         limit=limit,
         points=points,
         full_output=1,
@@ -376,12 +376,12 @@ def ft_quadrature(f: RadialFunction, p: float, d: float,
         # roundoff detection near the cancellation floor: the value sits at
         # the noise level, relative accuracy is unattainable there, and only
         # the absolute estimate means anything
-        if err > settings.abs_tol:
+        if err > _ABS_TOL:
             raise ToleranceNotMet(f"quadrature did not converge: {res[3].strip()}")
-    elif err > max(settings.abs_tol, settings.rel_tol * abs(value)):
+    elif err > max(_ABS_TOL, _REL_TOL * abs(value)):
         raise ToleranceNotMet(
             f"achieved error {err:.3e} above requested tolerance "
-            f"(abs {settings.abs_tol:.1e}, rel {settings.rel_tol:.1e})"
+            f"(abs {_ABS_TOL:.1e}, rel {_REL_TOL:.1e})"
         )
     return FTResult(value, err)
 
@@ -506,9 +506,7 @@ def _composite_rule(R: float, panels: int, d: float, n: int) -> tuple[np.ndarray
     return nodes, weights
 
 
-def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float,
-                       settings: TransformSettings = _DEFAULT_SETTINGS
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float) -> tuple[np.ndarray, np.ndarray]:
     """Transform values and error estimates at many radii from one grid.
 
     f is evaluated once, on two composite Gauss rules of different order
@@ -523,12 +521,12 @@ def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float,
     ps = np.asarray(ps, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ps) & (ps >= 0.0)):
         raise DomainError("radii must be finite and nonnegative")
-    d = _check_dim(d, settings)
+    d = _check_dim(d)
     if ps.size == 0:
         return np.zeros(0), np.zeros(0)
     a = 0.5 * d
     prefactor = 2.0 * math.pi**a / math.gamma(a)
-    R = _choose_r_max(f, d, 0.1 * settings.abs_tol / prefactor)
+    R = _choose_r_max(f, d, 0.1 * _ABS_TOL / prefactor)
     tail = prefactor * _radial_tail(f, R, d)
     panels = max(16, math.ceil(R * float(ps.max())))
 
@@ -561,11 +559,11 @@ def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float,
     if bad.size:
         i = bad[0]
         raise DomainError(f"transformed profile is {values[i]} at p = {float(ps[i])!r}")
-    over = np.flatnonzero(errors > np.maximum(settings.abs_tol, settings.rel_tol * np.abs(values)))
+    over = np.flatnonzero(errors > np.maximum(_ABS_TOL, _REL_TOL * np.abs(values)))
     if over.size:
         i = over[0]
         raise ToleranceNotMet(
             f"shared-grid error {errors[i]:.3e} at p = {float(ps[i])!r} above requested "
-            f"tolerance (abs {settings.abs_tol:.1e}, rel {settings.rel_tol:.1e})"
+            f"tolerance (abs {_ABS_TOL:.1e}, rel {_REL_TOL:.1e})"
         )
     return values, errors

@@ -382,3 +382,43 @@ def test_jacobi_check_refuses_unconverged_product(capsys):
     assert code == 3
     assert out == ""
     assert "has not converged" in err
+
+
+def _zd3_with(coeff=1.0, power=3.0, dim_d=3.0):
+    factor = {"kind": 3, "power": power, "scale": [1, 1]}
+    return {"dim_d": dim_d, "terms": [{"coeff": coeff, "factors": [factor]}]}
+
+
+# (argv, spec file or None, exit code): large d and small rates in any
+# power, huge spec coefficients, and spec numbers given as strings
+EXTREME = {
+    "verify-d150": (["verify", "--preset", "zd", "--dim", "150", "--f", "1,0,1"], None, 0),
+    "verify-d1e9": (["verify", "--preset", "zd", "--dim", "1e9", "--f", "1,0,1"], None, 2),
+    "verify-dd-d700": (["verify", "--preset", "dd", "--dim", "700", "--f", "1,0,1"], None, 2),
+    "verify-rate-1e-3": (["verify", "--preset", "zd", "--dim", "3", "--f", "1,0,0.001"], None, 3),
+    "verify-coeff-1e300": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e300), 0),
+    "verify-coeff-1e306": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e306), 2),
+    "transform-d700-rate-1e-3": (["transform", "--f", "1,0,0.001", "--dim", "700"], None, 2),
+    "transform-d1300": (["transform", "--f", "1,0,1", "--dim", "1300"], None, 2),
+    "transform-d1e9": (["transform", "--f", "1,0,1", "--dim", "1e9"], None, 2),
+    "transform-d150": (["transform", "--f", "1,0,1", "--dim", "150"], None, 0),
+    "theta-coeffs-d1e9": (["theta-coeffs", "--preset", "zd", "--dim", "1e9"], None, 0),
+    "theta-coeffs-dd-d500": (["theta-coeffs", "--preset", "dd", "--dim", "500", "--L", "512"], None, 2),
+    "coeff-string": (["verify", "--f", "1,0,1"], _zd3_with(coeff="1.0"), 2),
+    "power-string": (["dual"], _zd3_with(power="3.0"), 2),
+    "dim-bool": (["theta-coeffs"], _zd3_with(power=1.0, dim_d=True), 2),  # not read as 1
+}
+
+
+@pytest.mark.parametrize("case", EXTREME, ids=list(EXTREME))
+def test_extreme_input_exits_with_its_class_code(capsys, tmp_path, case):
+    argv, spec, want = EXTREME[case]
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + ["--spec", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == want, err
+    assert "Traceback" not in err and "Warning" not in err
+    if want == 2:
+        assert out == "" and err.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from thetasum import qseries as qs
 from thetasum import summation as sm
 from thetasum import theta as th
 from thetasum import transform as tr
-from thetasum.errors import DomainError, ToleranceNotMet
+from thetasum.errors import CoefficientOverflow, DomainError, ToleranceNotMet
 
 from conftest import even_sum_counts, lattice_counts
 
@@ -411,3 +412,55 @@ def test_dimension_to_four_decimals_verifies(name, d):
     report = sm.verify(th.preset(name, d), GAUSS, tol=1e-10)
     assert report.passed
     assert report.residual < 1e-12
+
+
+@pytest.mark.parametrize("C,n,A0,h,alpha", [
+    (1.0, 150.0, 1025.0, 1.0, 1.0),     # A0^n overflows
+    (1e300, 3.0, 4097.0, 1.0, 0.01),    # C A0^n overflows
+    (4.0, 1300.0, 8193.0, 0.25, 1.5),   # A0^n far past the doubles
+])
+def test_poly_gauss_tail_bounds_the_sum_where_a_power_overflows(C, n, A0, h, alpha):
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    term = lambda j: C * (A0 + j * h) ** n * mp.exp(-alpha * (A0 + j * h))
+    true = mp.nsum(term, [0, mp.inf])
+    tail = sm._poly_gauss_tail(C, n, A0, h, alpha)
+    assert math.isfinite(tail)
+    assert true <= tail <= 1.5 * true
+
+
+def test_poly_gauss_tail_is_inf_where_the_ratio_reaches_one():
+    assert sm._poly_gauss_tail(1.0, 1e9, 33.0, 1.0, 1.0) == math.inf
+
+
+def test_coeff_growth_takes_overflowing_powers_in_logs():
+    A = np.array([1.0, 2.0, 1e4])
+    N = np.array([300.0, 1e10, 1e200])
+    C = sm._coeff_growth(A, N, 150.0)
+    # 1e4^150 is past the doubles; its ratio 1e-400 is far below the others
+    assert C == pytest.approx(4.0 * max(300.0, 1e10 / 2.0**150), rel=1e-13)
+
+
+def test_verify_refuses_a_spec_coefficient_that_overflows_the_shells():
+    factors = (th.ThetaFactor(3, 3.0, Fraction(1)),)
+    spec = th.ThetaSpec(terms=((1e306, factors),), dim_d=3.0)
+    with pytest.raises(CoefficientOverflow):
+        sm.verify(spec, GAUSS, tol=1e-10)
+
+
+def test_verify_passes_at_large_dimension_and_huge_coefficient():
+    # the majorant's powers overflow there: the tail is taken in logs
+    report = sm.verify(th.preset("zd", 150), GAUSS, tol=1e-10)
+    assert report.passed and report.L_used == 2048
+    factors = (th.ThetaFactor(3, 3.0, Fraction(1)),)
+    report = sm.verify(th.ThetaSpec(terms=((1e300, factors),), dim_d=3.0), GAUSS, tol=1e-10)
+    assert report.passed and report.L_used == 1024
+
+
+def test_order_cap_and_table_are_keyword_only():
+    # a stale positional settings argument must not land in L_cap
+    with pytest.raises(TypeError):
+        sm.verify(th.preset("zd", 2), GAUSS, 1e-10, 4096)
+    with pytest.raises(TypeError):
+        sm.rhs_sum(th.preset("zd", 2), GAUSS, 1e-10, 4096)

@@ -207,9 +207,51 @@ def test_grown_term_equals_one_step_build(spec):
 
 
 def test_coeff_table_refuses_an_overflowing_coefficient():
+    # numpy's overflow warning is an error in this suite: only the finite check speaks
     spec = th.ThetaSpec(terms=((1e308, (th.ThetaFactor(3, 8.0, Fraction(1)),)),), dim_d=8.0)
-    with np.errstate(over="ignore"), pytest.raises(CoefficientOverflow):
+    with pytest.raises(CoefficientOverflow):
         th.coeff_table(spec, 4)
+    with pytest.raises(CoefficientOverflow):
+        th.shells(spec, 4)
+
+
+def test_coeff_table_refuses_two_coefficients_that_add_to_an_overflow():
+    factors = (th.ThetaFactor(3, 2.0, Fraction(1)),)
+    spec = th.ThetaSpec(terms=((2.5e307, factors), (2.5e307, factors)), dim_d=2.0)
+    assert np.all(np.isfinite(th.shells(spec, 1).N))  # 1e308 at q^1 in each term
+    with pytest.raises(CoefficientOverflow):
+        th.coeff_table(spec, 1)
+
+
+def test_an_overflowing_recurrence_raises_coefficient_overflow_alone():
+    # the exp recurrence of dd at d = 500 leaves the doubles before index 512
+    with pytest.raises(CoefficientOverflow):
+        th.coeff_table(th.preset("dd", 500), 512)
+
+
+@pytest.mark.parametrize("spec", [
+    th.preset("zd", 2.5),
+    th.preset("dd", 3.3),
+    th.dual(th.preset("dd", 2.4131)),  # theta2^d term with a float offset
+    THREE_FACTOR_SPEC,
+], ids=["zd", "dd", "dual-dd-float", "mixed-scale"])
+def test_shells_are_each_terms_series_sorted_by_exponent(spec):
+    L = 256
+    listing = th.shells(spec, L)
+    # stable by exponent: A never falls, and a tie keeps the terms' order
+    assert np.all(np.diff(listing.A) >= 0)
+    tie = np.diff(listing.A) == 0
+    assert np.all(np.diff(listing.term)[tie] >= 0)
+    for i, (coeff, factors) in enumerate(spec.terms):
+        term = th._builder(factors)
+        series = term.series(L)
+        mine = listing.term == i
+        assert np.array_equal(listing.l[mine], np.arange(series.coeffs.size))
+        assert np.array_equal(listing.A[mine], series.exponents())
+        assert np.array_equal(listing.N[mine], coeff * term.prefactor * series.coeffs)
+        assert listing.step[i] == 1.0 / series.denom_V
+        assert listing.top[i] == series.reliable_exponent()
+        assert listing.order[i] == series.trunc_L
 
 
 def test_coeff_table_merges_offsets_that_differ_by_rounding():
@@ -437,6 +479,27 @@ def test_from_json_rejects_a_kind_that_is_not_an_integer(kind):
     text = f'{{"dim_d": 2.0, "terms": [{{"coeff": 1.0, "factors": [{factor}]}}]}}'
     with pytest.raises(InvalidSpec, match="kind"):
         th.ThetaSpec.from_json(text)
+
+
+@pytest.mark.parametrize("where,value", [
+    ("coeff", "1.0"), ("coeff", True), ("power", "2.0"), ("power", False),
+    ("dim_d", "2.0"), ("dim_d", True), ("scale", [True, 1]), ("scale", [1, "2"]),
+])
+def test_from_json_rejects_strings_and_bools_for_numbers(where, value):
+    data = th.preset("zd", 2).to_json_dict()
+    if where == "dim_d":
+        data["dim_d"] = value
+    elif where == "coeff":
+        data["terms"][0]["coeff"] = value
+    else:
+        data["terms"][0]["factors"][0][where] = value
+    with pytest.raises(InvalidSpec, match="must be a JSON"):
+        th.ThetaSpec.from_json_dict(data)
+
+
+def test_from_json_takes_integers_as_numbers():
+    text = '{"dim_d": 2, "terms": [{"coeff": 1, "factors": [{"kind": 3, "power": 2, "scale": [1, 1]}]}]}'
+    assert th.ThetaSpec.from_json(text) == th.preset("zd", 2.0)
 
 
 def test_from_json_rejects_malformed():

@@ -174,11 +174,10 @@ def test_eigen_residual_small(n, d):
 def test_dimension_gate():
     with pytest.raises(DomainError):
         tr.ft_closed(GAUSS, 0.5, 0.5)
-    settings = tr.TransformSettings(experimental_dim=True)
-    val = tr.ft_closed(GAUSS, 0.5, 0.5, settings)
+    val = tr.ft_gausspoly(GAUSS, 0.5, experimental_dim=True).eval(0.5)
     assert math.isfinite(val)
     with pytest.raises(DomainError):
-        tr.ft_closed(GAUSS, 0.5, 0.0, settings)
+        tr.ft_gausspoly(GAUSS, 0.0, experimental_dim=True)
 
 
 def test_negative_radius_rejected():
@@ -186,10 +185,11 @@ def test_negative_radius_rejected():
         tr.ft_quadrature(GAUSS, -0.1, 2.0)
 
 
-def test_unreachable_tolerance_raises():
-    settings = tr.TransformSettings(rel_tol=1e-16, abs_tol=1e-30)
+def test_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(tr, "_REL_TOL", 1e-16)
+    monkeypatch.setattr(tr, "_ABS_TOL", 1e-30)
     with pytest.raises(ToleranceNotMet):
-        tr.ft_quadrature(GAUSS, 0.5, 3.0, settings)
+        tr.ft_quadrature(GAUSS, 0.5, 3.0)
 
 
 def test_slow_decay_hint_exhausts_panels():
@@ -379,7 +379,8 @@ def test_shared_grid_rejects_bad_input():
     assert values.size == errors.size == 0
 
 
-def test_shared_grid_unreachable_tolerance_raises():
-    settings = tr.TransformSettings(rel_tol=1e-16, abs_tol=1e-30)
+def test_shared_grid_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(tr, "_REL_TOL", 1e-16)
+    monkeypatch.setattr(tr, "_ABS_TOL", 1e-30)
     with pytest.raises(ToleranceNotMet):
-        tr.ft_quadrature_many(GAUSS, [0.5, 1.0], 3.0, settings)
+        tr.ft_quadrature_many(GAUSS, [0.5, 1.0], 3.0)
