@@ -222,7 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="profile as 'coeff,power,rate;...'")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--L-cap", type=int, default=4096, dest="L_cap",
-                   help="refuse rather than sum past this order")
+                   help="largest order L either side may double to; refuse rather "
+                        "than sum past it (default 4096). L_used and L_star_used "
+                        "are in the same unit")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("jacobi-check", parents=[table_args],

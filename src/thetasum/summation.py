@@ -20,7 +20,7 @@ import numpy as np
 
 from . import theta as th
 from . import transform as tr
-from .errors import DomainError, ToleranceNotMet
+from .errors import CoefficientOverflow, DomainError, ToleranceNotMet
 from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled
 
@@ -31,7 +31,7 @@ _PASS_MULTIPLIER = 10.0
 
 class ShellSum(NamedTuple):
     value: float
-    L_used: int     # largest order among the spec's terms, in index units
+    L_used: int     # the order L at which the doubling stopped, the unit L_cap caps
     tail: float
     abs_sum: float  # sum of |term| magnitudes, for rounding floors
     budget: float   # accumulated transform error estimates
@@ -153,8 +153,8 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
 
-    The shells are the nonzero points of ``theta.shells``: each term on its
-    own grid, sorted by exponent.  Each term's builder is kept for the
+    The shells are the nonzero points of ``theta.shells``: each term on the
+    grid its recurrence runs on, sorted by exponent.  Each term's builder is kept for the
     process and grows only past the order an earlier sum reached (the
     theta3^d term on both sides of ``verify``, or the same spec under
     another profile).
@@ -162,12 +162,13 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
     once per distinct radius; ``tail_of(listing, which, A, N, terms,
     errors) -> (tail, at_floor)`` estimates the truncated remainder from
-    the listing's per-term steps and reliable exponents and the term index
-    of every shell, and at_floor stops the doubling where it cannot help.
-    The sum, its magnitude and its error budget are exactly rounded
-    (``math.fsum``).  A tol that is not a finite positive real (a bool is
-    not one), or an L_cap that is not an integer >= 1, raises
-    ``DomainError`` before any build.
+    the listing's per-term steps and last computed exponents and the term
+    index of every shell, and at_floor stops the doubling where it cannot
+    help.  The sum, its magnitude and its error budget are exactly rounded
+    (``math.fsum``); ``L_used`` is the order L the doubling stopped at.  A
+    tol that is not a finite positive real (a bool is not one), or an L_cap
+    that is not an integer >= 1, raises ``DomainError`` before any build; a
+    shell term N f(r) that overflows raises ``CoefficientOverflow``.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
@@ -191,11 +192,16 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         if bad.size:
             i = bad[0]
             raise DomainError(f"radial profile is {values[i]} at r = {float(radii[i])!r}")
-        terms = N * values
+        with np.errstate(over="ignore"):  # refused just below
+            terms = N * values
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.size:
+            i = bad[0]
+            raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(radii[i])!r}")
         errors = np.abs(N) * errors
         tail, at_floor = tail_of(listing, which, A, N, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(math.fsum(terms), max(listing.order), tail,
+            return ShellSum(math.fsum(terms), L, tail,
                             math.fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"

@@ -5,10 +5,12 @@ A spec describes a finite linear combination of products of theta factors
     sum_i c_i * prod_m theta_{kind}(q^{scale})^{power}
 
 with real nonnegative powers summing to the dimension parameter d in every
-term.  ``build`` turns a spec into one QSeries, ``shells`` lists it point by
-point on each term's own grid (the one listing behind the shell sums and
-``coeff_table``), ``dual`` applies the modular transformation rule factor by
-factor.
+term.  Each term's ``_TermBuilder`` decides its grid, the points
+(offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
+by point on that grid, with no QSeries (the one listing behind the shell sums
+and ``coeff_table``); ``build`` scatters the terms onto one QSeries for the
+callers that want one; ``dual`` applies the modular transformation rule
+factor by factor.
 """
 
 from __future__ import annotations
@@ -360,28 +362,24 @@ class _TermBuilder:
         hr = np.ascontiguousarray(h[::-1])  # hr[N-n:N] = h_n .. h_1
         b = np.zeros(N + 1)
         b[:n0 + 1] = self.b
-        with np.errstate(over="ignore", invalid="ignore"):  # QSeries refuses what overflows
+        with np.errstate(over="ignore", invalid="ignore"):  # shells and build refuse non-finite b
             for n in range(n0 + 1, N + 1):
                 b[n] = np.dot(hr[N - n:N], b[:n]) / n
         self.h, self.b = h, b
         if _cache.get(self.key) is self:
             _use(self.key, N - n0)
 
-    def series(self, L: int) -> QSeries:
-        """The term without its 2^a prefactor, exact for exponents up to ~L.
+    def top(self, L: int) -> int:
+        """Last index on the 1/D grid exact at order L: each factor covers ceil(L/s) s."""
+        return min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
 
-        A factor covers relative exponent ceil(L/s) s, as its theta series
-        would, and the term the least of these.
-        """
-        top = min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
-        n = top // self.g
+    def coeffs(self, L: int) -> np.ndarray:
+        """b_0..b_{top(L) // g}: the term without 2^a, at the points (offset + g j)/D."""
+        n = self.top(L) // self.g
         with _cache_lock:
             if n >= self.b.size:
                 self._grow(n)
-            b = self.b
-        coeffs = np.zeros(top + 1)
-        coeffs[::self.g] = b[:n + 1]
-        return QSeries(self.D, self.offset, coeffs)
+            return self.b[:n + 1]  # a view: read, never written; a grow fills a new array
 
 
 _CACHE_INDICES = 2**18  # most recurrence indices cached in all (16 bytes each: 4 MB)
@@ -419,13 +417,13 @@ def _clear_builders() -> None:
         _held = 0
 
 
-def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, QSeries]]:
-    """Each term's series to order L, and its coefficient times its 2^a prefactor."""
+def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _TermBuilder, np.ndarray]]:
+    """Each term's coefficient times its 2^a prefactor, builder, and ``coeffs(L)``."""
     L = int(L)
     if L < 0:
         raise DomainError(f"order must be nonnegative, got {L}")
     builders = [(coeff, _builder(factors)) for coeff, factors in spec.terms]
-    return [(coeff * term.prefactor, term.series(L)) for coeff, term in builders]
+    return [(coeff * term.prefactor, term, term.coeffs(L)) for coeff, term in builders]
 
 
 def build(spec: ThetaSpec, L: int) -> QSeries:
@@ -435,35 +433,39 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
     terms on no common grid.  Each term comes from its ``_builder``, grown
     only past the order an earlier call of this process reached.
     """
-    return qs.lincomb(_terms(spec, L))
+    series = []
+    for c, term, b in _terms(spec, L):
+        coeffs = np.zeros(term.top(L) + 1)
+        coeffs[::term.g] = b
+        series.append((c, QSeries(term.D, term.offset, coeffs)))
+    return qs.lincomb(series)
 
 
 class Shells(NamedTuple):
     term: np.ndarray  # the term of each point, stable-sorted by exponent A
-    l: np.ndarray     # its index on that term's grid
+    l: np.ndarray     # its index on that term's recurrence grid
     A: np.ndarray
     N: np.ndarray     # its coefficient, times the term coefficient and 2^a prefactor
-    step: tuple       # per term: its grid step
-    top: tuple        # per term: its reliable exponent
-    order: tuple      # per term: its largest index
+    step: tuple       # per term: its grid step g/D
+    top: tuple        # per term: the exponent of its last computed point
 
 
 def shells(spec: ThetaSpec, L: int) -> Shells:
-    """Every point of each term of the spec to order L, on the term's own grid,
-    sorted by exponent.  A scaled coefficient that is not a finite double
-    raises ``CoefficientOverflow``."""
+    """Every point (offset + g j)/D of each term of the spec to order L, on
+    the grid its recurrence runs on, sorted by exponent.  A scaled
+    coefficient that is not a finite double raises ``CoefficientOverflow``."""
     pieces = _terms(spec, L)
-    for c, s in pieces:  # c times a finite coefficient overflows only if |c| > 1, first at the largest
-        if abs(c) > 1.0 and not math.isfinite(c * float(np.max(np.abs(s.coeffs)))):
-            raise CoefficientOverflow("non-finite coefficient")
-    term = np.repeat(np.arange(len(pieces)), [s.coeffs.size for _, s in pieces])
-    l = np.concatenate([np.arange(s.coeffs.size) for _, s in pieces])
-    A = np.concatenate([s.exponents() for _, s in pieces])
-    N = np.concatenate([c * s.coeffs for c, s in pieces])
+    term = np.repeat(np.arange(len(pieces)), [b.size for _, _, b in pieces])
+    l = np.concatenate([np.arange(b.size) for _, _, b in pieces])
+    A = np.concatenate([(t.offset + t.g * np.arange(b.size)) / t.D for _, t, b in pieces])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        N = np.concatenate([c * b for c, _, b in pieces])
+    if not np.all(np.isfinite(N)):
+        raise CoefficientOverflow("non-finite coefficient")
     if len(pieces) > 1:  # a term's own exponents are sorted already
         by_A = np.argsort(A, kind="stable")
         term, l, A, N = term[by_A], l[by_A], A[by_A], N[by_A]
-    per_term = [(1.0 / s.denom_V, s.reliable_exponent(), s.trunc_L) for _, s in pieces]
+    per_term = [(t.g / t.D, (t.offset + t.g * (b.size - 1)) / t.D) for _, t, b in pieces]
     return Shells(term, l, A, N, *zip(*per_term))
 
 

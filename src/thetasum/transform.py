@@ -544,17 +544,18 @@ def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float) -> tupl
 
     sums = np.empty((ps.size, 2))
     rows = max(1, _KERNEL_CHUNK // nodes.size)
-    for i in range(0, ps.size, rows):
-        sums[i:i + rows] = _kernel(a, math.pi * np.outer(ps[i:i + rows], nodes)) @ wf
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge profile: refused below
+        for i in range(0, ps.size, rows):
+            sums[i:i + rows] = _kernel(a, math.pi * np.outer(ps[i:i + rows], nodes)) @ wf
 
-    # rounding floor: a few ulps of the absolute sum, plus the rounding of
-    # the kernel phase x = pi p r, eps x |k'(x)| <= 2 eps x^e per node with
-    # e = max(0, 3/2 - a) from the kernel envelope, added as a random walk
-    mags = np.abs(wf[lo.size:, 1])
-    e = max(0.0, 1.5 - a)
-    floor = 2.0**-50 * (mags.sum() + 2.0 * (math.pi * ps) ** e * np.linalg.norm(mags * hi**e))
-    values = prefactor * sums[:, 1]
-    errors = prefactor * (np.abs(sums[:, 1] - sums[:, 0]) + floor) + tail
+        # rounding floor: a few ulps of the absolute sum, plus the rounding of
+        # the kernel phase x = pi p r, eps x |k'(x)| <= 2 eps x^e per node with
+        # e = max(0, 3/2 - a) from the kernel envelope, added as a random walk
+        mags = np.abs(wf[lo.size:, 1])
+        e = max(0.0, 1.5 - a)
+        floor = 2.0**-50 * (mags.sum() + 2.0 * (math.pi * ps) ** e * np.linalg.norm(mags * hi**e))
+        values = prefactor * sums[:, 1]
+        errors = prefactor * (np.abs(sums[:, 1] - sums[:, 0]) + floor) + tail
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]

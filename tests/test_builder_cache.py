@@ -114,5 +114,5 @@ def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypat
     evicted = th._builder(factors)
     th.build(th.preset("zd", 3.0), 4095)
     assert factors not in th._cache
-    assert evicted.series(64).coeffs.size == 65
+    assert evicted.coeffs(64).size == 65
     assert th._held == held() == 4096

@@ -51,7 +51,7 @@ def _dual_spec_file(tmp_path, name, d):
 
 def test_theta_coeffs_csv_of_a_theta2_dual(capsys, tmp_path):
     # 0.5 theta3^2 on the integers plus 0.5 theta2^2 = 2 q^{1/2} (1 + 2 q^2 + ...)
-    # on the half-integers
+    # on every second half-integer, the grid of its recurrence: no row at 1.5 or 3.5
     code, out, _ = run(capsys, [
         "theta-coeffs", "--spec", _dual_spec_file(tmp_path, "dd", 2), "--L", "4",
         "--format", "csv",
@@ -62,12 +62,10 @@ def test_theta_coeffs_csv_of_a_theta2_dual(capsys, tmp_path):
         "0,0.0,0.5\n"
         "1,0.5,2.0\n"
         "2,1.0,2.0\n"
-        "3,1.5,0.0\n"
-        "4,2.0,2.0\n"
-        "5,2.5,4.0\n"
-        "6,3.0,0.0\n"
-        "7,3.5,0.0\n"
-        "8,4.0,2.0\n"
+        "3,2.0,2.0\n"
+        "4,2.5,4.0\n"
+        "5,3.0,0.0\n"
+        "6,4.0,2.0\n"
     )
 
 
@@ -96,15 +94,16 @@ def test_theta_coeffs_lists_the_union_of_two_denominators(capsys, tmp_path):
 
 
 def test_theta_coeffs_lists_each_term_on_its_own_grid(capsys, tmp_path):
-    # the theta2^d term sits d/4 = 0.603275 off the integers, on no common grid
+    # the theta2^d term sits d/4 = 0.603275 off the integers, on no common grid,
+    # and steps by 2
     code, out, _ = run(capsys, [
         "theta-coeffs", "--spec", _dual_spec_file(tmp_path, "dd", 2.4131), "--L", "64",
     ])
     assert code == 0
     rows = json.loads(out)
-    assert [r["l"] for r in rows] == list(range(65 + 64))
+    assert [r["l"] for r in rows] == list(range(65 + 32))
     A = [r["A_l"] for r in rows]
-    assert A == sorted([float(l) for l in range(65)] + [l + 0.603275 for l in range(64)])
+    assert A == sorted([float(l) for l in range(65)] + [0.603275 + 2 * j for j in range(32)])
     assert rows[0]["N_l"] == 0.5 and rows[1]["N_l"] != 0.0
 
 
@@ -361,13 +360,31 @@ def test_verify_rejects_a_tol_that_is_not_a_number_before_building(capsys, monke
     assert "--tol" in captured.err
 
 
-@pytest.mark.parametrize("radii", ["-1", "nan", "inf", "0,1,-0.5", "-1,nan,inf"])
+@pytest.mark.parametrize("radii", ["-1", "nan", "inf", "0,1,-0.5", "-1,nan,inf", "0,x", ","])
 def test_transform_rejects_bad_radii(capsys, radii):
     code, out, err = run(capsys, [
         "transform", "--f", "1,0,1", "--dim", "2", f"--p={radii}"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["jacobi-check", "--t", "1,two"], "--t expects comma-separated numbers"),
+    (["jacobi-check", "--t", ", ,"], "--t expects at least one number"),
+    (["verify", "--preset", "zd", "--dim", "2", "--f", ";"], "--f is empty"),
+    (["verify", "--preset", "zd", "--dim", "2", "--f", "1,0,-1"], "rate must be positive"),
+    (["transform", "--dim", "2", "--f", "1,-2,1"], "degree must be an integer >= 0"),
+    (["hermite-demo", "--alpha", "-0.5"], "--alpha must exceed -1/2"),
+    (["hermite-demo", "--alpha", "-3"], "--alpha must exceed -1/2"),
+    (["hermite-demo", "--alpha", "nan"], "--alpha must exceed -1/2"),
+], ids=["t-not-a-number", "t-empty", "f-empty", "f-rate", "f-degree",
+        "alpha-minus-half", "alpha-minus-3", "alpha-nan"])
+def test_bad_numbers_on_the_command_line_are_usage_errors(capsys, argv, says):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and says in err
 
 
 def test_hermite_demo_rejects_negative_order(capsys):
@@ -398,6 +415,7 @@ EXTREME = {
     "verify-rate-1e-3": (["verify", "--preset", "zd", "--dim", "3", "--f", "1,0,0.001"], None, 3),
     "verify-coeff-1e300": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e300), 0),
     "verify-coeff-1e306": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e306), 2),
+    "verify-coeff-1e300-amp-1e8": (["verify", "--f", "1e8,0,1"], _zd3_with(coeff=1e300), 2),
     "transform-d700-rate-1e-3": (["transform", "--f", "1,0,0.001", "--dim", "700"], None, 2),
     "transform-d1300": (["transform", "--f", "1,0,1", "--dim", "1300"], None, 2),
     "transform-d1e9": (["transform", "--f", "1,0,1", "--dim", "1e9"], None, 2),

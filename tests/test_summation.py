@@ -217,17 +217,17 @@ def test_per_term_table_of_sampled_profile_matches_closed_route():
 def test_per_term_table_adds_no_build_or_transform(monkeypatch):
     # the table is cut from the shells both sides summed
     calls = {"build": 0, "transform": 0}
-    series, many = th._TermBuilder.series, tr.ft_quadrature_many
+    coeffs, many = th._TermBuilder.coeffs, tr.ft_quadrature_many
 
-    def counted_series(self, L):
+    def counted_coeffs(self, L):
         calls["build"] += 1
-        return series(self, L)
+        return coeffs(self, L)
 
     def counted_many(*args, **kwargs):
         calls["transform"] += 1
         return many(*args, **kwargs)
 
-    monkeypatch.setattr(th._TermBuilder, "series", counted_series)
+    monkeypatch.setattr(th._TermBuilder, "coeffs", counted_coeffs)
     monkeypatch.setattr(tr, "ft_quadrature_many", counted_many)
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
     counts = []
@@ -246,18 +246,18 @@ def test_dual_builds_store_few_more_entries_than_nonzero_shells(monkeypatch):
     spec = th.preset("dd", 4.113)
     f = tr.GaussPoly(((1.0, 2, 11.33), (-0.31, 0, 13.52)))
     built, evaluated = [], []
-    series, evaluate = th._TermBuilder.series, tr.GaussPoly.eval
+    coeffs, evaluate = th._TermBuilder.coeffs, tr.GaussPoly.eval
 
-    def recording_series(self, L):
-        out = series(self, L)
-        built.append((out.exponents()[np.flatnonzero(out.coeffs)], out.coeffs.size))
+    def recording_coeffs(self, L):
+        out = coeffs(self, L)
+        built.append(((self.offset + self.g * np.flatnonzero(out)) / self.D, out.size))
         return out
 
     def recording_eval(self, r):
         evaluated.append(np.size(r))
         return evaluate(self, r)
 
-    monkeypatch.setattr(th._TermBuilder, "series", recording_series)
+    monkeypatch.setattr(th._TermBuilder, "coeffs", recording_coeffs)
     monkeypatch.setattr(tr.GaussPoly, "eval", recording_eval)
     report = sm.verify(spec, f, tol=1e-10)
     assert report.passed
@@ -384,13 +384,13 @@ def test_small_order_cap_bounds_every_order(monkeypatch):
     # the doubling starts at min(32, L_cap), so a cap below 32 caps too;
     # dd at d = 2.417 has a theta2^d dual term with offset d/4
     orders = []
-    series = th._TermBuilder.series
+    coeffs = th._TermBuilder.coeffs
 
-    def recording_series(self, L):
+    def recording_coeffs(self, L):
         orders.append(L)
-        return series(self, L)
+        return coeffs(self, L)
 
-    monkeypatch.setattr(th._TermBuilder, "series", recording_series)
+    monkeypatch.setattr(th._TermBuilder, "coeffs", recording_coeffs)
     f = tr.GaussPoly(((1.0, 0, 4.0),))
     for name, d in (("zd", 2), ("dd", 2.417), ("theta4d", 3.3)):
         orders.clear()
@@ -464,3 +464,87 @@ def test_order_cap_and_table_are_keyword_only():
         sm.verify(th.preset("zd", 2), GAUSS, 1e-10, 4096)
     with pytest.raises(TypeError):
         sm.rhs_sum(th.preset("zd", 2), GAUSS, 1e-10, 4096)
+
+
+def test_verify_refuses_a_shell_term_that_overflows():
+    # 1e300 times a profile of amplitude 1e8 is no finite double, though
+    # each factor is; numpy's overflow warning is an error in this suite
+    factors = (th.ThetaFactor(3, 3.0, Fraction(1)),)
+    spec = th.ThetaSpec(terms=((1e300, factors),), dim_d=3.0)
+    with pytest.raises(CoefficientOverflow, match=r"overflows at r = 1\.0"):
+        sm.verify(spec, tr.GaussPoly(((1e8, 0, 1.0),)), tol=1e-10)
+
+
+# theta3(q)^1.7 theta4(q^3)^0.8: its dual has a theta2(q^{1/3})^0.8 factor
+MIXED_SCALE_3 = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 1.7, Fraction(1)),
+                                           th.ThetaFactor(4, 0.8, Fraction(3)))),), dim_d=2.5)
+
+
+def _remainder(spec, f, L):
+    """sum |N_l f(sqrt(A_l))| over the points of a listing at 4L that the
+    listing at L did not reach, up to exponent 4L."""
+    summed = th.shells(spec, L)
+    last = np.array([summed.l[summed.term == i].max() for i in range(len(spec.terms))])
+    wide = th.shells(spec, 4 * L)
+    past = (wide.l > last[wide.term]) & (wide.A <= 4 * L)
+    return math.fsum(np.abs(wide.N[past] * f.eval(np.sqrt(wide.A[past]))))
+
+
+@pytest.mark.parametrize("spec", [
+    th.preset("dd", 2.4131), th.preset("dd", 3.3),
+    th.preset("theta4d", 2.4131), th.preset("theta4d", 3.3), MIXED_SCALE_3,
+], ids=["dd-2.4131", "dd-3.3", "theta4d-2.4131", "theta4d-3.3", "mixed-scale-3"])
+@pytest.mark.parametrize("f", [
+    tr.GaussPoly(((1.0, 0, 1.0), (0.3, 2, 2.0))),
+    tr.GaussPoly(((1.0, 2, 20.0),)),  # slow transform: the dual side stops at 128
+], ids=["gauss-mix", "rate-20"])
+def test_tail_bounds_the_remainder_at_the_order_used(spec, f):
+    # each side's tail at the order L it stopped at, on each term's own grid,
+    # is at least what it left out
+    left = sm.lhs_sum(spec, f, 1e-10)
+    right = sm.rhs_sum(spec, f, 1e-10)
+    fhat = tr.ft_gausspoly(f, spec.dim_d)
+    for side, side_spec, g in ((left, spec, f), (right, th.dual(spec), fhat)):
+        true = _remainder(side_spec, g, side.L_used)
+        assert 0.0 < true <= side.tail
+
+
+@pytest.mark.parametrize("spec", [MIXED_SCALE_3, th.preset("dd", 2.4131),
+                                  th.preset("theta4d", 3.3)],
+                         ids=["mixed-scale-3", "dd-2.4131", "theta4d-3.3"])
+def test_orders_used_never_exceed_the_cap(spec):
+    # the dual side doubles 32, 64, then stops at the cap 100: L_star_used
+    # counts that order, not the points of a grid finer than 1 (the dual of
+    # mixed-scale-3 has a theta2(q^{1/3}) factor, three points per unit)
+    f = tr.GaussPoly(((1.0, 2, 20.0),))
+    report = sm.verify(spec, f, tol=1e-10, L_cap=100)
+    assert (report.L_used, report.L_star_used) == (32, 100)
+    report = sm.verify(spec, f, tol=1e-10)
+    assert (report.L_used, report.L_star_used) == (32, 128)
+
+
+def test_majorant_refuses_a_profile_it_cannot_bound(monkeypatch):
+    with pytest.raises(TypeError, match="GaussPoly or Sampled"):
+        sm._majorant(lambda r: math.exp(-r * r), 2.0)
+    monkeypatch.setattr(th, "_TermBuilder", _no_build)
+    with pytest.raises(TypeError, match="GaussPoly or Sampled"):
+        sm.lhs_sum(th.preset("zd", 2), lambda r: math.exp(-r * r), 1e-10)
+
+
+def _decay_windows(near, far):
+    """_measured_decay on 64 unit shells to exponent 64: the near window
+    (56, 64] holds ``near`` per shell, the far window (48, 56] ``far``."""
+    A = np.arange(1.0, 65.0)
+    terms = np.where(A > 56.0, near, np.where(A > 48.0, far, 1.0))
+    listing = th.Shells(None, None, A, None, (1.0,), (64.0,))
+    return sm._measured_decay(listing, np.zeros(A.size, dtype=int), A, np.ones(A.size),
+                              terms, np.zeros(A.size))
+
+
+def test_measured_decay_takes_ten_far_windows_when_the_near_one_is_empty():
+    assert _decay_windows(0.0, 1e-9) == (10.0 * 8e-9, False)
+
+
+@pytest.mark.parametrize("near,far", [(1e-9, 1e-9), (2e-9, 1e-9)])
+def test_measured_decay_is_infinite_where_the_windows_do_not_shrink(near, far):
+    assert _decay_windows(near, far) == (math.inf, False)

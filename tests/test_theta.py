@@ -192,17 +192,13 @@ def test_build_keeps_grid_of_power_and_product_route(spec, by_term, L):
 def test_grown_term_equals_one_step_build(spec):
     # a term grown by doubling its order is bit-identical to a fresh build
     for coeff, factors in spec.terms:
-        one_term = th.ThetaSpec(terms=((coeff, factors),), dim_d=spec.dim_d)
         term = th._TermBuilder(factors)
         L = 32
         while L <= 4096:
-            grown = qs.lincomb([(coeff * term.prefactor, term.series(L))])
-            th._clear_builders()  # build would reuse the builder it grew last time
-            fresh = th.build(one_term, L)
-            assert (grown.denom_V, grown.offset_A, grown.trunc_L) == (
-                fresh.denom_V, fresh.offset_A, fresh.trunc_L)
-            assert type(grown.offset_A) is type(fresh.offset_A)
-            assert np.array_equal(grown.coeffs, fresh.coeffs)
+            grown = term.coeffs(L)
+            fresh = th._TermBuilder(factors).coeffs(L)
+            assert grown.size == fresh.size == term.top(L) // term.g + 1
+            assert np.array_equal(grown, fresh)
             L *= 2
 
 
@@ -243,36 +239,40 @@ def test_shells_are_each_terms_series_sorted_by_exponent(spec):
     tie = np.diff(listing.A) == 0
     assert np.all(np.diff(listing.term)[tie] >= 0)
     for i, (coeff, factors) in enumerate(spec.terms):
+        # each term on the grid its recurrence runs on: (offset + g j)/D
         term = th._builder(factors)
-        series = term.series(L)
+        b = term.coeffs(L)
+        j = np.arange(b.size)
         mine = listing.term == i
-        assert np.array_equal(listing.l[mine], np.arange(series.coeffs.size))
-        assert np.array_equal(listing.A[mine], series.exponents())
-        assert np.array_equal(listing.N[mine], coeff * term.prefactor * series.coeffs)
-        assert listing.step[i] == 1.0 / series.denom_V
-        assert listing.top[i] == series.reliable_exponent()
-        assert listing.order[i] == series.trunc_L
+        assert np.array_equal(listing.l[mine], j)
+        assert np.array_equal(listing.A[mine], (term.offset + term.g * j) / term.D)
+        assert np.array_equal(listing.N[mine], coeff * term.prefactor * b)
+        assert listing.step[i] == term.g / term.D
+        assert listing.top[i] == listing.A[mine][-1]  # the last computed point
 
 
 def test_coeff_table_merges_offsets_that_differ_by_rounding():
     # theta2^d and theta2^p theta2^(d-p) start at d/4 and p/4 + (d-p)/4,
-    # 1 ulp apart here; they are one row, as build puts them on one grid
+    # 1 ulp apart here; they are one row, as build puts them on one grid.
+    # Both step by 2, where build also lists the zero points between.
     d, p = 3.7566, 1.6392
     spec = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(2, d, Fraction(1)),)),
                                (1.0, (th.ThetaFactor(2, p, Fraction(1)),
                                       th.ThetaFactor(2, d - p, Fraction(1))))), dim_d=d)
     A, N = th.coeff_table(spec, 8)
     series = th.build(spec, 8)
-    assert A.size == 8
-    assert np.allclose(A, series.exponents()[:8], rtol=0, atol=1e-12)
-    assert np.array_equal(N, series.coeffs[:8])
+    assert A.size == 4
+    assert np.allclose(A, series.exponents()[:8:2], rtol=0, atol=1e-12)
+    assert np.array_equal(N, series.coeffs[:8:2])
+    assert not np.any(series.coeffs[1:8:2])
 
 
 def test_term_builder_serves_a_lower_order_from_its_prefix():
     term = th._TermBuilder(th.preset("zd", 2.5).terms[0][1])
-    high = term.series(256)
-    assert term.series(64) == th.build(th.preset("zd", 2.5), 64)
-    assert np.array_equal(high.coeffs[:65], term.series(64).coeffs)
+    high = term.coeffs(256)
+    low = term.coeffs(64)
+    assert np.array_equal(low, th.build(th.preset("zd", 2.5), 64).coeffs)
+    assert np.array_equal(high[:65], low)
 
 
 _BITS = 200
@@ -311,6 +311,7 @@ def _oracle_coeffs(spec, A):
         D = math.lcm(*(st.denominator for st in steps))
         x0 = math.fsum(f.power * f.scale / 4 for f in factors if f.kind == 2)
         n = math.floor((A[-1] - x0) * D + 1e-9)
+        g = math.gcd(*(int(st * D) for st in steps))  # the term's points: every g-th
         prod = np.zeros(n + 1, dtype=object)
         prod[0] = 1 << _BITS
         for f, st in zip(factors, steps):
@@ -322,10 +323,11 @@ def _oracle_coeffs(spec, A):
                 out[i:i + k * m:k] += prod[i] * fac[:m]
             prod = out >> _BITS
         c = coeff * 2.0 ** math.fsum(f.power for f in factors if f.kind == 2)
-        exps = x0 + np.arange(n + 1) / D
+        assert not any(v for i, v in enumerate(prod) if i % g)  # nothing between them
+        exps = x0 + np.arange(0, n + 1, g) / D
         idx = np.searchsorted(A, exps - 1e-7)
         assert idx[-1] < A.size and np.all(np.abs(A[idx] - exps) < 1e-7)
-        vals = c * np.array([v / 2**_BITS for v in prod])
+        vals = c * np.array([v / 2**_BITS for v in prod[::g]])
         want[idx] += vals
         mag[idx] += np.abs(vals)
     return want, np.maximum.accumulate(mag)

@@ -192,6 +192,13 @@ def test_unreachable_tolerance_raises(monkeypatch):
         tr.ft_quadrature(GAUSS, 0.5, 3.0)
 
 
+def test_quadrature_refuses_an_error_above_tolerance(monkeypatch):
+    # the integral converges, but a radial tail of 1e-6 is left out
+    monkeypatch.setattr(tr, "_radial_tail", lambda f, R, d: 1e-6)
+    with pytest.raises(ToleranceNotMet, match="above requested tolerance"):
+        tr.ft_quadrature(GAUSS, 0.5, 3.0)
+
+
 def test_slow_decay_hint_exhausts_panels():
     s = tr.Sampled(lambda r: math.exp(-1e-6 * r * r), decay_hint=(1.0, 1e-6))
     with pytest.raises(ToleranceNotMet):
@@ -377,6 +384,14 @@ def test_shared_grid_rejects_bad_input():
         tr.ft_quadrature_many(nan, [0.0, 1.0], 2.0)
     values, errors = tr.ft_quadrature_many(GAUSS, [], 2.0)
     assert values.size == errors.size == 0
+
+
+def test_shared_grid_refuses_a_transform_that_overflows():
+    # every profile value is finite, their transform at p = 0 is not;
+    # numpy's overflow warning is an error in this suite
+    huge = tr.Sampled(lambda r: 1e308 * math.exp(-r * r), decay_hint=(1.0, 1.0))
+    with pytest.raises(DomainError, match="transformed profile is inf at p = 0.0"):
+        tr.ft_quadrature_many(huge, [0.0, 1.0], 2.0)
 
 
 def test_shared_grid_unreachable_tolerance_raises(monkeypatch):
