@@ -24,8 +24,6 @@ from . import theta as th
 from . import transform as tr
 from .errors import DomainError, InvalidSpec, ThetasumError, ToleranceNotMet
 
-_PRESETS = ("zd", "dd", "theta4d")
-
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
@@ -173,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec_args = argparse.ArgumentParser(add_help=False)
     spec_args.add_argument("--spec", metavar="PATH",
                            help="spec as a JSON file")
-    spec_args.add_argument("--preset", choices=_PRESETS,
+    spec_args.add_argument("--preset", choices=th.PRESETS,
                            help="built-in spec family")
     spec_args.add_argument("--dim", type=float, metavar="D",
                            help="dimension parameter for --preset")

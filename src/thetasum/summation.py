@@ -38,65 +38,55 @@ class ShellSum(NamedTuple):
     shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells, by A_l
 
 
-def _poly_gauss_tail(C: float, n: float, A0: float, h: float, alpha: float) -> float:
-    """Bound on sum_{j>=0} C (A0 + j h)^n e^{-alpha (A0 + j h)} by ratio majorant.
-
-    Where a power overflows (large n), the first term and the ratio are
-    taken in logs instead.
-    """
-    if C == 0.0:
-        return 0.0
-    try:
-        t0 = C * max(A0, 1e-300) ** n * math.exp(-alpha * A0)
-        r = ((A0 + h) / A0) ** n * math.exp(-alpha * h) if A0 > 0 else 1.0
-    except OverflowError:
-        t0 = r = math.nan
-    if not math.isfinite(t0 * r):
-        log_r = n * math.log1p(h / A0) - alpha * h
-        if log_r >= 0.0:
-            return math.inf
-        try:
-            return math.exp(math.log(C) + n * math.log(A0) - alpha * A0) / -math.expm1(log_r)
-        except OverflowError:
-            return math.inf
-    if r >= 1.0:
+def _poly_gauss_tail(log_C: float, n: float, A0: float, h: float, alpha: float) -> float:
+    """Bound on sum_{j>=0} e^{log_C} (A0 + j h)^n e^{-alpha (A0 + j h)} by ratio
+    majorant, in logs; inf where the ratio is >= 1 or the bound is past the doubles."""
+    log_r = n * math.log1p(h / A0) - alpha * h
+    if log_r >= 0.0:
         return math.inf
-    return t0 / (1.0 - r)
+    try:
+        return math.exp(log_C + n * math.log(A0) - alpha * A0) / -math.expm1(log_r)
+    except OverflowError:
+        return math.inf
 
 
 def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
-    """Measured constant C with |N_l| <= C max(A_l, 1)^d on the built range.
-
-    A is sorted and N nonzero.  Where A^d may overflow (large d; the largest
-    double is about e^709.78), the ratios are taken in logs.
-    """
-    A = np.maximum(A, 1.0)
-    if A.size and d * math.log(A[-1]) > 709.0:
-        return 4.0 * float(np.exp(np.max(np.log(np.abs(N)) - d * np.log(A))))
-    return 4.0 * float(np.max(np.abs(N) / A**d, initial=0.0))
+    """log C of the measured constant with |N_l| <= C max(A_l, 1)^d on the
+    built range, times a margin of 4.  A and N are nonempty, N nonzero."""
+    return math.log(4.0) + float(np.max(np.log(np.abs(N)) - d * np.log(np.maximum(A, 1.0))))
 
 
 def _majorant(f: RadialFunction, d: float):
     """Tail estimator: sum_{l > trunc} |N_l| env(A_l) with |N_l| <= C A^d.
 
     env is the incomplete-gamma envelope of f.  Each term of the spec adds
-    its own tail, on its own grid, with its own ``_coeff_growth`` C.
+    its own tail, on its own grid, with its own ``_coeff_growth`` C, in logs.
+    A term with no nonzero shell, or an envelope term with c = 0, adds none.
     """
     if not isinstance(f, (GaussPoly, Sampled)):
         raise TypeError("radial profile must be GaussPoly or Sampled")
-    envelope = tr._tail_envelope(f)
+    envelope = [(math.log(c), k, alpha) for c, k, alpha in tr._tail_envelope(f) if c > 0.0]
 
     def tail(listing, which, A, N, terms, errors):
         total = 0.0
         for i, (h, top) in enumerate(zip(listing.step, listing.top)):
             mine = which == i
-            C = _coeff_growth(A[mine], N[mine], d)
-            A_next = top + h
-            for c, k, alpha in envelope:
-                total += _poly_gauss_tail(C * c, d + k, A_next, h, alpha)
+            if not mine.any():
+                continue
+            log_C = _coeff_growth(A[mine], N[mine], d)
+            for log_c, k, alpha in envelope:
+                total += _poly_gauss_tail(log_C + log_c, d + k, top + h, h, alpha)
         return total, False
 
     return tail
+
+
+def _fsum(values) -> float:
+    """``math.fsum`` of finite values; a sum past the doubles raises ``CoefficientOverflow``."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise CoefficientOverflow("shell sum overflows the doubles") from None
 
 
 def _measured_decay(listing, which, A, N, terms, errors):
@@ -114,8 +104,8 @@ def _measured_decay(listing, which, A, N, terms, errors):
     width = max(1.0, top / 8.0)
     near = A > top - width
     far = (A > top - 2.0 * width) & ~near
-    w_near = math.fsum(np.abs(terms[near]))
-    w_far = math.fsum(np.abs(terms[far]))
+    w_near = _fsum(np.abs(terms[near]))
+    w_far = _fsum(np.abs(terms[far]))
     if w_near + w_far <= math.fsum(errors[near | far]):
         return w_near + w_far, True
     if w_near == 0.0:
@@ -168,7 +158,8 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     (``math.fsum``); ``L_used`` is the order L the doubling stopped at.  A
     tol that is not a finite positive real (a bool is not one), or an L_cap
     that is not an integer >= 1, raises ``DomainError`` before any build; a
-    shell term N f(r) that overflows raises ``CoefficientOverflow``.
+    shell term N f(r), or a sum of finite terms, that overflows raises
+    ``CoefficientOverflow``.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
@@ -201,8 +192,8 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         errors = np.abs(N) * errors
         tail, at_floor = tail_of(listing, which, A, N, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(math.fsum(terms), L, tail,
-                            math.fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
+            return ShellSum(_fsum(terms), L, tail,
+                            _fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
             raise ToleranceNotMet(f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} {where}")
@@ -276,7 +267,9 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10, *,
     left = lhs_sum(spec, f, tol, L_cap=L_cap)
     right = rhs_sum(spec, f, tol, L_cap=L_cap)
     residual = abs(left.value - right.value)
-    floor = _EPS_FLOOR * (left.abs_sum + right.abs_sum + abs(left.value) + abs(right.value))
+    # each addend is scaled first, so the floor is finite where its addends are
+    floor = sum(_EPS_FLOOR * x for x in (left.abs_sum, right.abs_sum,
+                                          abs(left.value), abs(right.value)))
     budget = left.budget + right.budget + floor
     passed = residual <= tol + _PASS_MULTIPLIER * (left.tail + right.tail + budget)
     return VerificationReport(

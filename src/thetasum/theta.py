@@ -175,6 +175,9 @@ def _json_number(value, name: str, kinds: type | tuple = (int, float)) -> float 
     return value if kinds is int else float(value)
 
 
+PRESETS = ("zd", "dd", "theta4d")  # the names ``preset`` builds: the CLI's --preset choices
+
+
 def preset(name: str, d: float) -> ThetaSpec:
     """Named spec families: zd (cubic lattice), dd (checkerboard), theta4d."""
     one = Fraction(1)
@@ -190,7 +193,8 @@ def preset(name: str, d: float) -> ThetaSpec:
         )
     if name == "theta4d":
         return ThetaSpec(terms=((1.0, (ThetaFactor(4, d, one),)),), dim_d=d)
-    raise InvalidSpec(f"unknown preset {name!r} (expected zd, dd or theta4d)")
+    raise InvalidSpec(f"unknown preset {name!r} "
+                      f"(expected {', '.join(PRESETS[:-1])} or {PRESETS[-1]})")
 
 
 # -- single theta functions ---------------------------------------------

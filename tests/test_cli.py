@@ -1,12 +1,14 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from thetasum import cli
 from thetasum import errors
+from thetasum import summation as sm
 from thetasum import theta as th
 
 
@@ -290,6 +292,17 @@ def test_verify_dd_at_four_decimal_dimension(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_preset_names_are_listed_once_in_theta(capsys):
+    for name in th.PRESETS:
+        th.preset(name, 2.0)
+    with pytest.raises(errors.InvalidSpec, match=r"'e8d' \(expected zd, dd or theta4d\)$"):
+        th.preset("e8d", 2.0)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--preset", "e8d", "--dim", "2", "--f", "1,0,1"])
+    assert info.value.code == 2
+    assert "(choose from 'zd', 'dd', 'theta4d')" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["bogus"])
@@ -416,6 +429,15 @@ EXTREME = {
     "verify-coeff-1e300": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e300), 0),
     "verify-coeff-1e306": (["verify", "--f", "1,0,1"], _zd3_with(coeff=1e306), 2),
     "verify-coeff-1e300-amp-1e8": (["verify", "--f", "1e8,0,1"], _zd3_with(coeff=1e300), 2),
+    # C times the amplitude is past the doubles, every shell term is not
+    "verify-coeff-1e300-amp-1e7": (["verify", "--f", "1e7,0,1"], _zd3_with(coeff=1e300), 0),
+    "verify-coeff-1e300-amp-3e7": (["verify", "--f", "3e7,0,1"], _zd3_with(coeff=1e300), 0),
+    "verify-coeff-1e300-amp-2e6-rate-0.2":
+        (["verify", "--f", "2e6,0,0.2"], _zd3_with(coeff=1e300), 0),
+    # ... and so is the shell sum
+    "verify-coeff-1e300-amp-3.3e7": (["verify", "--f", "3.3e7,0,1"], _zd3_with(coeff=1e300), 2),
+    "verify-coeff-1e300-amp-5e6-rate-0.2":
+        (["verify", "--f", "5e6,0,0.2"], _zd3_with(coeff=1e300), 2),
     "transform-d700-rate-1e-3": (["transform", "--f", "1,0,0.001", "--dim", "700"], None, 2),
     "transform-d1300": (["transform", "--f", "1,0,1", "--dim", "1300"], None, 2),
     "transform-d1e9": (["transform", "--f", "1,0,1", "--dim", "1e9"], None, 2),
@@ -429,14 +451,24 @@ EXTREME = {
 
 
 @pytest.mark.parametrize("case", EXTREME, ids=list(EXTREME))
-def test_extreme_input_exits_with_its_class_code(capsys, tmp_path, case):
+def test_extreme_input_exits_with_its_class_code(capsys, monkeypatch, tmp_path, case):
     argv, spec, want = EXTREME[case]
     if spec is not None:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         argv = argv + ["--spec", str(path)]
+    reports = []
+    verify = sm.verify
+
+    def recording(*args, **kwargs):
+        reports.append(verify(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(sm, "verify", recording)
     code, out, err = run(capsys, argv)
     assert code == want, err
     assert "Traceback" not in err and "Warning" not in err
+    # a PASS within an infinite error budget would be no check at all
+    assert all(math.isfinite(r.error_budget) for r in reports if r.passed)
     if want == 2:
         assert out == "" and err.startswith("error: ")

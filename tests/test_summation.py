@@ -1,11 +1,13 @@
 """Both sides of the summation identity and the verification report."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thetasum import qseries as qs
 from thetasum import summation as sm
@@ -414,6 +416,21 @@ def test_dimension_to_four_decimals_verifies(name, d):
     assert report.residual < 1e-12
 
 
+@pytest.mark.parametrize("name,d", [("zd", 3.0), ("dd", 2.4131), ("theta4d", 3.3)])
+def test_zero_coefficients_add_no_tail(name, d):
+    # a spec term with coefficient 0 has no nonzero shell, and a profile
+    # term with c = 0 no envelope: the report is the one without them
+    spec = th.preset(name, d)
+    f = tr.GaussPoly(((1.0, 0, 1.0), (0.3, 2, 2.0)))
+    report = sm.verify(spec, f, tol=1e-10)
+    assert report.passed and math.isfinite(report.error_budget)
+    zero_term = (0.0, (th.ThetaFactor(2, d, Fraction(1)),))
+    with_zero_term = th.ThetaSpec(terms=spec.terms + (zero_term,), dim_d=d)
+    assert sm.verify(with_zero_term, f, tol=1e-10) == report
+    with_zero_c = tr.GaussPoly(((1.0, 0, 1.0), (0.0, 4, 0.5), (0.3, 2, 2.0)))
+    assert sm.verify(spec, with_zero_c, tol=1e-10) == report
+
+
 @pytest.mark.parametrize("C,n,A0,h,alpha", [
     (1.0, 150.0, 1025.0, 1.0, 1.0),     # A0^n overflows
     (1e300, 3.0, 4097.0, 1.0, 0.01),    # C A0^n overflows
@@ -425,21 +442,68 @@ def test_poly_gauss_tail_bounds_the_sum_where_a_power_overflows(C, n, A0, h, alp
     mp.mp.dps = 30
     term = lambda j: C * (A0 + j * h) ** n * mp.exp(-alpha * (A0 + j * h))
     true = mp.nsum(term, [0, mp.inf])
-    tail = sm._poly_gauss_tail(C, n, A0, h, alpha)
+    tail = sm._poly_gauss_tail(math.log(C), n, A0, h, alpha)
     assert math.isfinite(tail)
     assert true <= tail <= 1.5 * true
 
 
 def test_poly_gauss_tail_is_inf_where_the_ratio_reaches_one():
-    assert sm._poly_gauss_tail(1.0, 1e9, 33.0, 1.0, 1.0) == math.inf
+    assert sm._poly_gauss_tail(0.0, 1e9, 33.0, 1.0, 1.0) == math.inf
+
+
+_TINY = 2.0**-1022  # the least normal double
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(log_C=0.0, n=10.0, A0=100.0, h=1.0, alpha=0.099)    # log ratio 5e-4
+@example(log_C=709.0, n=0.0, A0=1.0, h=0.25, alpha=1e-3)    # only the quotient overflows
+@example(log_C=700.0, n=0.0, A0=1.0, h=0.25, alpha=1e-3)    # 4e307
+@given(log_C=st.floats(-50.0, 720.0), n=st.floats(0.0, 1300.0), A0=st.floats(1.0, 1e4),
+       h=st.sampled_from([0.25, 0.5, 1.0, 2.0]), alpha=st.floats(1e-3, 20.0))
+def test_poly_gauss_tail_bounds_the_sum_and_is_inf_only_past_the_doubles(log_C, n, A0, h, alpha):
+    # the true sum is e^{log_C - alpha A0} h^n Phi(e^{-alpha h}, -n, A0/h),
+    # with Phi the Lerch transcendent; eps_x is the rounding of the
+    # exponent log C + n log A0 - alpha A0 in doubles, eps_r that of the log
+    # ratio, and eps_b their effect on the bound
+    import mpmath as mp
+
+    with mp.workdps(20):
+        tail = sm._poly_gauss_tail(log_C, n, A0, h, alpha)
+        eps = 2.0**-52
+        eps_x = 8 * eps * (abs(log_C) + n * math.log(A0) + alpha * A0 + 1.0)
+        eps_r = 8 * eps * (n * math.log1p(h / A0) + alpha * h)
+        log_r = n * mp.log1p(mp.mpf(h) / A0) - alpha * h
+        if abs(log_r) <= eps_r:
+            return  # the ratio is 1 within the rounding of its log
+        if log_r > 0:
+            assert tail == math.inf
+            return
+        bound = mp.exp(log_C + n * mp.log(A0) - alpha * A0) / -mp.expm1(log_r)
+        eps_b = eps_x + eps_r / -log_r
+        if bound > (1 + eps_b) * sys.float_info.max:
+            assert tail == math.inf
+            return
+        if bound >= (1 - eps_b) * sys.float_info.max:
+            return  # at the largest double within rounding
+        assert math.isfinite(tail)
+        if bound < (1 - eps_b) * _TINY:
+            assert 0.0 <= tail <= _TINY  # below the normal doubles only its size is asked
+            return
+        assert abs(tail - bound) <= eps_b * bound
+        true = (mp.exp(log_C - alpha * A0) * mp.mpf(h) ** n
+                * mp.lerchphi(mp.exp(-alpha * h), -n, mp.mpf(A0) / h))
+        assert tail >= (1 - eps_x) * true
 
 
 def test_coeff_growth_takes_overflowing_powers_in_logs():
     A = np.array([1.0, 2.0, 1e4])
     N = np.array([300.0, 1e10, 1e200])
-    C = sm._coeff_growth(A, N, 150.0)
+    log_C = sm._coeff_growth(A, N, 150.0)
     # 1e4^150 is past the doubles; its ratio 1e-400 is far below the others
-    assert C == pytest.approx(4.0 * max(300.0, 1e10 / 2.0**150), rel=1e-13)
+    assert log_C == pytest.approx(math.log(4.0 * max(300.0, 1e10 / 2.0**150)), rel=1e-13)
+    # C itself is past the doubles, its log is not
+    log_C = sm._coeff_growth(np.array([1.0]), np.array([-1e308]), 3.0)
+    assert log_C == pytest.approx(math.log(4.0) + math.log(1e308), rel=1e-15)
 
 
 def test_verify_refuses_a_spec_coefficient_that_overflows_the_shells():
@@ -453,9 +517,17 @@ def test_verify_passes_at_large_dimension_and_huge_coefficient():
     # the majorant's powers overflow there: the tail is taken in logs
     report = sm.verify(th.preset("zd", 150), GAUSS, tol=1e-10)
     assert report.passed and report.L_used == 2048
+    assert math.isfinite(report.error_budget)
     factors = (th.ThetaFactor(3, 3.0, Fraction(1)),)
-    report = sm.verify(th.ThetaSpec(terms=((1e300, factors),), dim_d=3.0), GAUSS, tol=1e-10)
-    assert report.passed and report.L_used == 1024
+    spec = th.ThetaSpec(terms=((1e300, factors),), dim_d=3.0)
+    # from amplitude 1e7 on, C (about 1e301) times it is past the doubles,
+    # each shell term and both sums are not: the tail and the rounding
+    # floor, whose addends are scaled before they are summed, are finite
+    for amplitude, rate, orders in ((1.0, 1.0, (1024, 128)), (1e7, 1.0, (1024, 128)),
+                                    (3e7, 1.0, (1024, 128)), (2e6, 0.2, (4096, 32))):
+        report = sm.verify(spec, tr.GaussPoly(((amplitude, 0, rate),)), tol=1e-10)
+        assert report.passed and (report.L_used, report.L_star_used) == orders
+        assert math.isfinite(report.tail_lhs) and math.isfinite(report.error_budget)
 
 
 def test_order_cap_and_table_are_keyword_only():
