@@ -124,17 +124,19 @@ def _exact(f: RadialFunction):
 def _shared_grid(f: Sampled, d: float):
     """Transform values and error estimates from ``ft_quadrature_many``.
 
-    Each call transforms only the radii not seen before, on one grid.
+    The memo is keyed by the radius itself: each call transforms, on one
+    grid and in the order given, only the radii not seen before.  The
+    shell sum passes distinct radii, bit for bit the same at every doubling.
     """
-    cache: dict[float, tuple[float, float]] = {}  # round(p, 12) -> (value, error)
+    cache: dict[float, tuple[float, float]] = {}  # radius -> (value, error)
 
     def transformed(radii):
-        keys = [round(p, 12) for p in radii.tolist()]
-        new = sorted(set(keys).difference(cache))
+        ps = radii.tolist()
+        new = [p for p in ps if p not in cache]
         if new:
             values, errors = tr.ft_quadrature_many(f, new, d)
             cache.update(zip(new, zip(values.tolist(), errors.tolist())))
-        return np.array([cache[k] for k in keys]).reshape(-1, 2).T
+        return np.array([cache[p] for p in ps]).reshape(-1, 2).T
 
     return transformed
 

@@ -93,9 +93,7 @@ class ThetaSpec:
             raise InvalidSpec(f"dim_d must be >= 1, got {d!r}")
         if d <= 1.0 + _POWER_SUM_TOL and not self.is_zd_form:
             # at the d = 1 endpoint only the plain cubic form is defined
-            if abs(d - 1.0) <= _POWER_SUM_TOL:
-                raise InvalidSpec("dim_d = 1 is allowed only for the plain theta3^d form")
-            raise InvalidSpec(f"dim_d must be > 1 for general specs, got {d!r}")
+            raise InvalidSpec("dim_d = 1 is allowed only for the plain theta3^d form")
 
     @property
     def is_zd_form(self) -> bool:

@@ -191,8 +191,13 @@ def ft_gausspoly(f: GaussPoly, d: float, experimental_dim: bool = False) -> Gaus
     """Exact transform of a Gaussian-polynomial profile, again a GaussPoly.
 
     Each r^{2k} e^{-alpha r^2} maps to (-d/dalpha)^k of (pi/alpha)^{d/2}
-    e^{-pi^2 p^2/alpha}; the derivative is tracked as a polynomial in
-    u = 1/alpha and beta = pi^2 p^2, so only the final substitution rounds.
+    e^{-pi^2 p^2/alpha}, that is k! alpha^-k (pi/alpha)^{d/2} e^{-x}
+    L_k^{(d/2-1)}(x) with x = pi^2 p^2/alpha.  The derivative is tracked as
+    a polynomial in u = 1/alpha and beta = pi^2 p^2: after m derivatives
+    every monomial is u^{m+j} beta^j, and one more maps its coefficient
+    q_j to (d/2 + m + j) q_j - q_{j-1}.  After k derivatives q_j =
+    (-1)^j C(k, j) Gamma(k + d/2) / Gamma(j + d/2), the Laguerre
+    coefficients (DLMF §18.5), so only the final substitution rounds.
     experimental_dim admits 0 < d < 1, with no accuracy contract.  A
     transformed coefficient that is not a finite double raises
     ``DomainError``.
@@ -201,15 +206,10 @@ def ft_gausspoly(f: GaussPoly, d: float, experimental_dim: bool = False) -> Gaus
     s = 0.5 * d
     out: dict[tuple[int, float], float] = {}
     for c, k, alpha in f.terms:
-        # Q[i][j]: coefficient of u^i beta^j; operator for one -d/dalpha:
-        #   Q -> s u Q + u^2 dQ/du - beta u^2 Q
-        Q = {(0, 0): 1.0}
-        for _ in range(k):
-            nxt: dict[tuple[int, int], float] = {}
-            for (i, j), v in Q.items():
-                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0.0) + (s + i) * v
-                nxt[(i + 2, j + 1)] = nxt.get((i + 2, j + 1), 0.0) - v
-            Q = nxt
+        q = [1.0]
+        for m in range(k):
+            q = [(s + (m + j)) * here - below
+                 for j, (here, below) in enumerate(zip(q + [0.0], [0.0] + q))]
         u = 1.0 / alpha
         try:
             try:
@@ -217,14 +217,10 @@ def ft_gausspoly(f: GaussPoly, d: float, experimental_dim: bool = False) -> Gaus
             except OverflowError:  # a power overflows (large d): their product in logs
                 front = c * math.exp(s * math.log(math.pi * u))
             new_alpha = math.pi**2 * u
-            by_j: dict[int, list[float]] = {}
-            for (i, j), v in Q.items():
-                by_j.setdefault(j, []).append(v * u**i)
-            for j, parts in by_j.items():
-                coef = front * math.fsum(parts) * math.pi ** (2 * j)
+            for j, v in enumerate(q):
                 key = (j, new_alpha)
-                out[key] = out.get(key, 0.0) + coef
-        except (OverflowError, ValueError):  # fsum refuses an overflow and inf - inf
+                out[key] = out.get(key, 0.0) + front * (v * u ** (k + j)) * math.pi ** (2 * j)
+        except OverflowError:
             raise DomainError(f"transform of the term {(c, k, alpha)!r} overflows at d = {d!r}") from None
     terms = tuple((v, k, alpha) for (k, alpha), v in sorted(out.items()))
     return GaussPoly(terms=terms)  # a coefficient that is inf or nan raises DomainError

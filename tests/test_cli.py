@@ -219,21 +219,34 @@ def test_unreadable_spec_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("key,value", [
-    ("scale", [1e400, 1]), ("scale", [1, 0]), ("scale", [1.5, 1]), ("scale", [1.0, 1]),
-    ("kind", 3.7), ("kind", 3.0),
+@pytest.mark.parametrize("where,key,value,says", [
+    ("factor", "scale", [1e400, 1], "scale must be a JSON integer, got inf"),
+    ("factor", "scale", [1, 0], "malformed spec JSON"),
+    ("factor", "scale", [1.5, 1], "scale must be a JSON integer, got 1.5"),
+    ("factor", "scale", [1.0, 1], "scale must be a JSON integer, got 1.0"),
+    ("factor", "kind", 3.7, "kind must be 2, 3 or 4, got 3.7"),
+    ("factor", "kind", 3.0, "kind must be 2, 3 or 4, got 3.0"),
+    ("spec", "terms", [], "spec without terms"),
+    ("term", "factors", [], "term without factors"),
+    ("term", "coeff", math.nan, "term coefficient must be finite, got nan"),
+    ("term", "coeff", math.inf, "term coefficient must be finite, got inf"),
+    ("factor", "power", -3.0, "power must be a finite real >= 0, got -3.0"),
+    ("factor", "scale", [-1, 1], "scale must be positive, got -1"),
+    ("factor", "scale", [0, 1], "scale must be positive, got 0"),
 ], ids=["scale-overflow", "scale-zero-denominator", "scale-not-whole", "scale-float",
-        "kind-not-whole", "kind-float"])
-def test_bad_number_in_spec_file_is_usage_error(capsys, tmp_path, key, value):
+        "kind-not-whole", "kind-float", "no-terms", "no-factors", "coeff-nan", "coeff-inf",
+        "power-negative", "scale-negative", "scale-zero"])
+def test_bad_number_in_spec_file_is_usage_error(capsys, tmp_path, where, key, value, says):
     data = th.preset("zd", 2).to_json_dict()
-    data["terms"][0]["factors"][0][key] = value
-    with pytest.raises(errors.InvalidSpec):
+    term = data["terms"][0]
+    {"spec": data, "term": term, "factor": term["factors"][0]}[where][key] = value
+    with pytest.raises(errors.InvalidSpec, match=says):
         th.ThetaSpec.from_json_dict(data)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
     code, out, err = run(capsys, ["theta-coeffs", "--spec", str(path)])
     assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and says in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,37 @@ def test_sampled_dual_sum_stops_at_transform_noise_floor(name, d, a, b, hint):
     assert report.L_star_used == 32
 
 
+def test_sampled_dual_side_transforms_each_shell_radius_once(monkeypatch):
+    # the radii the quadrature sees are the dual shells' own, bit for bit,
+    # each transformed at the first doubling that lists it and never again
+    seen = []
+    many = tr.ft_quadrature_many
+
+    def recording_many(f, ps, d):
+        seen.extend(ps)
+        return many(f, ps, d)
+
+    monkeypatch.setattr(tr, "ft_quadrature_many", recording_many)
+    spec = th.preset("dd", 2.4131)
+    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    report = sm.verify(spec, f, tol=1e-8)
+    listing = th.shells(th.dual(spec), report.L_star_used)
+    radii = np.sqrt(listing.A[listing.N != 0.0]).tolist()
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(radii)
+
+
+def test_sampled_theta4d_dual_side_matches_the_closed_route():
+    # the dual of theta4^d is theta2^d, whose exponents start at d/4; a
+    # transform at a rounded radius cost this sum two digits
+    spec = th.preset("theta4d", 2.7)
+    sampled = tr.Sampled(lambda r: math.exp(-3.6 * r * r), decay_hint=(1.01, 1.8))
+    closed = tr.GaussPoly(((1.0, 0, 3.6),))
+    got = sm.verify(spec, sampled, tol=1e-8).rhs
+    want = sm.verify(spec, closed, tol=1e-8).rhs
+    assert abs(got - want) <= 1e-13
+
+
 def test_tails_enter_pass_rule():
     report = sm.verify(th.preset("zd", 3), GAUSS, tol=1e-10)
     assert report.tail_lhs >= 0.0 and report.tail_rhs >= 0.0

@@ -406,8 +406,12 @@ def test_from_json_rejects_non_finite_dimension():
 
 def test_dim_one_only_for_plain_cubic_form():
     assert th.preset("zd", 1).is_zd_form
-    with pytest.raises(InvalidSpec):
-        th.preset("dd", 1)
+    # every general spec within the power-sum tolerance of d = 1 meets one message,
+    # 1.000000000001 (the largest such double) included
+    for d in (1, 1 - 1e-12, 1.000000000001):
+        with pytest.raises(InvalidSpec, match="dim_d = 1 is allowed only for the plain theta3"):
+            th.preset("dd", d)
+    assert th.preset("dd", math.nextafter(1.000000000001, 2)).dim_d > 1
 
 
 def test_preset_unknown_name():

@@ -91,6 +91,29 @@ def test_closed_matches_quadrature(d, p):
     assert abs(closed - quad.value) <= 10.0 * quad.error + 1e-12
 
 
+@pytest.mark.parametrize("d", [1.0, 1.5, 2.4131, 3.3, 8.0, 12.7])
+def test_closed_form_is_the_laguerre_transform(d):
+    # c r^{2k} e^{-alpha r^2} -> c k! alpha^-k (pi/alpha)^s e^{-x} L_k^{(s-1)}(x),
+    # x = pi^2 p^2 / alpha, s = d/2: the coefficient of p^{2j} e^{-x} is
+    # c (pi/alpha)^s (-1)^j C(k, j) Gamma(k+s)/Gamma(j+s) alpha^-(k+j) pi^{2j}
+    worst = 0.0
+    with mp.workdps(30):
+        s = mp.mpf(d) / 2
+        for k in range(9):
+            for alpha in (0.05, 1.0, 20.0):
+                for c in (1.3, -0.7):
+                    got = tr.ft_gausspoly(tr.GaussPoly(((c, k, alpha),)), d).terms
+                    assert [j for _, j, _ in got] == list(range(k + 1))
+                    a = mp.mpf(alpha)
+                    for coeff, j, rate in got:
+                        want = (mp.mpf(c) * (mp.pi / a) ** s * (-1) ** j * mp.binomial(k, j)
+                                * mp.gamma(k + s) / mp.gamma(j + s) * a ** -(k + j)
+                                * mp.pi ** (2 * j))
+                        worst = max(worst, float(abs(coeff / want - 1)),
+                                    float(abs(rate / (mp.pi**2 / a) - 1)))
+    assert worst <= 4e-15
+
+
 def test_classical_kernel_d1_cosine():
     # d=1 reduces to the even cosine transform
     f = tr.GaussPoly(((1.0, 2, 1.5),))
