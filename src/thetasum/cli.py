@@ -5,7 +5,8 @@ a spec, transform radial profiles, verify the summation identity, check the
 modular relation, and compare Hermite coefficient routes.
 
 Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 bad usage,
-malformed input or any other thetasum error, 3 resource or tolerance cap hit.
+malformed input or any other thetasum error, 3 resource or tolerance cap hit
+(out of memory included).
 """
 
 from __future__ import annotations
@@ -248,6 +249,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ToleranceNotMet as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. numpy's array allocation at a huge --L
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 3
     except ThetasumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,8 @@ class ShellSum(NamedTuple):
     tail: float
     abs_sum: float  # sum of |term| magnitudes, for rounding floors
     budget: float   # accumulated transform error estimates
-    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells, by A_l
+    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells, by A_l;
+                    # the first three are the cached side's, read-only
 
 
 def _poly_gauss_tail(log_C: float, n: float, A0: float, h: float, alpha: float) -> float:
@@ -50,30 +51,23 @@ def _poly_gauss_tail(log_C: float, n: float, A0: float, h: float, alpha: float) 
         return math.inf
 
 
-def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
-    """log C of the measured constant with |N_l| <= C max(A_l, 1)^d on the
-    built range, times a margin of 4.  A and N are nonempty, N nonzero."""
-    return math.log(4.0) + float(np.max(np.log(np.abs(N)) - d * np.log(np.maximum(A, 1.0))))
-
-
 def _majorant(f: RadialFunction, d: float):
     """Tail estimator: sum_{l > trunc} |N_l| env(A_l) with |N_l| <= C A^d.
 
     env is the incomplete-gamma envelope of f.  Each term of the spec adds
-    its own tail, on its own grid, with its own ``_coeff_growth`` C, in logs.
-    A term with no nonzero shell, or an envelope term with c = 0, adds none.
+    its own tail, on its own grid, with the side's log C of its term
+    (``theta._coeff_growth``), in logs.  A term with no nonzero shell, or an
+    envelope term with c = 0, adds none.
     """
     if not isinstance(f, (GaussPoly, Sampled)):
         raise TypeError("radial profile must be GaussPoly or Sampled")
     envelope = [(math.log(c), k, alpha) for c, k, alpha in tr._tail_envelope(f) if c > 0.0]
 
-    def tail(listing, which, A, N, terms, errors):
+    def tail(side, terms, errors):
         total = 0.0
-        for i, (h, top) in enumerate(zip(listing.step, listing.top)):
-            mine = which == i
-            if not mine.any():
+        for h, top, log_C in zip(side.step, side.top, side.log_C):
+            if log_C is None:
                 continue
-            log_C = _coeff_growth(A[mine], N[mine], d)
             for log_c, k, alpha in envelope:
                 total += _poly_gauss_tail(log_C + log_c, d + k, top + h, h, alpha)
         return total, False
@@ -89,7 +83,7 @@ def _fsum(values) -> float:
         raise CoefficientOverflow("shell sum overflows the doubles") from None
 
 
-def _measured_decay(listing, which, A, N, terms, errors):
+def _measured_decay(side, terms, errors):
     """Tail estimator from the term mass of two adjacent wide windows.
 
     The remainder is extrapolated geometrically from the windows' ratio.
@@ -100,10 +94,10 @@ def _measured_decay(listing, which, A, N, terms, errors):
     second value (the noise floor) is True.  The windows end at the least
     reliable exponent of the terms.
     """
-    top = min(listing.top)
+    top = min(side.top)
     width = max(1.0, top / 8.0)
-    near = A > top - width
-    far = (A > top - 2.0 * width) & ~near
+    near = side.A > top - width
+    far = (side.A > top - 2.0 * width) & ~near
     w_near = _fsum(np.abs(terms[near]))
     w_far = _fsum(np.abs(terms[far]))
     if w_near + w_far <= math.fsum(errors[near | far]):
@@ -145,22 +139,25 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
 
-    The shells are the nonzero points of ``theta.shells``: each term on the
-    grid its recurrence runs on, sorted by exponent.  Each term's builder is kept for the
-    process and grows only past the order an earlier sum reached (the
-    theta3^d term on both sides of ``verify``, or the same spec under
-    another profile).
+    The shells at each order are ``theta.side(spec, L)``: the nonzero
+    points of ``theta.shells``, each term on the grid its recurrence runs
+    on, sorted by exponent, with their distinct radii and each term's growth
+    constant.  The process keeps each side in its cache next to the term
+    builders, so a later sum of the same spec at the same order (the same
+    spec under another profile) does only the profile's work; a builder
+    grows only past the order an earlier sum reached (the theta3^d term on
+    both sides of ``verify``).
 
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
-    once per distinct radius; ``tail_of(listing, which, A, N, terms,
-    errors) -> (tail, at_floor)`` estimates the truncated remainder from
-    the listing's per-term steps and last computed exponents and the term
-    index of every shell, and at_floor stops the doubling where it cannot
-    help.  The sum, its magnitude and its error budget are exactly rounded
-    (``math.fsum``); ``L_used`` is the order L the doubling stopped at.  A
-    tol that is not a finite positive real (a bool is not one), or an L_cap
-    that is not an integer >= 1, raises ``DomainError`` before any build; a
-    shell term N f(r), or a sum of finite terms, that overflows raises
+    once per distinct radius; ``tail_of(side, terms, errors) -> (tail,
+    at_floor)`` estimates the truncated remainder from the side's per-term
+    steps, last computed exponents and growth constants, and at_floor stops
+    the doubling where it cannot help.  The sum, its magnitude and its
+    error budget are exactly rounded (``math.fsum``); ``L_used`` is the
+    order L the doubling stopped at.  A tol that is not a finite positive
+    real (a bool is not one), or an L_cap that is not an integer >= 1,
+    raises ``DomainError`` before any build; a shell term N f(r), or a sum
+    of finite terms, that overflows raises
     ``CoefficientOverflow``.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
@@ -172,30 +169,27 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
     L = min(32, L_cap)
     while True:
-        listing = th.shells(spec, L)
-        nonzero = listing.N != 0.0
-        which, l, A, N = (column[nonzero] for column in listing[:4])
-        radii = np.sqrt(A)
-        first = np.ones(A.size, dtype=bool)  # first shell at each distinct radius
-        first[1:] = A[1:] != A[:-1]
-        values, errors = profile(radii[first])
-        at = np.cumsum(first) - 1
-        values, errors = values[at], errors[at]
+        side = th.side(spec, L)
+        values, errors = profile(side.radii)
+        if side.at is not None:
+            values, errors = values[side.at], errors[side.at]
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = bad[0]
-            raise DomainError(f"radial profile is {values[i]} at r = {float(radii[i])!r}")
+            raise DomainError(
+                f"radial profile is {values[i]} at r = {float(np.sqrt(side.A[i]))!r}")
         with np.errstate(over="ignore"):  # refused just below
-            terms = N * values
+            terms = side.N * values
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:
             i = bad[0]
-            raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(radii[i])!r}")
-        errors = np.abs(N) * errors
-        tail, at_floor = tail_of(listing, which, A, N, terms, errors)
+            raise CoefficientOverflow(
+                f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
+        errors = np.abs(side.N) * errors
+        tail, at_floor = tail_of(side, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(_fsum(terms), L, tail,
-                            _fsum(np.abs(terms)), math.fsum(errors), (l, A, N, terms))
+            return ShellSum(_fsum(terms), L, tail, _fsum(np.abs(terms)), math.fsum(errors),
+                            (side.l, side.A, side.N, terms))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
             raise ToleranceNotMet(f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} {where}")

@@ -8,9 +8,10 @@ with real nonnegative powers summing to the dimension parameter d in every
 term.  Each term's ``_TermBuilder`` decides its grid, the points
 (offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
 by point on that grid, with no QSeries (the one listing behind the shell sums
-and ``coeff_table``); ``build`` scatters the terms onto one QSeries for the
-callers that want one; ``dual`` applies the modular transformation rule
-factor by factor.
+and ``coeff_table``); ``side`` keeps a shell sum's view of that listing for
+the process, next to the builders; ``build`` scatters the terms onto one
+QSeries for the callers that want one; ``dual`` applies the modular
+transformation rule factor by factor.
 """
 
 from __future__ import annotations
@@ -369,7 +370,12 @@ class _TermBuilder:
                 b[n] = np.dot(hr[N - n:N], b[:n]) / n
         self.h, self.b = h, b
         if _cache.get(self.key) is self:
-            _use(self.key, N - n0)
+            _use(self.key, 16 * (N - n0))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of h and b, what the cache counts for the builder."""
+        return self.h.nbytes + self.b.nbytes
 
     def top(self, L: int) -> int:
         """Last index on the 1/D grid exact at order L: each factor covers ceil(L/s) s."""
@@ -384,20 +390,20 @@ class _TermBuilder:
             return self.b[:n + 1]  # a view: read, never written; a grow fills a new array
 
 
-_CACHE_INDICES = 2**18  # most recurrence indices cached in all (16 bytes each: 4 MB)
-_cache: OrderedDict = OrderedDict()  # factor tuple -> builder, least recently used first
+_CACHE_BYTES = 2**22  # most bytes cached in all: a builder's h and b, a side's arrays
+_cache: OrderedDict = OrderedDict()  # key -> builder or side, least recently used first
 _cache_lock = threading.Lock()       # guards _cache, _held and every grow
-_held = 0                            # recurrence indices of the cached builders
+_held = 0                            # bytes of the cached entries
 
 
-def _use(key: tuple, added: int) -> None:
-    """Mark key most recently used and count ``added`` more indices held;
+def _use(key, added: int) -> None:
+    """Mark key most recently used and count ``added`` more bytes held;
     evict from the least recently used end while they are too many."""
     global _held
     _cache.move_to_end(key)
     _held += added
-    while _held > _CACHE_INDICES and len(_cache) > 1:
-        _held -= _cache.popitem(last=False)[1].b.size
+    while _held > _CACHE_BYTES and len(_cache) > 1:
+        _held -= _cache.popitem(last=False)[1].nbytes
 
 
 def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
@@ -407,12 +413,12 @@ def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
         new = term is None
         if new:
             term = _cache[factors] = _TermBuilder(factors)
-        _use(term.key, int(new))  # a new builder holds b_0
+        _use(term.key, term.nbytes if new else 0)  # a new builder holds h_0 and b_0
         return term
 
 
 def _clear_builders() -> None:
-    """Drop every cached builder."""
+    """Drop every cached builder and side."""
     global _held
     with _cache_lock:
         _cache.clear()
@@ -471,6 +477,73 @@ def shells(spec: ThetaSpec, L: int) -> Shells:
     return Shells(term, l, A, N, *zip(*per_term))
 
 
+def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
+    """log C of the measured constant with |N_l| <= C max(A_l, 1)^d on the
+    built range, times a margin of 4.  A and N are nonempty, N nonzero."""
+    return math.log(4.0) + float(np.max(np.log(np.abs(N)) - d * np.log(np.maximum(A, 1.0))))
+
+
+class Side(NamedTuple):
+    """The nonzero points of ``shells`` at one order, as a shell sum reads them.
+
+    The arrays are read-only: ``side`` keeps them for the process, and a
+    shell sum hands l, A and N out.
+    """
+
+    l: np.ndarray      # each nonzero point's index on its term's grid, by exponent
+    A: np.ndarray
+    N: np.ndarray
+    radii: np.ndarray  # the distinct sqrt(A), in order
+    at: np.ndarray | None  # each point's radius in radii; None where no two points share A
+    step: tuple        # per term: its grid step g/D
+    top: tuple         # per term: the exponent of its last computed point
+    log_C: tuple       # per term: its ``_coeff_growth``, None without a nonzero point
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays, what the cache counts for the side."""
+        return sum(column.nbytes for column in self[:5] if column is not None)
+
+
+def _side_key(spec: ThetaSpec, L: int) -> tuple:
+    """The spec and the order as plain numbers: no ``Fraction`` to hash."""
+    return (L, spec.dim_d, *((c, *((f.kind, f.power, f.scale.numerator, f.scale.denominator)
+                                    for f in fs)) for c, fs in spec.terms))
+
+
+def side(spec: ThetaSpec, L: int) -> Side:
+    """The nonzero points of ``shells(spec, L)``, their distinct radii and
+    each term's growth constant: all a shell sum derives from the spec at
+    order L.  Kept in the process cache next to the builders, so a later
+    sum of the same spec at that order lists, sorts and measures nothing."""
+    L = int(L)
+    key = _side_key(spec, L)
+    with _cache_lock:
+        kept = _cache.get(key)
+        if kept is not None:
+            _use(key, 0)
+            return kept
+    # made outside the lock, which the builders take; a thread racing on the
+    # same key makes the same bytes, and only the first is counted
+    listing = shells(spec, L)
+    nonzero = listing.N != 0.0
+    which, l, A, N = (column[nonzero] for column in listing[:4])
+    first = np.ones(A.size, dtype=bool)  # first point at each distinct exponent
+    first[1:] = A[1:] != A[:-1]
+    log_C = tuple(_coeff_growth(A[mine], N[mine], spec.dim_d) if mine.any() else None
+                  for mine in (which == i for i in range(len(listing.step))))
+    made = Side(l, A, N, np.sqrt(A[first]), None if first.all() else np.cumsum(first) - 1,
+                listing.step, listing.top, log_C)
+    for column in made[:5]:
+        if column is not None:
+            column.flags.writeable = False
+    with _cache_lock:
+        if key not in _cache:
+            _cache[key] = made
+            _use(key, made.nbytes)
+    return made
+
+
 def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents A <= L of the spec, sorted, and its coefficients N there: the
     points of ``shells``, added where they coincide within ``lincomb``'s slack."""
@@ -512,14 +585,27 @@ def jacobi_residual(kind: int, t: float) -> float:
     """|theta_a(e^{-pi/t}) - sqrt(t) theta_b(e^{-pi t})| for the paired kinds.
 
     Pairs: 2 <-> 4 swap, 3 stays.  Identically zero in exact arithmetic.
-    Both sides come from the product form, ``theta_eval_product``.
+    Both sides come from the product form, ``theta_eval_product``.  A t
+    that is not finite raises ``DomainError``; a t so large or so small that
+    one of the two q rounds to 1, or needs more than the product's factor
+    cap, raises ``ToleranceNotMet`` naming t.
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
     t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")
     partner = {2: 4, 3: 3, 4: 2}[kind]
-    lhs = theta_eval_product(kind, math.exp(-math.pi / t))
-    rhs = math.sqrt(t) * theta_eval_product(partner, math.exp(-math.pi * t))
+    q_lhs, q_rhs = math.exp(-math.pi / t), math.exp(-math.pi * t)
+    if max(q_lhs, q_rhs) == 1.0:
+        q = "e^(-pi/t)" if q_lhs == 1.0 else "e^(-pi t)"
+        raise ToleranceNotMet(f"at t = {t!r} the theta argument {q} rounds to 1, "
+                              "where no product converges")
+    try:
+        lhs = theta_eval_product(kind, q_lhs)
+        rhs = math.sqrt(t) * theta_eval_product(partner, q_rhs)
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(f"at t = {t!r}: {exc}") from None
     return abs(lhs - rhs)

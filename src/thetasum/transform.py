@@ -21,6 +21,7 @@ Bessel branch of ``hyp0f1``, ``scipy.integrate`` by ``ft_quadrature`` only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
@@ -97,10 +98,21 @@ class GaussPoly:
         object.__setattr__(self, "terms", tuple(norm))
 
     def eval(self, r):
-        r2 = np.square(np.asarray(r, dtype=np.float64))
-        out = np.zeros_like(r2)
-        for c, k, alpha in self.terms:
-            out += c * r2**k * np.exp(-alpha * r2)
+        """Sum of the terms at r.  Where c r^{2k} is past the doubles (r^2
+        itself from r ~ 1.3e154), a term is c exp(k log r^2 - alpha r^2),
+        which is 0 there unless alpha is tiny."""
+        r = np.asarray(r, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r2 = np.square(r)
+            out = np.zeros_like(r2)
+            for c, k, alpha in self.terms:
+                out += c * r2**k * np.exp(-alpha * r2)
+            if not math.isfinite(out.sum()):  # some c r^{2k} overflowed: those in logs
+                out = np.zeros_like(r2)
+                for c, k, alpha in self.terms:
+                    front = c * r2**k
+                    logs = c * np.exp(k * (2.0 * np.log(np.abs(r))) - alpha * r2)
+                    out += np.where(np.isfinite(front), front * np.exp(-alpha * r2), logs)
         return out if out.ndim else float(out)
 
     def __call__(self, r):
@@ -481,6 +493,18 @@ def _horner(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)  # both rule orders at 32 dimensions
+def _gauss_nodes(n: int, d: float) -> tuple[np.ndarray, ...]:
+    """Read-only n-point Gauss-Jacobi (weight (1 + x)^{d-1}) and
+    Gauss-Legendre nodes and weights on [-1, 1], made once per (n, d)."""
+    from scipy import special
+
+    rules = (*special.roots_jacobi(n, 0.0, d - 1.0), *special.roots_legendre(n))
+    for a in rules:
+        a.flags.writeable = False
+    return rules
+
+
 def _composite_rule(R: float, panels: int, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of an n-point rule for int_0^R g(r) r^{d-1} dr, g smooth.
 
@@ -488,11 +512,8 @@ def _composite_rule(R: float, panels: int, d: float, n: int) -> tuple[np.ndarray
     branch point at r = 0 is integrated exactly; Gauss-Legendre on the
     other panels, with r^{d-1} folded into the weights.
     """
-    from scipy import special
-
     h = R / panels
-    xj, wj = special.roots_jacobi(n, 0.0, d - 1.0)
-    xg, wg = special.roots_legendre(n)
+    xj, wj, xg, wg = _gauss_nodes(n, d)
     rest = (h * np.arange(1, panels)[:, None] + 0.5 * h * (1.0 + xg)).ravel()
     nodes = np.concatenate([0.5 * h * (1.0 + xj), rest])
     weights = np.concatenate([

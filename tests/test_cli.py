@@ -427,6 +427,40 @@ def test_jacobi_check_refuses_unconverged_product(capsys):
     assert "has not converged" in err
 
 
+@pytest.mark.parametrize("t,code,says", [
+    ("nan", 2, "error: t must be finite, got nan"),
+    ("1e17", 3, "error: at t = 1e+17 the theta argument e^(-pi/t) rounds to 1"),
+    ("1e-20", 3, "error: at t = 1e-20 the theta argument e^(-pi t) rounds to 1"),
+    ("1e16", 3, "error: at t = 1e+16: theta2 product at q"),
+    ("5e-17", 3, "error: at t = 5e-17: theta4 product at q"),
+])
+def test_jacobi_check_names_t_at_its_ends(capsys, t, code, says):
+    got, out, err = run(capsys, ["jacobi-check", "--t", t])
+    assert (got, out) == (code, "")
+    assert err.startswith(says) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("p", ["1e80", "1e155", "1e200"])
+def test_transform_at_huge_radii_prints_zero(capsys, k, p):
+    code, out, err = run(capsys, ["transform", "--f", f"1,{k},1", "--dim", "2", "--p", p])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"p": float(p), "value": 0.0}]
+
+
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch):
+    # a table too large to allocate is a resource cap, not a verify FAIL
+    def too_large(spec, L):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000001,)")
+
+    monkeypatch.setattr(th, "coeff_table", too_large)
+    code, out, err = run(capsys, ["theta-coeffs", "--preset", "theta4d", "--dim", "2",
+                                  "--L", "100000000"])
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: Unable to allocate 745. GiB for an array " \
+                  "with shape (100000001,)\n"
+
+
 def _zd3_with(coeff=1.0, power=3.0, dim_d=3.0):
     factor = {"kind": 3, "power": power, "scale": [1, 1]}
     return {"dim_d": dim_d, "terms": [{"coeff": coeff, "factors": [factor]}]}

@@ -265,6 +265,7 @@ def test_per_term_table_adds_no_build_or_transform(monkeypatch):
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
     counts = []
     for with_table in (False, True):
+        th._clear_builders()  # else the second call finds every side cached
         calls.update(build=0, transform=0)
         report = sm.verify(th.preset("zd", 2.5), f, tol=1e-8, with_table=with_table)
         counts.append(dict(calls))
@@ -529,11 +530,11 @@ def test_poly_gauss_tail_bounds_the_sum_and_is_inf_only_past_the_doubles(log_C, 
 def test_coeff_growth_takes_overflowing_powers_in_logs():
     A = np.array([1.0, 2.0, 1e4])
     N = np.array([300.0, 1e10, 1e200])
-    log_C = sm._coeff_growth(A, N, 150.0)
+    log_C = th._coeff_growth(A, N, 150.0)
     # 1e4^150 is past the doubles; its ratio 1e-400 is far below the others
     assert log_C == pytest.approx(math.log(4.0 * max(300.0, 1e10 / 2.0**150)), rel=1e-13)
     # C itself is past the doubles, its log is not
-    log_C = sm._coeff_growth(np.array([1.0]), np.array([-1e308]), 3.0)
+    log_C = th._coeff_growth(np.array([1.0]), np.array([-1e308]), 3.0)
     assert log_C == pytest.approx(math.log(4.0) + math.log(1e308), rel=1e-15)
 
 
@@ -639,9 +640,8 @@ def _decay_windows(near, far):
     (56, 64] holds ``near`` per shell, the far window (48, 56] ``far``."""
     A = np.arange(1.0, 65.0)
     terms = np.where(A > 56.0, near, np.where(A > 48.0, far, 1.0))
-    listing = th.Shells(None, None, A, None, (1.0,), (64.0,))
-    return sm._measured_decay(listing, np.zeros(A.size, dtype=int), A, np.ones(A.size),
-                              terms, np.zeros(A.size))
+    side = th.Side(A, A, np.ones(A.size), np.sqrt(A), None, (1.0,), (64.0,), (None,))
+    return sm._measured_decay(side, terms, np.zeros(A.size))
 
 
 def test_measured_decay_takes_ten_far_windows_when_the_near_one_is_empty():
@@ -651,3 +651,28 @@ def test_measured_decay_takes_ten_far_windows_when_the_near_one_is_empty():
 @pytest.mark.parametrize("near,far", [(1e-9, 1e-9), (2e-9, 1e-9)])
 def test_measured_decay_is_infinite_where_the_windows_do_not_shrink(near, far):
     assert _decay_windows(near, far) == (math.inf, False)
+
+
+def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
+    # each doubling of the dual side runs two composite rules at d = 2.5
+    from scipy import special
+
+    tr._gauss_nodes.cache_clear()
+    made = []
+    roots = special.roots_jacobi
+
+    def counted(n, a, b):
+        made.append((n, b))
+        return roots(n, a, b)
+
+    monkeypatch.setattr(special, "roots_jacobi", counted)
+    f = tr.Sampled(lambda r: math.exp(-1.3 * r * r), decay_hint=(1.0, 1.3))
+    reports = []
+    for _ in range(2):
+        th._clear_builders()
+        reports.append(sm.verify(th.preset("dd", 2.5), f, tol=1e-8))
+    assert reports[0] == reports[1] and reports[0].passed
+    assert sorted(made) == [(10, 1.5), (14, 1.5)]
+    for column in tr._gauss_nodes(10, 2.5):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -526,6 +527,20 @@ def test_jacobi_residual_small(kind, t):
 def test_jacobi_residual_rejects_nonpositive_t():
     with pytest.raises(DomainError):
         th.jacobi_residual(3, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_jacobi_residual_refuses_a_t_that_is_not_finite(t):
+    with pytest.raises(DomainError, match=f"t must be finite, got {t!r}"):
+        th.jacobi_residual(3, t)
+
+
+@pytest.mark.parametrize("t", [1e17, 1e-20, 1e16, 5e-17])
+def test_jacobi_residual_names_a_t_whose_q_reaches_1(t):
+    # at 1e17 and 1e-20 one q rounds to 1, at 1e16 and 5e-17 it needs more
+    # factors than the cap: either way t is out of the products' reach
+    with pytest.raises(ToleranceNotMet, match=re.escape(f"at t = {t!r}")):
+        th.jacobi_residual(2, t)
 
 
 def test_jacobi_residual_rejects_bad_kind():

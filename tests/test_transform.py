@@ -422,3 +422,22 @@ def test_shared_grid_unreachable_tolerance_raises(monkeypatch):
     monkeypatch.setattr(tr, "_ABS_TOL", 1e-30)
     with pytest.raises(ToleranceNotMet):
         tr.ft_quadrature_many(GAUSS, [0.5, 1.0], 3.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("p", [1e80, 1e155, 1e200])
+def test_gausspoly_is_zero_where_its_powers_overflow(k, p):
+    # r^2 passes the doubles from r ~ 1.3e154, r^{2k} earlier; the Gaussian
+    # wins, and numpy's overflow and invalid warnings are errors here
+    f = tr.GaussPoly(((1.0, k, 1.0),))
+    assert tr.ft_closed(f, p, 2.0) == 0.0
+    assert f.eval(p) == 0.0
+    assert f.eval(np.array([1.0, p])).tolist() == [f.eval(1.0), 0.0]
+
+
+def test_gausspoly_keeps_its_values_where_nothing_overflows():
+    f = tr.GaussPoly(((1.0, 2, 1.0), (-0.5, 1, 0.3)))
+    r = np.array([0.0, 0.5, 3.0, 40.0])
+    want = [1.0 * x**4 * math.exp(-x * x) - 0.5 * x**2 * math.exp(-0.3 * x * x)
+            for x in r.tolist()]
+    assert f.eval(r).tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
