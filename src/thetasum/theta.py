@@ -16,6 +16,7 @@ transformation rule factor by factor.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -556,12 +557,14 @@ def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     return A[keep], N[keep]
 
 
+@functools.lru_cache
 def dual(spec: ThetaSpec) -> ThetaSpec:
     """Dual spec under the modular transformation.
 
     Factor map: kind 2 <-> kind 4 with inverted scale, kind 3 keeps its
     kind with inverted scale; each term coefficient is divided by
-    sqrt(prod scale^power) over the factors of that term.
+    sqrt(prod scale^power) over the factors of that term.  Specs are
+    frozen, so each one's dual is made once and kept for the process.
     """
     new_terms = []
     for coeff, factors in spec.terms:

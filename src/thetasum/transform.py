@@ -9,10 +9,12 @@ radial function at integer d.  Gaussian-polynomial profiles transform in
 closed form (``ft_closed``/``ft_gausspoly``).  Sampled profiles go through
 ``ft_quadrature_many``, one shared quadrature grid for many radii at once;
 ``ft_quadrature`` is the independent adaptive route that cross-checks both.
-The shared grid's kernel takes its Bessel function from the Hankel
-expansion at large arguments (``_kernel``); ``hyp0f1`` and so
-``ft_quadrature`` stay on ``special.jv``, which keeps the cross-check
-independent of that expansion.
+The shared grid's kernel (``_kernel``) takes its Bessel function from the
+Hankel expansion at large arguments and from the power series and Miller's
+backward recurrence below them, on numpy; ``special.j0`` serves d = 2, and
+``special.jv`` only orders past d = 39.  ``hyp0f1`` and so ``ft_quadrature``
+stay on ``special.jv``, which keeps the cross-check independent of the
+shared grid's kernel.
 
 scipy is imported inside the functions that call it, so the closed-form
 paths never load it: ``scipy.special`` by the quadrature helpers and the
@@ -48,14 +50,15 @@ _KERNEL_CHUNK = 2**15
 
 # ``_kernel`` takes J_{a-1}(2x) from its Hankel expansion, ``_HANKEL_TERMS``
 # terms in all (P and Q together), from 2x = ``_hankel_start(a - 1)`` up, and
-# from ``special.jv`` below.  That start is never below ``_HANKEL_SWITCH``:
-# ``special.jv`` itself switches to its asymptotic expansion near 21.8, and
-# below that it errs by up to 7e-14 of the kernel envelope at non-integer
-# order, so a lower switch would leave points just below it outside the
-# kernel's 1.1e-14 bar.  Above it the start rises with the order until 18
-# terms meet 2^-53 (2x = 22.8 at d = 2.5, 23.9 at d = 8, 34.7 at d = 24), and
-# past d = 39 it is inf.  Measured, not tunable: 18 terms keep the start
-# within 1.3 of 22 over the d of the benchmarks (1 to 4.2).
+# from ``_near_kernel`` below.  That start is never below ``_HANKEL_SWITCH``:
+# at half-integer order the expansion ends, so its error bound alone would
+# start it at 0, but at large such order its terms cancel below 22 (1.2e-13
+# of the kernel envelope for 2x in [16, 22] at d = 37, against 8e-15 just
+# above), so a lower switch would leave those points outside the kernel's
+# 1.1e-14 bar.  Above it the start rises with the order until 18 terms meet
+# 2^-53 (2x = 22.8 at d = 2.5, 23.9 at d = 8, 34.7 at d = 24), and past
+# d = 39 it is inf.  Measured, not tunable: 18 terms keep the start within
+# 1.3 of 22 over the d of the benchmarks (1 to 4.2).
 _HANKEL_SWITCH = 22.0
 _HANKEL_TERMS = 18
 
@@ -398,27 +401,105 @@ def _kernel(a: float, x: np.ndarray) -> np.ndarray:
     """0F1(a; -x^2) on an array of x >= 0.
 
     Gamma(a) x^{1-a} J_{a-1}(2x), the Bessel relation ``hyp0f1`` uses past
-    its series range, on the whole axis.  Where 2x >= ``_hankel_start(a - 1)``
-    it comes from the Hankel expansion (``_hankel``), about 80 ns an entry
-    where ``special.jv`` takes 470-1280 ns at non-integer order.  Below that
-    start, and at every x for an order the expansion's error bound does not
-    cover, it comes from ``special.jv``, which keeps its relative accuracy
-    as x -> 0, where ``special.hyp0f1`` loses up to 4e-12 at a = 1/2.  At
-    d = 2 the kernel is J_0(2x), and ``special.j0`` is faster than either.
+    its series range.  Where 2x >= ``_hankel_start(a - 1)`` it comes from
+    the Hankel expansion (``_hankel``), about 80 ns an entry; below that
+    start from ``_near_kernel``, the power series and Miller's recurrence,
+    100-200 ns an entry where ``special.jv`` takes 0.7-2.8 us at
+    non-integer order.  At d = 2 the kernel is J_0(2x), and ``special.j0``
+    is faster than either.  An order the expansion's error bound does not
+    cover (a > 19.5) stays on ``special.jv`` at every x: it keeps its
+    relative accuracy as x -> 0, where ``special.hyp0f1`` loses up to 4e-12
+    at a = 1/2.
     """
     from scipy import special
 
     if a == 1.0:
         return special.j0(2.0 * x)
+    start = _hankel_start(a - 1.0)
+    if start == math.inf:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x)
+        return np.where(x == 0.0, 1.0, k)
     out = np.empty_like(x)
-    far = x >= 0.5 * _hankel_start(a - 1.0)
+    far = x >= 0.5 * start
     out[far] = _hankel(a, x[far])
     near = ~far
-    xn = x[near]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = math.gamma(a) * xn ** (1.0 - a) * special.jv(a - 1.0, 2.0 * xn)
-    out[near] = np.where(xn == 0.0, 1.0, k)
+    out[near] = _near_kernel(a, x[near])
     return out
+
+
+def _near_kernel(a: float, x: np.ndarray) -> np.ndarray:
+    """0F1(a; -x^2) on an array of x >= 0, for ``_kernel`` below the Hankel start.
+
+    Up to x = 1, the power series sum_k (-x^2)^k / ((a)_k k!) by Horner's
+    rule in x^2, to the first coefficient below 2^-53: past k = 0 its terms
+    alternate and shrink.  Above x = 1, Miller's backward recurrence (DLMF
+    3.6(iii), 10.74(iii)) in z = 2x, with nu = a - 1 = mu + n, n = floor(nu):
+    from f_{N+1} = 0 and f_N the least normal double, f_{k-1} = (2(mu + k)/z)
+    f_k - f_{k+1} down to k = 0 gives f_k proportional to J_{mu+k}(z), and
+    S = sum_m (mu + 2m) Gamma(mu + m)/m! f_{2m} is (z/2)^mu in the same
+    measure (DLMF 10.23).  So the kernel Gamma(a) x^{-nu} J_nu(2x) is
+    Gamma(a) x^{-n} f_n / S, with no fractional power; n = -1 takes one
+    more step down.  N is the least even index above n and the largest z
+    at which (z/2)^m / Gamma(m + 1), m = mu + N - max(n, 0), is below
+    2^-53: by DLMF 10.14.4 that bounds J_{mu+N}(z), and counted from n it
+    also bounds the relative error f_n takes from the start where J_n(z)
+    is small (z below the order).  From f_N to f_0 the values grow by at
+    most about N! for z >= 2, so starting at the least normal double they
+    stay finite and normal (N is at most 190, at d = 39).
+    """
+    nu = a - 1.0
+    n = math.floor(nu)
+    mu = nu - n
+    out = np.empty_like(x)
+    low = x <= 1.0
+    series = [1.0]
+    while abs(series[-1]) > 2.0**-53:
+        k = len(series) - 1
+        series.append(-series[-1] / ((a + k) * (k + 1)))
+    out[low] = _horner(series, np.square(x[low]))
+    xs = x[~low]
+    if xs.size == 0:
+        return out
+    z = 2.0 * xs
+    top = float(z.max())
+    N = 2 * math.floor(0.5 * max(top, n)) + 2
+    while ((m := mu + N - max(n, 0)) * math.log(0.5 * top) - math.lgamma(m + 1.0)
+           > -53 * math.log(2.0)):
+        N += 2
+    norms = _miller_norms(mu, N // 2)
+    r = np.reciprocal(z)
+    above = np.zeros_like(z)                   # f_{k+1}
+    f = np.full_like(z, np.finfo(z.dtype).tiny)  # f_k, from k = N
+    S = norms[-1] * f
+    step = np.empty_like(z)
+    for k in range(N, min(n, 0), -1):
+        # the scalar first: f_N / z would not be a normal double
+        np.multiply(f, 2.0 * (mu + k), out=step)
+        step *= r
+        step -= above
+        above, f, step = f, step, above
+        if k % 2:
+            S += np.multiply(f, norms[(k - 1) // 2], out=step)
+        if k - 1 == n:
+            fn = f.copy()
+    fn /= S
+    fn *= math.gamma(a) * xs ** -n
+    out[~low] = fn
+    return out
+
+
+@functools.lru_cache
+def _miller_norms(mu: float, top: int) -> tuple[float, ...]:
+    """(mu + 2m) Gamma(mu + m)/m! for m = 0 .. top, Gamma(mu + 1) at m = 0:
+    the weights of ``_near_kernel``'s normalisation, made once per order
+    and start index."""
+    norms = [math.gamma(mu + 1.0)]
+    g = norms[0]  # Gamma(mu + m)/m! at m = 1
+    for m in range(1, top + 1):
+        norms.append((mu + 2 * m) * g)
+        g *= (mu + m) / (m + 1)
+    return tuple(norms)
 
 
 def _hankel(a: float, x: np.ndarray) -> np.ndarray:
@@ -473,8 +554,9 @@ def _hankel_start(nu: float) -> float:
     least z >= ``_HANKEL_SWITCH`` at which both first omitted terms,
     a_N(nu)/z^N and a_{N+1}(nu)/z^{N+1} with N = ``_HANKEL_TERMS``, are
     below 2^-53, so the truncation stays under 2^-52 of the envelope
-    sqrt(2/(pi z)).  Where the bound does not hold (|nu| > 18.5 with 18
-    terms) it is inf, and the kernel stays on ``special.jv``.
+    sqrt(2/(pi z)).  Below the start ``_kernel`` takes ``_near_kernel``.
+    Where the bound does not hold (|nu| > 18.5 with 18 terms) it is inf,
+    and the kernel stays on ``special.jv`` at every z.
     """
     nu = abs(nu)
     n = _HANKEL_TERMS

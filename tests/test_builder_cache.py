@@ -84,6 +84,21 @@ def test_a_warm_side_lists_builds_and_measures_nothing(monkeypatch):
     assert sm.verify(spec, f, tol) == cold
 
 
+@pytest.mark.parametrize("case", CASES, ids=["zd", "dd", "theta4d", "dd-sampled"])
+def test_a_warm_verify_makes_no_theta_factor(case, monkeypatch):
+    # each spec's dual is kept for the process, so the dual side of a warm
+    # verify makes no ThetaFactor or ThetaSpec and gives the cold report
+    spec, f, tol = case
+    cold = sm.verify(spec, f, tol)
+
+    def refuse(self):
+        raise AssertionError("a warm verify made a theta factor or spec")
+
+    monkeypatch.setattr(th.ThetaFactor, "__post_init__", refuse)
+    monkeypatch.setattr(th.ThetaSpec, "__post_init__", refuse)
+    assert sm.verify(spec, f, tol) == cold
+
+
 def test_side_arrays_are_read_only():
     spec, f, tol = CASES[1]  # dd: its two terms share every exponent
     side = th.side(spec, 64)

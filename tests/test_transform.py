@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -305,12 +306,15 @@ def test_shared_grid_matches_adaptive_oracle(d):
 
 def test_adaptive_oracle_never_reaches_the_shared_grid_kernel(monkeypatch):
     # ft_quadrature stays on hyp0f1 and special.jv, so it checks the
-    # Hankel expansion of the shared grid instead of sharing it
+    # Hankel expansion and the recurrence of the shared grid instead of
+    # sharing them
     def refuse(*args):
         raise AssertionError("ft_quadrature called the shared-grid kernel")
 
     monkeypatch.setattr(tr, "_kernel", refuse)
     monkeypatch.setattr(tr, "_hankel", refuse)
+    monkeypatch.setattr(tr, "_near_kernel", refuse)
+    monkeypatch.setattr(tr, "_miller_norms", refuse)
     for d in (1.9, 3.5):
         for p in (0.7, 12.0):
             assert math.isfinite(tr.ft_quadrature(CUSP, p, d).value)
@@ -360,7 +364,7 @@ def test_hankel_start_follows_the_order():
     assert tr._hankel_start(19.0) == math.inf
 
 
-@pytest.mark.parametrize("d", [1.0, 1.5, 1.9, 2.5, 2.7, 3.0, 3.5, 3.9, 4.2, 8.0,
+@pytest.mark.parametrize("d", [1.0, 1.5, 1.9, 2.0, 2.5, 2.7, 3.0, 3.5, 3.9, 4.2, 8.0,
                                16.0, 24.0, 24.5, 25.0, 38.0, 40.0])
 def test_kernel_matches_mpmath_hyp0f1(d):
     # from just below the least Hankel start, and from just below the start
@@ -369,7 +373,12 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     # The error is measured against the kernel envelope
     # Gamma(a)/sqrt(pi) x^{1/2-a}: within 1.1e-14 of it, or no worse than
     # special.jv where that itself misses the bar (past d = 30, between the
-    # turning point and the Hankel start; d = 40 is all special.jv).
+    # turning point and the Hankel start; d = 40 is all special.jv).  At
+    # d = 2, special.j0 is within 1e-15 of the envelope below x = 12; above,
+    # its argument reduction errs like the rounding of x itself, so it is
+    # held to the 2 eps x^{1/2} per entry that the rounding floor of
+    # ft_quadrature_many budgets for the phase (3.1e-14 of the envelope at
+    # x = 390 is a quarter of that).
     a = 0.5 * d
     starts = [0.5 * tr._HANKEL_SWITCH, 0.5 * min(tr._hankel_start(a - 1.0), 200.0)]
     prefactor = 2.0 * math.pi**a / math.gamma(a)
@@ -380,8 +389,117 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     with mp.workdps(40):
         want = np.array([float(mp.hyp0f1(a, -mp.mpf(v) ** 2)) for v in x.tolist()])
     envelope = math.gamma(a) / math.sqrt(math.pi) * x ** (0.5 - a)
-    jv = math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x)
-    assert np.all(np.abs(got - want) <= np.maximum(1.1e-14 * envelope, np.abs(jv - want)))
+    if d == 2.0:
+        allowed = np.maximum(1.1e-14 * envelope, 2.0 * 2.0**-52 * np.sqrt(x))
+    else:
+        jv = math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x)
+        allowed = np.maximum(1.1e-14 * envelope, np.abs(jv - want))
+    assert np.all(np.abs(got - want) <= allowed)
+
+
+NEAR_DIMS = [1.0, 1.3, 1.5, 1.9, 2.5, 2.7, 3.5, 4.2, 8.0, 16.0, 24.0, 24.5, 30.0, 38.0, 39.0]
+
+
+def _near_scale(a, x, want):
+    """What a kernel entry's error is measured against below the Hankel
+    start: the envelope Gamma(a)/sqrt(pi) x^{1/2-a}, or |value| where that
+    is larger, and never more than 1, which bounds |0F1(a; -x^2)| (DLMF
+    10.14.4): below the turning point the envelope is far above the value."""
+    with np.errstate(divide="ignore"):
+        envelope = math.gamma(a) / math.sqrt(math.pi) * x ** (0.5 - a)
+    return np.minimum(np.maximum(envelope, np.abs(want)), 1.0)
+
+
+def _hyp0f1_40_digits(a, x):
+    with mp.workdps(40):
+        return np.array([float(mp.hyp0f1(a, -mp.mpf(v) ** 2)) for v in np.asarray(x).tolist()])
+
+
+@pytest.mark.parametrize("d", NEAR_DIMS)
+def test_kernel_below_the_hankel_start_matches_mpmath(d):
+    # the series up to x = 1 and Miller's recurrence above, on [0, start/2):
+    # x = 0, 1e-8, both sides of the switch at x = 1, the last x below the
+    # start, and random x.  Within 1.1e-14 of the scale up to d = 30; past
+    # it no worse than special.jv where that misses the bar too.  The x up
+    # to 2 are checked again as a chunk of their own, whose start index is
+    # the least, where the order lies far above z
+    a = 0.5 * d
+    end = 0.5 * tr._hankel_start(a - 1.0)
+    rng = np.random.default_rng(int(10 * d))
+    x = np.concatenate([[0.0, 1e-8, 1.0 - 1e-9, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9,
+                         np.nextafter(end, 0.0)], rng.uniform(0.0, end, 80)])
+    want = _hyp0f1_40_digits(a, x)
+    allowed = 1.1e-14 * _near_scale(a, x, want)
+    if d > 30.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jv = np.where(x == 0.0, 1.0, math.gamma(a) * x ** (1.0 - a) * special.jv(a - 1.0, 2.0 * x))
+        allowed = np.maximum(allowed, np.abs(jv - want))
+    assert np.all(np.abs(tr._kernel(a, x) - want) <= allowed)
+    small = x <= 2.0
+    assert np.all(np.abs(tr._kernel(a, x[small]) - want[small]) <= allowed[small])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs an extended long double to see truncation below the rounding")
+@pytest.mark.parametrize("d", NEAR_DIMS)
+def test_recurrence_start_index_has_converged(d, monkeypatch):
+    # one more entry 21 above the largest z of a chunk raises its start index
+    # by at least 20; no other entry moves by more than 2^-52 of its scale.
+    # Run in long double, so the difference is the truncation of the lower
+    # start, not the rounding of two runs
+    starts = []
+    norms = tr._miller_norms
+
+    def recording_norms(mu, top):
+        starts.append(2 * top)
+        return norms(mu, top)
+
+    monkeypatch.setattr(tr, "_miller_norms", recording_norms)
+    a = 0.5 * d
+    end = 0.5 * tr._hankel_start(a - 1.0)
+    rng = np.random.default_rng(int(10 * d))
+    x = np.concatenate([[np.nextafter(1.0, 2.0), np.nextafter(end, 0.0)],
+                        rng.uniform(1.0, end, 80)]).astype(np.longdouble)
+    alone = tr._near_kernel(a, x)
+    raised = tr._near_kernel(a, np.append(x, end + 10.5))[:-1]
+    assert starts[1] >= starts[0] + 20
+    scale = _near_scale(a, x.astype(np.float64), alone.astype(np.float64))
+    assert np.all(np.abs(raised - alone) <= 2.0**-52 * scale)
+
+
+def test_recurrence_mixing_the_ends_of_the_near_region_stays_finite():
+    # at d = 39 the start index of a chunk reaching the Hankel start (2x near
+    # 104) is 190, and the recurrence values at z just above 2 grow by about
+    # 190! from it: they must stay finite and normal, with no numpy warning
+    a = 19.5
+    end = 0.5 * tr._hankel_start(a - 1.0)
+    x = np.array([np.nextafter(1.0, 2.0), 1.0 + 1e-6, 1.5, 0.25 * end, np.nextafter(end, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tr._kernel(a, x)
+    want = _hyp0f1_40_digits(a, x)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1.1e-14 * _near_scale(a, x, want))
+
+
+@pytest.mark.parametrize("d", [1.5, 1.9, 2.7, 3.5, 8.0])
+def test_shared_grid_never_calls_jv(d, monkeypatch):
+    # below the Hankel start the shared grid runs the series and Miller's
+    # recurrence on numpy; special.jv is left to hyp0f1 and d > 39
+    def refuse(*args):
+        raise AssertionError("the shared grid called special.jv")
+
+    near = []
+    near_kernel = tr._near_kernel
+
+    def recording_near(a, x):
+        near.append(x.size)
+        return near_kernel(a, x)
+
+    monkeypatch.setattr(special, "jv", refuse)
+    monkeypatch.setattr(tr, "_near_kernel", recording_near)
+    values, errors = tr.ft_quadrature_many(CUSP, [0.0, 0.7, 3.1, 12.0], d)
+    assert np.all(np.isfinite(values)) and sum(near) > 0
 
 
 def test_shared_grid_kernel_memory_is_bounded():
