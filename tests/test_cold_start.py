@@ -47,17 +47,21 @@ for argv in commands:
     assert scipy_modules_after(code) == []
 
 
-def test_sampled_verify_loads_special_but_not_integrate():
+def test_sampled_verify_loads_no_scipy():
+    # the shared grid (nodes, tail, kernel) runs on numpy and math alone;
+    # scipy serves only the adaptive oracle ft_quadrature and hyp0f1
     code = """
 import math
+import numpy as np
 import thetasum as ts
+from thetasum import transform as tr
 f = ts.Sampled(lambda r: math.exp(-r * r), (1.0, 1.0))
-assert ts.verify(ts.preset("zd", 2), f, tol=1e-8).passed
+for d in (1.9, 2, 2.7, 3.5):
+    assert ts.verify(ts.preset("zd", d), f, tol=1e-8).passed
+values, errors = tr.ft_quadrature_many(f, [0.0, 0.5, 1.0], 45)
+assert np.all(np.isfinite(values))
 """
-    loaded = scipy_modules_after(code)
-    assert "scipy.special" in loaded
-    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
-                   for m in loaded)
+    assert scipy_modules_after(code) == []
 
 
 def test_hermite_demo_still_gives_its_table():
@@ -72,9 +76,9 @@ def test_hermite_demo_still_gives_its_table():
         "assert cli.main(['hermite-demo', '--n-max', '4']) == 0") == []
 
 
-def _integrate_users() -> set[tuple[str, str]]:
-    """(module, enclosing function) of every import of scipy.integrate, or
-    ``scipy.integrate`` attribute access, in the package."""
+def _scipy_users(module: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every import of ``module`` or of a
+    module below it, or attribute access of its name, in the package."""
     found = set()
     for path in Path(thetasum.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -89,8 +93,7 @@ def _integrate_users() -> set[tuple[str, str]]:
                 names = [f"{node.value.id}.{node.attr}"]
             else:
                 continue
-            if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
-                   for name in names):
+            if any(name == module or name.startswith(module + ".") for name in names):
                 owner = [name for name, fn in scopes
                          if fn.lineno <= node.lineno <= fn.end_lineno]
                 found.add((path.stem, owner[-1] if owner else "<module>"))
@@ -98,4 +101,10 @@ def _integrate_users() -> set[tuple[str, str]]:
 
 
 def test_scipy_integrate_is_imported_only_by_ft_quadrature():
-    assert _integrate_users() == {("transform", "ft_quadrature")}
+    assert _scipy_users("scipy.integrate") == {("transform", "ft_quadrature")}
+
+
+def test_scipy_is_imported_only_by_the_adaptive_oracle():
+    # ft_quadrature and hyp0f1 are the independent cross-check of the
+    # shared grid; nothing else in the package may reach scipy
+    assert _scipy_users("scipy") == {("transform", "ft_quadrature"), ("transform", "hyp0f1")}

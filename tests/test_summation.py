@@ -655,17 +655,15 @@ def test_measured_decay_is_infinite_where_the_windows_do_not_shrink(near, far):
 
 def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
     # each doubling of the dual side runs two composite rules at d = 2.5
-    from scipy import special
-
     tr._gauss_nodes.cache_clear()
     made = []
-    roots = special.roots_jacobi
+    jacobi = tr._gauss_jacobi
 
-    def counted(n, a, b):
-        made.append((n, b))
-        return roots(n, a, b)
+    def counted(n, beta):
+        made.append((n, beta))
+        return jacobi(n, beta)
 
-    monkeypatch.setattr(special, "roots_jacobi", counted)
+    monkeypatch.setattr(tr, "_gauss_jacobi", counted)
     f = tr.Sampled(lambda r: math.exp(-1.3 * r * r), decay_hint=(1.0, 1.3))
     reports = []
     for _ in range(2):

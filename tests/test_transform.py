@@ -7,6 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from thetasum import transform as tr
@@ -47,6 +48,51 @@ def test_gausspoly_validation():
         tr.GaussPoly(((1.0, 0, -1.0),))
     with pytest.raises(DomainError):
         tr.GaussPoly(((1.0, -2, 1.0),))
+
+
+def test_sampled_eval_gives_the_profile_bit_for_bit():
+    def fn(r):
+        return math.exp(-r * r) * math.cos(3.0 * r)
+
+    f = tr.Sampled(fn, decay_hint=(1.0, 1.0))
+    r = np.random.default_rng(4).uniform(0.0, 6.0, 3000)
+    assert np.array_equal(f.eval(r), np.array([fn(float(x)) for x in r]))
+    assert f.eval(r.reshape(60, 50)).shape == (60, 50)
+    assert f.eval(0.25) == fn(0.25) and isinstance(f.eval(0.25), float)
+    assert f.eval(np.float32(0.5)) == fn(0.5)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 2.0j, np.complex128(1.0 + 2.0j), "a", [1.0]],
+                         ids=["complex", "numpy-complex", "text", "list"])
+def test_sampled_eval_refuses_a_value_that_is_no_real_number(bad):
+    # the first radius past 0.5 is 0.75: the error names it; a complex value
+    # is refused, not cut to its real part behind numpy's ComplexWarning
+    f = tr.Sampled(lambda r: bad if r > 0.5 else 1.0, decay_hint=(1.0, 1.0))
+    with pytest.raises(DomainError, match="at r = 0.75"):
+        f.eval([0.0, 0.25, 0.75, 1.0])
+    with pytest.raises(DomainError, match="at r = 0.75"):
+        f.eval(0.75)
+
+
+def test_sampled_eval_lets_the_profile_raise():
+    def fn(r):
+        raise ValueError("profile failed")
+
+    with pytest.raises(ValueError, match="profile failed"):
+        tr.Sampled(fn, decay_hint=(1.0, 1.0)).eval([0.5])
+
+
+@pytest.mark.parametrize("hint", [(1.0,), (1, 1, 2), None, ("a", 1.0), "12", (1.0, 1j),
+                                  (0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+def test_sampled_refuses_a_bad_decay_hint(hint):
+    with pytest.raises(DomainError, match="decay_hint"):
+        tr.Sampled(math.exp, decay_hint=hint)
+
+
+def test_sampled_refuses_a_profile_that_is_not_callable():
+    with pytest.raises(DomainError, match="callable"):
+        tr.Sampled(2.0, decay_hint=(1.0, 1.0))
+    assert tr.Sampled(math.exp, decay_hint=[1, 2]).decay_hint == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("d", [1.0, 1.5, 2.0, 3.0, 4.2])
@@ -248,6 +294,69 @@ def test_radius_splits_tail_budget_over_envelope_terms():
         assert tr._radial_tail(f, R, 2.5) < budget
 
 
+@pytest.mark.parametrize("a", [0.5, 0.95, 1.0, 1.25, 2.0, 7.5, 20.0, 64.0, 200.0])
+def test_incomplete_gamma_matches_mpmath(a):
+    # log Q(a, x) from its series below x = a + 1 and its continued fraction
+    # above, x from a/20 to 12 a + 60: within 64 ulps of a |log x| + x + 1,
+    # the size of log(x^a e^-x) whose rounding both carry (near x = a + 1
+    # at a < 1, 1 - P cancels and the fraction converges slowly)
+    x = np.concatenate([a * np.geomspace(0.05, 12.0, 40),
+                        [a, a + 1.0 - 1e-9, a + 1.0, a + 40.0, a + 60.0]])
+    for v in x.tolist():
+        with mp.workdps(40):
+            want = float(mp.log(mp.gammainc(a, v, mp.inf, regularized=True)))
+        got = tr._log_gammaincc(a, v, math.lgamma(a))
+        assert abs(got - want) <= 64 * 2.0**-53 * (a * abs(math.log(v)) + v + 1.0)
+    assert tr._log_gammaincc(a, 0.0, math.lgamma(a)) == 0.0
+
+
+@pytest.mark.parametrize("a", [0.5, 0.95, 1.25, 2.0, 7.5, 20.0, 64.0, 200.0])
+@pytest.mark.parametrize("q", [0.999, 0.5, 1e-3, 1e-13, 1e-30, 1e-300])
+def test_inverse_incomplete_gamma_matches_mpmath(a, q):
+    # the x it returns has log Q(a, x) within 2^-48 (a |log x| + x + 1) of
+    # log q: the rounding of log Q, a few times over
+    x = tr._gammainccinv(a, math.log(q))
+    with mp.workdps(40):
+        back = float(mp.log(mp.gammainc(a, x, mp.inf, regularized=True)))
+    assert abs(back - math.log(q)) <= 2.0**-48 * (a * abs(math.log(x)) + x + 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(d=st.floats(1.0, 400.0),
+       terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(0, 3), st.floats(1e-2, 1e2)),
+                      min_size=1, max_size=3),
+       sampled=st.booleans(),
+       budget=st.floats(1e-200, 1e3))
+def test_radius_meets_any_tail_budget(d, terms, sampled, budget):
+    # the tail bound at the radius chosen for a budget is below it, for
+    # Gaussian-polynomial envelopes and decay hints alike, at any dimension
+    # up to 400 (where Gamma(d/2) and the whole integral pass the doubles)
+    if sampled:
+        c, _, alpha = terms[0]
+        f = tr.Sampled(math.exp, decay_hint=(c, alpha))
+    else:
+        f = tr.GaussPoly(tuple(terms))
+    R = tr._choose_r_max(f, d, budget)
+    assert 0.0 < R < math.inf
+    assert tr._radial_tail(f, R, d) < budget
+
+
+def test_choosing_the_radius_takes_microseconds():
+    # budget of a shared grid at d = 2.7: one Halley step from the
+    # asymptotic first guess (best of 200 calls; scipy's gammainccinv took
+    # 8 us a call, the inverse here 8-13 us on a 2-core Xeon)
+    import time
+
+    f = tr.Sampled(math.exp, decay_hint=(1.0, 1.0))
+    budget = 0.1 * tr._ABS_TOL / tr._prefactor(2.7)[0]
+    best = math.inf
+    for _ in range(200):
+        t0 = time.perf_counter()
+        tr._choose_r_max(f, 2.7, budget)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 100e-6
+
+
 # -- shared-grid transform ---------------------------------------------------
 
 
@@ -354,14 +463,30 @@ def test_vectorised_kernel_matches_scalar_across_series_switch(a):
 
 def test_hankel_start_follows_the_order():
     # the least start wherever 18 terms already meet 2^-53 there (and where
-    # the expansion ends, at half-integer order), later at higher order,
-    # and never past |nu| = 18.5, where DLMF 10.17(iii) stops bounding
-    # the remainder by the first omitted term
+    # the expansion ends, at half-integer order), later at higher order.
+    # Past |nu| = 18.5, where DLMF 10.17(iii) stops bounding the remainder
+    # of 18 terms by the first omitted one, the terms grow with the order
+    # and the start stays finite, where no term exceeds _HANKEL_LARGEST
     assert tr._hankel_start(-0.5) == tr._hankel_start(0.5) == tr._hankel_start(11.5) == 22.0
     assert 22.0 < tr._hankel_start(0.25) == tr._hankel_start(-0.25) < 23.0
     assert tr._hankel_start(7.0) < tr._hankel_start(11.0) < tr._hankel_start(18.0)
     assert math.isfinite(tr._hankel_start(18.5))
-    assert tr._hankel_start(19.0) == math.inf
+    for nu in (19.0, 23.0, 31.0, 62.0, 199.0):
+        tier = tr._hankel_tiers(nu)[0]
+        terms = 2 * len(tier.even)
+        assert tier.start == tr._hankel_start(nu) < math.inf
+        assert terms >= nu - 0.5 and terms > tr._HANKEL_TERMS
+        assert max(map(abs, tier.even + tier.odd)) <= tr._HANKEL_LARGEST * (1 + 1e-12)
+    assert tr._hankel_start(23.0) < tr._hankel_start(62.0) < tr._hankel_start(199.0)
+
+
+def test_hankel_tiers_take_fewer_terms_further_out():
+    # at d = 2: 18 terms from the start, 12 from 2x = 50 and 8 from 200
+    tiers = tr._hankel_tiers(0.0)
+    assert [t.start for t in tiers][1:] == [50.0, 200.0]
+    assert [2 * len(t.even) for t in tiers] == [18, 12, 8]
+    # a tier is kept only where it saves terms
+    assert len(tr._hankel_tiers(18.0)) == 1
 
 
 @pytest.mark.parametrize("d", [1.0, 1.5, 1.9, 2.0, 2.5, 2.7, 3.0, 3.5, 3.9, 4.2, 8.0,
@@ -397,7 +522,8 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     assert np.all(np.abs(got - want) <= allowed)
 
 
-NEAR_DIMS = [1.0, 1.3, 1.5, 1.9, 2.5, 2.7, 3.5, 4.2, 8.0, 16.0, 24.0, 24.5, 30.0, 38.0, 39.0]
+NEAR_DIMS = [1.0, 1.3, 1.5, 1.9, 2.5, 2.7, 3.5, 4.2, 8.0, 16.0, 24.0, 24.5, 30.0, 38.0, 39.0,
+             40.0, 48.0, 64.0]
 
 
 def _near_scale(a, x, want):
@@ -515,6 +641,75 @@ def test_shared_grid_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32.5 * 2**20
+
+
+@pytest.mark.parametrize("n", [10, 14])
+@pytest.mark.parametrize("d", [1.5, 2.0, 2.7, 8.0, 24.0, 39.0, 64.0])
+def test_gauss_jacobi_rule_matches_mpmath(n, d):
+    # nodes: Newton on P_n^(0, d-1) at 30 digits from ours; weights
+    # 2^d / ((1 - x^2) P_n'(x)^2).  Within 2^-52 on the nodes, and 2^-46
+    # relative on the weights (plain Golub-Welsch missed the smallest
+    # weight at d = 39 by 5e-10)
+    beta = d - 1.0
+    xs, ws = tr._gauss_jacobi(n, beta)
+    with mp.workdps(30):
+        for x, w in zip(xs.tolist(), ws.tolist()):
+            t = mp.mpf(x)
+            for _ in range(4):
+                dP = (n + beta + 1) / mp.mpf(2) * mp.jacobi(n - 1, 1, beta + 1, t)
+                t -= mp.jacobi(n, 0, beta, t) / dP
+            dP = (n + beta + 1) / mp.mpf(2) * mp.jacobi(n - 1, 1, beta + 1, t)
+            weight = mp.mpf(2) ** d / ((1 - t * t) * dP * dP)
+            assert abs(x - t) <= 2.0**-52
+            assert abs(w - weight) <= 2.0**-46 * weight
+    assert np.all(np.diff(xs) > 0.0)
+    nodes = tr._gauss_nodes(n, d)
+    assert np.array_equal(nodes[0], xs) and np.array_equal(nodes[1], ws)
+    assert all(np.array_equal(a, b) for a, b in zip(nodes[2:], np.polynomial.legendre.leggauss(n)))
+
+
+@pytest.mark.parametrize("a", [0.95, 1.0, 1.35, 2.0, 12.0])
+def test_panel_kernel_matches_the_kernel(a):
+    # the angle of each panel plus the offset of each node, by the addition
+    # theorem: within 1.1e-14 of the envelope of the kernel at z = theta +
+    # phi, less the rounding of that sum, which _hankel_panels never forms
+    rng = np.random.default_rng(int(10 * a))
+    tiers = tr._hankel_tiers(a - 1.0)
+    turn = 2.0 * math.pi * rng.uniform(8.0, 12.0, 3)
+    h = 0.05
+    phi = np.outer(turn, rng.uniform(0.0, h, 7))
+    theta = np.outer(turn, h * np.arange(200, 260))
+    z = theta[:, None, :] + phi[:, :, None]
+    got = np.concatenate([tr._hankel_panels(a, t, theta, phi) for t in tiers], axis=1)
+    want = np.concatenate([tr._hankel(a, 0.5 * z, t) for t in tiers], axis=1)
+    envelope = math.gamma(a) / math.sqrt(math.pi) * (0.5 * z) ** (0.5 - a)
+    envelope = np.concatenate([envelope] * len(tiers), axis=1)
+    zz = np.concatenate([z] * len(tiers), axis=1)
+    assert np.all(np.abs(got - want) <= envelope * (1.1e-14 + 2.0**-52 * zz))
+    assert np.all(zz >= tiers[-1].start)
+
+
+@pytest.mark.parametrize("d", [344.0, 400.0])
+def test_transforms_past_the_gamma_function_of_the_doubles(d):
+    # Gamma(d/2) and r^{d-1} pass the doubles from d = 344, the transform
+    # pi^{d/2} e^{-pi^2 p^2} of e^{-r^2} does not: both routes give it
+    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    ps = [0.0, 0.3, 1.0]
+    with mp.workdps(30):
+        want = np.array([float(mp.pi ** (d / 2) * mp.exp(-(mp.pi * p) ** 2)) for p in ps])
+    values, errors = tr.ft_quadrature_many(f, ps, d)
+    assert np.all(np.abs(values - want) <= errors)
+    res = tr.ft_quadrature(f, 0.3, d)
+    assert abs(res.value - want[1]) <= res.error
+
+
+def test_transforms_refuse_a_dimension_past_the_doubles():
+    # at d = 1e4 the constant 2 pi^{d/2} / Gamma(d/2) is below the doubles
+    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
+    with pytest.raises(DomainError, match="below the doubles"):
+        tr.ft_quadrature_many(f, [0.0, 1.0], 1e4)
+    with pytest.raises(DomainError, match="below the doubles"):
+        tr.ft_quadrature(f, 1.0, 1e4)
 
 
 def test_shared_grid_rejects_bad_input():
