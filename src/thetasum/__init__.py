@@ -1,12 +1,20 @@
 """Generalized theta series with noninteger dimension parameters.
 
-Layers, bottom up: ``qseries`` (the series container ``build`` returns,
-plus the reference route the tests compare against), ``theta`` (theta
-factors, specs, duals), ``transform`` (the dimensionally continued radial
-Fourier transform), ``summation`` (both sides of the summation identity and
-its verification), ``hermite`` (Gaussian expansion diagnostics), ``cli``
-(command line front end).
+Layers, bottom up: ``errors`` (the exception types), ``spec`` (theta
+factors, specs, duals and the modular-relation residual, in pure Python),
+``qseries`` (the series container ``build`` returns, plus the reference
+route the tests compare against), ``theta`` (spec coefficients on numpy),
+``transform`` (the dimensionally continued radial Fourier transform),
+``summation`` (both sides of the summation identity and its verification),
+``hermite`` (Gaussian expansion diagnostics), ``cli`` (command line front
+end).
+
+Only ``errors`` loads with the package.  Every other public name is looked
+up in its layer on first use (PEP 562), so ``import thetasum`` loads no
+numpy, and ``thetasum.dual`` loads ``spec`` alone.
 """
+
+import importlib
 
 from .errors import (
     CoefficientOverflow,
@@ -19,43 +27,35 @@ from .errors import (
     ToleranceNotMet,
     ZeroLeadingCoefficient,
 )
-from .hermite import (
-    FitResult,
-    gaussian_hermite_coeff,
-    gaussian_span_fit,
-    hermite_coeff_quadrature,
-    hermite_h,
-)
-from .qseries import QSeries, lincomb
-from .summation import (
-    ShellSum,
-    VerificationReport,
-    lhs_sum,
-    rhs_sum,
-    verify,
-)
-from .theta import (
-    ThetaFactor,
-    ThetaSpec,
-    build,
-    coeff_bound,
-    dual,
-    jacobi_residual,
-    preset,
-    theta_eval_product,
-)
-from .transform import (
-    FTResult,
-    GaussPoly,
-    Sampled,
-    eigen_residual,
-    ft_closed,
-    ft_gausspoly,
-    ft_quadrature,
-    ft_quadrature_many,
-    hyp0f1,
-    laplacian_d,
-)
+
+# public name -> the layer that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("FitResult", "gaussian_hermite_coeff", "gaussian_span_fit",
+                     "hermite_coeff_quadrature", "hermite_h"), "hermite"),
+    **dict.fromkeys(("QSeries", "lincomb"), "qseries"),
+    **dict.fromkeys(("ThetaFactor", "ThetaSpec", "coeff_bound", "dual", "jacobi_residual",
+                     "preset", "theta_eval_product"), "spec"),
+    **dict.fromkeys(("ShellSum", "VerificationReport", "lhs_sum", "rhs_sum", "verify"),
+                    "summation"),
+    "build": "theta",
+    **dict.fromkeys(("FTResult", "GaussPoly", "Sampled", "eigen_residual", "ft_closed",
+                     "ft_gausspoly", "ft_quadrature", "ft_quadrature_many", "hyp0f1",
+                     "laplacian_d"), "transform"),
+}
+
+
+def __getattr__(name: str):
+    layer = _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{layer}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -7,23 +7,24 @@ modular relation, and compare Hermite coefficient routes.
 Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 bad usage,
 malformed input or any other thetasum error, 3 resource or tolerance cap hit
 (out of memory included).
+
+Each command imports the layers it runs when it runs: ``dual`` and
+``jacobi-check`` need only the pure-Python ``spec``, so they load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import hermite as hm
-from . import summation as sm
-from . import theta as th
-from . import transform as tr
+from . import spec as sp
 from .errors import DomainError, InvalidSpec, ThetasumError, ToleranceNotMet
+
+if TYPE_CHECKING:
+    from .transform import GaussPoly
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -36,8 +37,10 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return vals
 
 
-def _parse_gauss(text: str) -> tr.GaussPoly:
+def _parse_gauss(text: str) -> GaussPoly:
     """Parse 'c,k,alpha;c,k,alpha;...' into a Gaussian-polynomial profile."""
+    from . import transform as tr
+
     terms = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -58,17 +61,17 @@ def _parse_gauss(text: str) -> tr.GaussPoly:
         raise InvalidSpec(str(exc)) from None
 
 
-def _load_spec(args: argparse.Namespace) -> th.ThetaSpec:
+def _load_spec(args: argparse.Namespace) -> sp.ThetaSpec:
     if getattr(args, "spec", None):
         try:
             with open(args.spec, encoding="utf-8") as fh:
-                return th.ThetaSpec.from_json(fh.read())
+                return sp.ThetaSpec.from_json(fh.read())
         except OSError as exc:
             raise InvalidSpec(f"cannot read spec file: {exc}") from None
     if getattr(args, "preset", None):
         if args.dim is None:
             raise InvalidSpec("--preset requires --dim")
-        return th.preset(args.preset, args.dim)
+        return sp.preset(args.preset, args.dim)
     raise InvalidSpec("give either --spec PATH or --preset NAME --dim D")
 
 
@@ -85,6 +88,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _emit_rows(rows: list[dict], header: Sequence[str], args: argparse.Namespace) -> None:
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -96,6 +102,8 @@ def _emit_rows(rows: list[dict], header: Sequence[str], args: argparse.Namespace
 
 
 def cmd_theta_coeffs(args: argparse.Namespace) -> int:
+    from . import theta as th
+
     spec = _load_spec(args)
     A, N = th.coeff_table(spec, args.L)
     rows = [{"l": l, "A_l": a, "N_l": n} for l, (a, n) in enumerate(zip(A.tolist(), N.tolist()))]
@@ -105,12 +113,14 @@ def cmd_theta_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    dual_spec = th.dual(spec)
+    dual_spec = sp.dual(spec)
     _write(json.dumps(dual_spec.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from . import transform as tr
+
     f = _parse_gauss(args.f)
     radii = _parse_floats(args.p, "--p")
     bad = [p for p in radii if not (math.isfinite(p) and p >= 0)]
@@ -123,6 +133,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import summation as sm
+
     spec = _load_spec(args)
     f = _parse_gauss(args.f)
     report = sm.verify(spec, f, tol=args.tol, L_cap=args.L_cap)
@@ -140,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_jacobi_check(args: argparse.Namespace) -> int:
     ts = _parse_floats(args.t, "--t")
     rows = [
-        {"kind": kind, "t": t, "residual": th.jacobi_residual(kind, t)}
+        {"kind": kind, "t": t, "residual": sp.jacobi_residual(kind, t)}
         for kind in (2, 3, 4)
         for t in ts
     ]
@@ -149,6 +161,8 @@ def cmd_jacobi_check(args: argparse.Namespace) -> int:
 
 
 def cmd_hermite_demo(args: argparse.Namespace) -> int:
+    from . import hermite as hm
+
     if not args.alpha > -0.5:
         raise DomainError(f"--alpha must exceed -1/2, got {args.alpha}")
     if args.n_max < 0:
@@ -172,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec_args = argparse.ArgumentParser(add_help=False)
     spec_args.add_argument("--spec", metavar="PATH",
                            help="spec as a JSON file")
-    spec_args.add_argument("--preset", choices=th.PRESETS,
+    spec_args.add_argument("--preset", choices=sp.PRESETS,
                            help="built-in spec family")
     spec_args.add_argument("--dim", type=float, metavar="D",
                            help="dimension parameter for --preset")

@@ -1,201 +1,40 @@
-"""Jacobi theta functions and generalized theta series built from them.
+"""Generalized theta series: the coefficients of theta specs, on numpy.
 
-A spec describes a finite linear combination of products of theta factors
-
-    sum_i c_i * prod_m theta_{kind}(q^{scale})^{power}
-
-with real nonnegative powers summing to the dimension parameter d in every
-term.  Each term's ``_TermBuilder`` decides its grid, the points
-(offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
-by point on that grid, with no QSeries (the one listing behind the shell sums
-and ``coeff_table``); ``side`` keeps a shell sum's view of that listing for
-the process, next to the builders; ``build`` scatters the terms onto one
-QSeries for the callers that want one; ``dual`` applies the modular
-transformation rule factor by factor.
+The specs themselves, their duals and the modular-relation residual live in
+``spec`` (pure Python) and are re-exported here.  Each term's
+``_TermBuilder`` decides its grid, the points (offset + g j)/D its
+recurrence runs on.  ``shells`` lists every term point by point on that
+grid, with no QSeries (the one listing behind the shell sums and
+``coeff_table``); ``side`` keeps a shell sum's view of that listing for the
+process, next to the builders; ``build`` scatters the terms onto one
+QSeries for the callers that want one.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CoefficientOverflow, DomainError, InvalidSpec, ToleranceNotMet
+from .errors import CoefficientOverflow, DomainError
 from . import qseries as qs
 from .qseries import QSeries
-
-_POWER_SUM_TOL = 1e-12
-
-# Most factors ``theta_eval_product`` multiplies before it refuses; enough
-# for q up to about 1 - 2e-4 (jacobi_residual up to t ~ 1.6e4).
-_PRODUCT_FACTOR_CAP = 100000
-
-
-@dataclass(frozen=True)
-class ThetaFactor:
-    """One factor theta_kind(q^scale)^power with kind in {2, 3, 4}."""
-
-    kind: int
-    power: float
-    scale: Fraction
-
-    def __post_init__(self):
-        # integers only, so the JSON round-trips: 3.0 and True raise
-        if not isinstance(self.kind, (int, np.integer)) or self.kind not in (2, 3, 4):
-            raise InvalidSpec(f"kind must be 2, 3 or 4, got {self.kind!r}")
-        object.__setattr__(self, "kind", int(self.kind))
-        p = float(self.power)
-        if not math.isfinite(p) or p < 0:
-            raise InvalidSpec(f"power must be a finite real >= 0, got {self.power!r}")
-        object.__setattr__(self, "power", p)
-        s = self.scale if isinstance(self.scale, Fraction) else Fraction(self.scale)
-        if s <= 0:
-            raise InvalidSpec(f"scale must be positive, got {s}")
-        object.__setattr__(self, "scale", s)
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """Linear combination of theta-factor products with common dimension."""
-
-    terms: tuple[tuple[float, tuple[ThetaFactor, ...]], ...]
-    dim_d: float
-
-    def __post_init__(self):
-        norm = []
-        for coeff, factors in self.terms:
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise InvalidSpec(f"term coefficient must be finite, got {coeff!r}")
-            fs = tuple(factors)
-            if not fs:
-                raise InvalidSpec("term without factors")
-            norm.append((c, fs))
-        if not norm:
-            raise InvalidSpec("spec without terms")
-        object.__setattr__(self, "terms", tuple(norm))
-        d = float(self.dim_d)
-        if not math.isfinite(d):
-            raise InvalidSpec(f"dim_d must be finite, got {self.dim_d!r}")
-        object.__setattr__(self, "dim_d", d)
-        for c, fs in self.terms:
-            total = math.fsum(f.power for f in fs)
-            if abs(total - d) > _POWER_SUM_TOL:
-                raise InvalidSpec(
-                    f"factor powers sum to {total!r}, expected dim_d = {d!r}"
-                )
-        if d < 1.0 - _POWER_SUM_TOL:
-            raise InvalidSpec(f"dim_d must be >= 1, got {d!r}")
-        if d <= 1.0 + _POWER_SUM_TOL and not self.is_zd_form:
-            # at the d = 1 endpoint only the plain cubic form is defined
-            raise InvalidSpec("dim_d = 1 is allowed only for the plain theta3^d form")
-
-    @property
-    def is_zd_form(self) -> bool:
-        """True for the cubic-lattice form: one term, coefficient 1, theta3^d(q)."""
-        if len(self.terms) != 1:
-            return False
-        c, fs = self.terms[0]
-        return (
-            c == 1.0
-            and len(fs) == 1
-            and fs[0].kind == 3
-            and fs[0].scale == 1
-        )
-
-    # -- JSON round trip ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim_d": self.dim_d,
-            "terms": [
-                {
-                    "coeff": c,
-                    "factors": [
-                        {
-                            "kind": f.kind,
-                            "power": f.power,
-                            "scale": [f.scale.numerator, f.scale.denominator],
-                        }
-                        for f in fs
-                    ],
-                }
-                for c, fs in self.terms
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ThetaSpec":
-        try:
-            terms = []
-            for t in data["terms"]:
-                factors = tuple(
-                    ThetaFactor(
-                        # JSON integers only: 3.0, 1.5 and a zero denominator raise
-                        kind=f["kind"],
-                        power=_json_number(f["power"], "power"),
-                        scale=Fraction(_json_number(f["scale"][0], "scale", int),
-                                       _json_number(f["scale"][1], "scale", int)),
-                    )
-                    for f in t["factors"]
-                )
-                terms.append((_json_number(t["coeff"], "coeff"), factors))
-            return cls(terms=tuple(terms), dim_d=_json_number(data["dim_d"], "dim_d"))
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
-                ZeroDivisionError) as exc:
-            if isinstance(exc, InvalidSpec):
-                raise
-            raise InvalidSpec(f"malformed spec JSON: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ThetaSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
-
-
-def _json_number(value, name: str, kinds: type | tuple = (int, float)) -> float | int:
-    """``value`` if it is a JSON number of ``kinds`` (a float unless ``kinds`` is
-    int); a string or a bool raises ``InvalidSpec``."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        what = "integer" if kinds is int else "number"
-        raise InvalidSpec(f"{name} must be a JSON {what}, got {value!r}")
-    return value if kinds is int else float(value)
-
-
-PRESETS = ("zd", "dd", "theta4d")  # the names ``preset`` builds: the CLI's --preset choices
-
-
-def preset(name: str, d: float) -> ThetaSpec:
-    """Named spec families: zd (cubic lattice), dd (checkerboard), theta4d."""
-    one = Fraction(1)
-    if name == "zd":
-        return ThetaSpec(terms=((1.0, (ThetaFactor(3, d, one),)),), dim_d=d)
-    if name == "dd":
-        return ThetaSpec(
-            terms=(
-                (0.5, (ThetaFactor(3, d, one),)),
-                (0.5, (ThetaFactor(4, d, one),)),
-            ),
-            dim_d=d,
-        )
-    if name == "theta4d":
-        return ThetaSpec(terms=((1.0, (ThetaFactor(4, d, one),)),), dim_d=d)
-    raise InvalidSpec(f"unknown preset {name!r} "
-                      f"(expected {', '.join(PRESETS[:-1])} or {PRESETS[-1]})")
-
+from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
+    _POWER_SUM_TOL,
+    _PRODUCT_FACTOR_CAP,
+    PRESETS,
+    ThetaFactor,
+    ThetaSpec,
+    _json_number,
+    coeff_bound,
+    dual,
+    jacobi_residual,
+    preset,
+    theta_eval_product,
+)
 
 # -- single theta functions ---------------------------------------------
 
@@ -228,66 +67,7 @@ def theta_series(kind: int, L: int) -> QSeries:
     return QSeries(1, 0, out)
 
 
-def theta_eval_product(kind: int, q: float) -> float:
-    """Theta value from the infinite product form (series-independent route).
-
-    theta2 = 2 q^{1/4} prod (1-q^{2m}) (1+q^{2m})^2
-    theta3 =           prod (1-q^{2m}) (1+q^{2m-1})^2
-    theta4 =           prod (1-q^{2m}) (1-q^{2m-1})^2
-
-    The product stops once q^{2m-1} < 1e-17; if that takes more than
-    ``_PRODUCT_FACTOR_CAP`` factors (q above about 1 - 2e-4) it raises
-    ``ToleranceNotMet`` instead of returning a truncated value.  The running
-    product is kept as a mantissa and a power of two: for q near 1 the
-    partial products of kinds 2 and 3 dip below the smallest double before
-    the later factors lift them back, and must not underflow to zero.
-    """
-    if kind not in (2, 3, 4):
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
-    q = float(q)
-    if not 0.0 <= q < 1.0:
-        raise DomainError(f"q must lie in [0, 1), got {q!r}")
-    if q == 0.0:
-        return 0.0 if kind == 2 else 1.0
-    prod, scale = 1.0, 0  # the product is ldexp(prod, scale)
-    m = 1
-    while True:
-        q2m = q ** (2 * m)
-        even = 1.0 - q2m
-        if kind == 2:
-            odd = 1.0 + q2m
-        elif kind == 3:
-            odd = 1.0 + q ** (2 * m - 1)
-        else:
-            odd = 1.0 - q ** (2 * m - 1)
-        prod, e = math.frexp(prod * (even * odd * odd))
-        scale += e
-        if q2m < 1e-17 and q ** (2 * m - 1) < 1e-17:
-            break
-        m += 1
-        if m > _PRODUCT_FACTOR_CAP:
-            raise ToleranceNotMet(
-                f"theta{kind} product at q = {q!r} has not converged "
-                f"after {_PRODUCT_FACTOR_CAP} factors"
-            )
-    prod = math.ldexp(prod, scale)
-    if kind == 2:
-        return 2.0 * q ** 0.25 * prod
-    return prod
-
-
-def coeff_bound(d: float, l: int) -> float:
-    """Shell-count bound 2^d (1 + d/l)^l (1 + l/d)^d for unit-scale series."""
-    d = float(d)
-    l = int(l)
-    if d <= 0 or l < 1:
-        raise DomainError("coeff_bound requires d > 0 and l >= 1")
-    return math.exp(
-        d * math.log(2.0) + l * math.log1p(d / l) + d * math.log1p(l / d)
-    )
-
-
-# -- spec-level operations ----------------------------------------------
+# -- term coefficients -------------------------------------------------
 
 
 # k [x^k] log P(x) collects w * a from each divisor pair a * j = k, with w
@@ -555,60 +335,3 @@ def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
         raise CoefficientOverflow("non-finite coefficient")
     keep = A <= L + qs._OFFSET_TOL
     return A[keep], N[keep]
-
-
-@functools.lru_cache
-def dual(spec: ThetaSpec) -> ThetaSpec:
-    """Dual spec under the modular transformation.
-
-    Factor map: kind 2 <-> kind 4 with inverted scale, kind 3 keeps its
-    kind with inverted scale; each term coefficient is divided by
-    sqrt(prod scale^power) over the factors of that term.  Specs are
-    frozen, so each one's dual is made once and kept for the process.
-    """
-    new_terms = []
-    for coeff, factors in spec.terms:
-        log_det = math.fsum(
-            f.power * (math.log(f.scale.numerator) - math.log(f.scale.denominator))
-            for f in factors
-        )
-        new_factors = tuple(
-            ThetaFactor(
-                kind={2: 4, 3: 3, 4: 2}[f.kind],
-                power=f.power,
-                scale=1 / f.scale,
-            )
-            for f in factors
-        )
-        new_terms.append((coeff * math.exp(-0.5 * log_det), new_factors))
-    return ThetaSpec(terms=tuple(new_terms), dim_d=spec.dim_d)
-
-
-def jacobi_residual(kind: int, t: float) -> float:
-    """|theta_a(e^{-pi/t}) - sqrt(t) theta_b(e^{-pi t})| for the paired kinds.
-
-    Pairs: 2 <-> 4 swap, 3 stays.  Identically zero in exact arithmetic.
-    Both sides come from the product form, ``theta_eval_product``.  A t
-    that is not finite raises ``DomainError``; a t so large or so small that
-    one of the two q rounds to 1, or needs more than the product's factor
-    cap, raises ``ToleranceNotMet`` naming t.
-    """
-    if kind not in (2, 3, 4):
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    partner = {2: 4, 3: 3, 4: 2}[kind]
-    q_lhs, q_rhs = math.exp(-math.pi / t), math.exp(-math.pi * t)
-    if max(q_lhs, q_rhs) == 1.0:
-        q = "e^(-pi/t)" if q_lhs == 1.0 else "e^(-pi t)"
-        raise ToleranceNotMet(f"at t = {t!r} the theta argument {q} rounds to 1, "
-                              "where no product converges")
-    try:
-        lhs = theta_eval_product(kind, q_lhs)
-        rhs = math.sqrt(t) * theta_eval_product(partner, q_rhs)
-    except ToleranceNotMet as exc:
-        raise ToleranceNotMet(f"at t = {t!r}: {exc}") from None
-    return abs(lhs - rhs)

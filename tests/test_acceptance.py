@@ -7,6 +7,7 @@ container, far above observed times.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -123,8 +124,8 @@ def test_c5_identity_on_general_specs():
     specs = [th.preset("dd", 2.4), th.preset("dd", 3.0),
              th.preset("theta4d", 2.0), th.preset("theta4d", 2.7),
              th.ThetaSpec(
-                 terms=((1.0, (th.ThetaFactor(3, 1.2, th.Fraction(1)),
-                               th.ThetaFactor(4, 0.8, th.Fraction(3)))),),
+                 terms=((1.0, (th.ThetaFactor(3, 1.2, Fraction(1)),
+                               th.ThetaFactor(4, 0.8, Fraction(3)))),),
                  dim_d=2.0,
              )]
     worst = 0.0

@@ -1,12 +1,19 @@
-"""Cold start: scipy loads only on the paths that use it.
+"""Cold start: each entry point loads only the layers it runs.
 
-The pytest session has imported scipy already, so each check runs in a
-fresh interpreter and reports the scipy modules it ended with.
+``import thetasum`` loads ``errors`` alone and resolves every other public
+name on first use; each CLI command imports its own layers, so ``dual`` and
+``jacobi-check`` run on the pure-Python ``spec`` without numpy; scipy loads
+only on the paths that use it.  The pytest session has imported all of these
+already, so each check runs in a fresh interpreter and reports the modules
+it ended with.
 """
 
 import ast
+import importlib
 import json
 from pathlib import Path
+
+import pytest
 
 import thetasum
 
@@ -22,6 +29,104 @@ def scipy_modules_after(code: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+# the layers of thetasum each command loads, as ``python -m thetasum`` runs it;
+# numpy loads with any layer past ``spec``
+CLI_LAYERS = {
+    ("dual", "--preset", "theta4d", "--dim", "3"): {"cli", "errors", "spec"},
+    ("jacobi-check",): {"cli", "errors", "spec"},
+    ("theta-coeffs", "--preset", "dd", "--dim", "2.4", "--L", "64"):
+        {"cli", "errors", "spec", "qseries", "theta"},
+    ("transform", "--f", "1,0,1", "--dim", "2.5"): {"cli", "errors", "spec", "transform"},
+    ("verify", "--preset", "zd", "--dim", "2.5", "--f", "1,0,1;0.5,1,2"):
+        {"cli", "errors", "spec", "qseries", "theta", "transform", "summation"},
+    ("hermite-demo", "--n-max", "4"): {"cli", "errors", "spec", "hermite", "transform"},
+}
+NUMPY_FREE = {"cli", "errors", "spec"}
+
+
+def run_cli_fresh(argv) -> tuple[int, set[str], bool]:
+    """``python -m thetasum ARGV`` in a fresh interpreter: its exit code, the
+    thetasum layers it loaded and whether it loaded numpy."""
+    proc = run_fresh(
+        "import json, runpy, sys\n"
+        f"sys.argv = ['thetasum', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('thetasum', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout.flush()\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    layers = {m.split(".")[1] for m in modules if m.startswith("thetasum.")} - {"__main__"}
+    return code, layers, "numpy" in modules
+
+
+def test_import_loads_errors_alone_and_no_numpy():
+    proc = run_fresh("import sys, json, thetasum\n"
+                     "print(json.dumps(sorted(m for m in sys.modules"
+                     " if m.startswith(('thetasum', 'numpy')))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["thetasum", "thetasum.errors"]
+
+
+@pytest.mark.parametrize("argv", list(CLI_LAYERS), ids=lambda argv: argv[0])
+def test_each_command_loads_only_its_layers(argv):
+    code, layers, numpy = run_cli_fresh(argv)
+    assert code == 0
+    assert layers == CLI_LAYERS[argv]
+    assert numpy == (layers != NUMPY_FREE)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["frobnicate"], 2),                        # an argparse usage error
+    (["dual", "--spec", "missing.json"], 2),    # InvalidSpec
+    (["jacobi-check", "--t", "1e20"], 3),       # ToleranceNotMet: e^(-pi/t) rounds to 1
+], ids=["help", "usage-error", "missing-spec", "t-past-the-product"])
+def test_help_and_errors_keep_their_exit_codes_without_numpy(argv, code):
+    assert run_cli_fresh(argv) == (code, NUMPY_FREE, False)
+
+
+def test_a_public_name_loads_its_layer_on_first_use():
+    proc = run_fresh(
+        "import sys, json, thetasum\n"
+        "seen = []\n"
+        "for name in ('dual', 'build', 'verify'):\n"
+        "    getattr(thetasum, name)\n"
+        "    seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
+        "print(json.dumps(seen))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_dual, after_build, after_verify = json.loads(proc.stdout)
+    assert after_dual == ["thetasum.errors", "thetasum.spec"]
+    assert after_build == ["thetasum.errors", "thetasum.qseries", "thetasum.spec",
+                           "thetasum.theta"]
+    assert set(after_verify) - set(after_build) == {"thetasum.summation",
+                                                    "thetasum.transform"}
+
+
+@pytest.mark.parametrize("name", thetasum.__all__)
+def test_each_public_name_is_its_module_attribute(name):
+    obj = getattr(thetasum, name)
+    module = importlib.import_module(obj.__module__)
+    assert getattr(module, name) is obj
+
+
+def test_dir_and_star_import_list_every_public_name():
+    assert set(thetasum.__all__) <= set(dir(thetasum))
+    namespace = {}
+    exec("from thetasum import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(thetasum.__all__)
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thetasum.no_such_name
+    assert not hasattr(thetasum, "spec_of_nothing")
 
 
 def test_import_loads_no_scipy():

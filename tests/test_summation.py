@@ -89,8 +89,8 @@ def test_identity_balances_for_preset_families(name, d):
 
 def test_identity_balances_for_mixed_scales():
     spec = th.ThetaSpec(
-        terms=((1.0, (th.ThetaFactor(3, 1.2, th.Fraction(1)),
-                      th.ThetaFactor(4, 0.8, th.Fraction(3)))),),
+        terms=((1.0, (th.ThetaFactor(3, 1.2, Fraction(1)),
+                      th.ThetaFactor(4, 0.8, Fraction(3)))),),
         dim_d=2.0,
     )
     report = sm.verify(spec, GAUSS, tol=1e-10)
