@@ -126,7 +126,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     bad = [p for p in radii if not (math.isfinite(p) and p >= 0)]
     if bad:
         raise DomainError(f"--p radii must be finite and >= 0, got {bad[0]!r}")
-    fhat = tr.ft_gausspoly(f, args.dim, experimental_dim=args.experimental_dim)
+    fhat = tr.ft_gausspoly(f, args.dim)
     rows = [{"p": p, "value": float(fhat.eval(p))} for p in radii]
     _emit_rows(rows, ("p", "value"), args)
     return 0
@@ -225,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=float, required=True, metavar="D")
     p.add_argument("--p", default="0,0.5,1,2", metavar="LIST",
                    help="comma-separated radii (default 0,0.5,1,2)")
-    p.add_argument("--experimental-dim", action="store_true",
-                   help="allow 0 < dim < 1")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("verify", parents=[spec_args, out_only],

@@ -15,9 +15,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, IllConditioned, ToleranceNotMet
-from .transform import _RULE_ORDERS
 
 _PANEL_CAP = 400
+
+# Gauss-Legendre orders of the two rules on each panel of
+# ``hermite_coeff_quadrature``.  Its panels start about 1 wide, not one
+# kernel period as in the shared grid of ``transform``, and are bisected
+# until the two rules agree: the difference bounds the higher rule's error
+# once the lower one resolves f h_n on the panel.
+_RULE_ORDERS = (10, 14)
 
 
 def hermite_h(n: int, x):
@@ -86,7 +92,7 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
     x_max defaults to the effective support of h_n, sqrt(2n + 1) + 12.
     The interval starts as panels about 1 wide with x = 0 an edge, so a kink
     or jump at 0 is integrated exactly.  Two Gauss-Legendre rules of
-    different order (``transform._RULE_ORDERS``) run on each panel, f is
+    different order (``_RULE_ORDERS``) run on each panel, f is
     evaluated once per node, and a panel's error estimate is the difference
     of the two rules; a half of a bisected panel takes at least half the
     change the bisection made to its parent's value, so the two rules

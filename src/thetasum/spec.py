@@ -78,6 +78,10 @@ class ThetaSpec:
         d = float(self.dim_d)
         if not math.isfinite(d):
             raise InvalidSpec(f"dim_d must be finite, got {self.dim_d!r}")
+        if not d > _POWER_SUM_TOL:
+            # within the power-sum tolerance of 0 a term of zero powers would pass
+            raise InvalidSpec(f"dim_d must be > {_POWER_SUM_TOL!r}, the power-sum tolerance, "
+                              f"got {d!r}")
         object.__setattr__(self, "dim_d", d)
         for c, fs in self.terms:
             total = math.fsum(f.power for f in fs)
@@ -85,24 +89,6 @@ class ThetaSpec:
                 raise InvalidSpec(
                     f"factor powers sum to {total!r}, expected dim_d = {d!r}"
                 )
-        if d < 1.0 - _POWER_SUM_TOL:
-            raise InvalidSpec(f"dim_d must be >= 1, got {d!r}")
-        if d <= 1.0 + _POWER_SUM_TOL and not self.is_zd_form:
-            # at the d = 1 endpoint only the plain cubic form is defined
-            raise InvalidSpec("dim_d = 1 is allowed only for the plain theta3^d form")
-
-    @property
-    def is_zd_form(self) -> bool:
-        """True for the cubic-lattice form: one term, coefficient 1, theta3^d(q)."""
-        if len(self.terms) != 1:
-            return False
-        c, fs = self.terms[0]
-        return (
-            c == 1.0
-            and len(fs) == 1
-            and fs[0].kind == 3
-            and fs[0].scale == 1
-        )
 
     # -- JSON round trip ------------------------------------------------
 

@@ -270,13 +270,20 @@ def test_non_finite_dim_in_spec_file_is_usage_error(capsys, tmp_path):
     assert out == "" and "dim_d must be finite" in err
 
 
-def test_dim_below_one_is_usage_error_without_flag(capsys):
-    code, _, _ = run(capsys, [
-        "transform", "--f", "1,0,1", "--dim", "0.5"])
-    assert code == 2
-    code, _, _ = run(capsys, [
-        "transform", "--f", "1,0,1", "--dim", "0.5", "--experimental-dim"])
+def test_dim_below_one_transforms_and_the_old_flag_is_a_usage_error(capsys):
+    code, out, _ = run(capsys, ["transform", "--f", "1,0,1", "--dim", "0.5", "--p", "0.5"])
     assert code == 0
+    want = math.pi**0.25 * math.exp(-(math.pi * 0.5) ** 2)
+    assert json.loads(out)[0]["value"] == pytest.approx(want, rel=1e-14)
+    for dim in ("0", "-1"):
+        code, out, err = run(capsys, ["transform", "--f", "1,0,1", "--dim", dim])
+        assert code == 2 and out == "" and "dimension parameter must be > 0" in err
+    code, out, err = run(capsys, ["verify", "--preset", "dd", "--dim", "0.5", "--f", "1,0,1"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "--f", "1,0,1", "--dim", "0.5", "--experimental-dim"])
+    assert exc.value.code == 2
+    assert "--experimental-dim" in capsys.readouterr().err
 
 
 def test_resource_cap_exit_code(capsys):

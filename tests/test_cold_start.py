@@ -41,7 +41,7 @@ CLI_LAYERS = {
     ("transform", "--f", "1,0,1", "--dim", "2.5"): {"cli", "errors", "spec", "transform"},
     ("verify", "--preset", "zd", "--dim", "2.5", "--f", "1,0,1;0.5,1,2"):
         {"cli", "errors", "spec", "qseries", "theta", "transform", "summation"},
-    ("hermite-demo", "--n-max", "4"): {"cli", "errors", "spec", "hermite", "transform"},
+    ("hermite-demo", "--n-max", "4"): {"cli", "errors", "spec", "hermite"},
 }
 NUMPY_FREE = {"cli", "errors", "spec"}
 

@@ -13,7 +13,7 @@ from thetasum import qseries as qs
 from thetasum import summation as sm
 from thetasum import theta as th
 from thetasum import transform as tr
-from thetasum.errors import CoefficientOverflow, DomainError, ToleranceNotMet
+from thetasum.errors import CoefficientOverflow, DomainError, InvalidSpec, ToleranceNotMet
 
 from conftest import even_sum_counts, lattice_counts
 
@@ -206,6 +206,31 @@ def test_sampled_theta4d_dual_side_matches_the_closed_route():
     got = sm.verify(spec, sampled, tol=1e-8).rhs
     want = sm.verify(spec, closed, tol=1e-8).rhs
     assert abs(got - want) <= 1e-13
+
+
+BELOW_ONE_PROFILES = {
+    "gauss": GAUSS,
+    "mixed": tr.GaussPoly(((1.0, 2, 0.3), (0.5, 0, 2.0))),
+    "sampled": tr.Sampled(lambda r: math.exp(-r * r) / (1.0 + r * r), decay_hint=(1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", th.PRESETS)
+@pytest.mark.parametrize("d", [0.01, 0.1, 0.3, 0.5, 0.7, 1.0])
+def test_verify_passes_below_dimension_one(name, d):
+    # every d > 0 is one domain: no switch, and dd and theta4d at d = 1 too
+    for f in BELOW_ONE_PROFILES.values():
+        assert sm.verify(th.preset(name, d), f, tol=1e-10).passed
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-8, 1e-13, 1e-300, 5e-324])
+def test_tiny_dimension_verify_passes_or_refuses_the_spec(d):
+    for f in (GAUSS, BELOW_ONE_PROFILES["sampled"]):
+        if d > th._POWER_SUM_TOL:
+            assert sm.verify(th.preset("zd", d), f, tol=1e-10).passed
+        else:
+            with pytest.raises(InvalidSpec, match="dim_d must be >"):
+                sm.verify(th.preset("zd", d), f, tol=1e-10)
 
 
 def test_tails_enter_pass_rule():
@@ -659,9 +684,9 @@ def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
     made = []
     jacobi = tr._gauss_jacobi
 
-    def counted(n, beta):
-        made.append((n, beta))
-        return jacobi(n, beta)
+    def counted(n, d):
+        made.append((n, d))
+        return jacobi(n, d)
 
     monkeypatch.setattr(tr, "_gauss_jacobi", counted)
     f = tr.Sampled(lambda r: math.exp(-1.3 * r * r), decay_hint=(1.0, 1.3))
@@ -670,7 +695,7 @@ def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
         th._clear_builders()
         reports.append(sm.verify(th.preset("dd", 2.5), f, tol=1e-8))
     assert reports[0] == reports[1] and reports[0].passed
-    assert sorted(made) == [(10, 1.5), (14, 1.5)]
+    assert sorted(made) == [(10, 2.5), (14, 2.5)]
     for column in tr._gauss_nodes(10, 2.5):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0

@@ -349,7 +349,12 @@ def _build_rows(spec, L):
     (th.dual(th.preset("theta4d", 3.3)), _build_rows),
     (C5_SPEC, _build_rows),
     (th.dual(C5_SPEC), _build_rows),
-], ids=["zd", "dd", "theta4d", "dual-dd", "dual-dd-fold", "dual-theta4d", "c5", "dual-c5"])
+    # below d = 1, where the spec took no d before
+    *((th.preset(name, d), _build_rows) for d in (0.1, 0.3, 0.7) for name in th.PRESETS),
+    *((th.dual(th.preset("dd", d)), th.coeff_table) for d in (0.1, 0.3, 0.7)),
+], ids=["zd", "dd", "theta4d", "dual-dd", "dual-dd-fold", "dual-theta4d", "c5", "dual-c5",
+        *(f"{name}-{d}" for d in (0.1, 0.3, 0.7) for name in th.PRESETS),
+        *(f"dual-dd-{d}" for d in (0.1, 0.3, 0.7))])
 def test_build_matches_mpmath_oracle_at_order_1024(spec, rows):
     A, N = rows(spec, 1024)
     want, scale = _oracle_coeffs(spec, A)
@@ -383,9 +388,26 @@ def test_spec_power_sum_must_match_dimension():
         )
 
 
-def test_spec_dim_below_one_rejected():
-    with pytest.raises(InvalidSpec):
-        th.preset("zd", 0.5)
+def test_spec_takes_every_dim_above_zero():
+    # one rule for the dimension: d > 0, beyond the power-sum tolerance
+    for name in th.PRESETS:
+        assert th.preset(name, 0.5).dim_d == 0.5
+    three = th.ThetaFactor(3, 0.0, Fraction(1))
+    for d in (0.0, -1.0, th._POWER_SUM_TOL):
+        with pytest.raises(InvalidSpec, match=r"dim_d must be > 1e-12, the power-sum tolerance"):
+            th.ThetaSpec(terms=((1.0, (three,)),), dim_d=d)
+    with pytest.raises(InvalidSpec, match=r"dim_d must be > 1e-12"):
+        th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 2.0, Fraction(1)),)),), dim_d=-2.0)
+
+
+def test_spec_of_zero_powers_is_refused_where_the_power_sum_check_cannot_see_it():
+    # powers summing to 0 pass the 1e-12 power-sum check against d <= 1e-12;
+    # such a spec would reach the builders with no positive power
+    zero = ((1.0, (th.ThetaFactor(3, 0.0, Fraction(1)),)),)
+    with pytest.raises(InvalidSpec, match="dim_d must be >"):
+        th.ThetaSpec(zero, dim_d=5e-13)
+    with pytest.raises(InvalidSpec, match="factor powers sum to 0.0"):
+        th.ThetaSpec(zero, dim_d=2e-12)
 
 
 @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
@@ -405,14 +427,12 @@ def test_from_json_rejects_non_finite_dimension():
         th.ThetaSpec.from_json(text)
 
 
-def test_dim_one_only_for_plain_cubic_form():
-    assert th.preset("zd", 1).is_zd_form
-    # every general spec within the power-sum tolerance of d = 1 meets one message,
-    # 1.000000000001 (the largest such double) included
+def test_every_spec_is_accepted_at_dim_one():
+    # d = 1 is no endpoint: dd and theta4d are taken there as zd is
     for d in (1, 1 - 1e-12, 1.000000000001):
-        with pytest.raises(InvalidSpec, match="dim_d = 1 is allowed only for the plain theta3"):
-            th.preset("dd", d)
-    assert th.preset("dd", math.nextafter(1.000000000001, 2)).dim_d > 1
+        for name in th.PRESETS:
+            assert th.preset(name, d).dim_d == d
+    assert not hasattr(th.ThetaSpec, "is_zd_form")
 
 
 def test_preset_unknown_name():

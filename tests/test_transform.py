@@ -242,12 +242,87 @@ def test_eigen_residual_small(n, d):
 
 
 def test_dimension_gate():
-    with pytest.raises(DomainError):
-        tr.ft_closed(GAUSS, 0.5, 0.5)
-    val = tr.ft_gausspoly(GAUSS, 0.5, experimental_dim=True).eval(0.5)
-    assert math.isfinite(val)
-    with pytest.raises(DomainError):
-        tr.ft_gausspoly(GAUSS, 0.0, experimental_dim=True)
+    # one rule, d > 0, with no switch
+    want = math.pi**0.25 * math.exp(-(math.pi * 0.5) ** 2)
+    assert tr.ft_closed(GAUSS, 0.5, 0.5) == pytest.approx(want, rel=1e-14)
+    for d in (0.0, -0.5, math.nan):
+        with pytest.raises(DomainError, match="dimension parameter must be > 0"):
+            tr.ft_gausspoly(GAUSS, d)
+        for route in (lambda: tr.ft_quadrature(GAUSS, 0.5, d),
+                      lambda: tr.ft_quadrature_many(GAUSS, [0.5], d)):
+            with pytest.raises(DomainError, match="dimension parameter must be > 0"):
+                route()
+    with pytest.raises(TypeError):
+        tr.ft_gausspoly(GAUSS, 0.5, experimental_dim=True)
+
+
+MIXED = tr.GaussPoly(((1.0, 2, 0.3), (0.5, 0, 2.0)))
+
+
+@pytest.mark.parametrize("d", [0.05, 0.1, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("g", [GAUSS, MIXED], ids=["gauss", "r4-mixed"])
+def test_quadrature_estimates_hold_below_dimension_one(d, g):
+    # below d = 1 the kernel grows like x^{1/2 - d/2}, and the radial tail
+    # takes it from _kernel_bound: with the bound |0F1| <= 1 the shared grid
+    # erred by up to 76 times its estimate at d = 0.05; the adaptive route,
+    # with r^{d-1} in a plain integrand instead of the weight of QAWS, by
+    # up to 3.9 times
+    ps = np.linspace(0.0, 6.0, 61)
+    want = tr.ft_gausspoly(g, d).eval(ps)
+    values, errors = tr.ft_quadrature_many(g, ps, d)
+    assert np.all(np.abs(values - want) <= errors)
+    for p, w in zip(ps[::10].tolist(), want[::10].tolist()):
+        res = tr.ft_quadrature(g, p, d)
+        assert abs(res.value - w) <= res.error
+
+
+@pytest.mark.parametrize("d", [0.01, 0.1, 0.5, 0.9, 0.998])
+def test_kernel_bound_holds_below_dimension_one(d):
+    # (1 + 1/a) + 1.05 Gamma(a)/sqrt(pi) x^{1/2-a} above |0F1(a; -x^2)|, a = d/2,
+    # at x = top r; from d = 1 on, and at top = 0, the bound is 1
+    top = 2.5
+    r = np.concatenate([np.linspace(0.0, 1.0, 41), np.geomspace(1.0, 120.0, 120)])
+    with mp.workdps(20):
+        want = np.array([abs(float(mp.hyp0f1(0.5 * d, -mp.mpf(top * v) ** 2))) for v in r.tolist()])
+    bound = sum(math.exp(log_b) * r**e for log_b, e in tr._kernel_bound(d, top))
+    assert np.all(want <= bound)
+    assert tr._kernel_bound(d, 0.0) == tr._kernel_bound(1.0, top) == [(0.0, 0.0)]
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-8, 1e-13, 1e-300, 5e-324])
+def test_tiny_dimension_transforms_hold_or_fail_fast(d):
+    # every d > 0 is taken; a quadrature route that cannot resolve r^{d-1}
+    # there raises DomainError, and never returns a value off its estimate
+    ps = [0.0, 0.5, 3.0]
+    closed = tr.ft_gausspoly(GAUSS, d).eval(np.array(ps))
+    with mp.workdps(30):
+        exact = [float(mp.pi ** (mp.mpf(d) / 2) * mp.exp(-(mp.pi * p) ** 2)) for p in ps]
+    # e^{-pi^2 p^2} rounds like its exponent: 1e-14 relative at p = 3
+    assert closed.tolist() == pytest.approx(exact, rel=2e-14, abs=0.0)
+    try:
+        values, errors = tr.ft_quadrature_many(GAUSS, ps, d)
+        assert np.all(np.abs(values - closed) <= errors)
+    except DomainError:
+        assert d < tr._GRID_LEAST_DIM
+    try:
+        res = tr.ft_quadrature(GAUSS, 0.5, d)
+        assert abs(res.value - closed[1]) <= res.error
+    except DomainError:
+        assert d < tr._QAWS_LEAST_DIM
+
+
+def test_inverse_incomplete_gamma_returns_a_root_below_the_doubles():
+    # Q near 1 at tiny a: the first guess (P Gamma(a + 1))^{1/a} underflows,
+    # and is then the root itself; a step from it took log(0)
+    assert tr._gammainccinv(1e-9, -1e-8) == 0.0
+
+
+def test_inverse_incomplete_gamma_refuses_a_noisy_log_q(monkeypatch):
+    # below a ~ 1e-12, log Q from 1 - P is noise, and the steps need not
+    # shrink: a step function stands in for it, and the inversion stops
+    monkeypatch.setattr(tr, "_log_gammaincc", lambda a, x, lg: -1.0 if x < 1.0 else -3.0)
+    with pytest.raises(ToleranceNotMet, match="could not invert"):
+        tr._gammainccinv(0.5, -2.0)
 
 
 def test_negative_radius_rejected():
@@ -264,7 +339,7 @@ def test_unreachable_tolerance_raises(monkeypatch):
 
 def test_quadrature_refuses_an_error_above_tolerance(monkeypatch):
     # the integral converges, but a radial tail of 1e-6 is left out
-    monkeypatch.setattr(tr, "_radial_tail", lambda f, R, d: 1e-6)
+    monkeypatch.setattr(tr, "_radial_tail", lambda f, R, d, top: 1e-6)
     with pytest.raises(ToleranceNotMet, match="above requested tolerance"):
         tr.ft_quadrature(GAUSS, 0.5, 3.0)
 
@@ -322,23 +397,25 @@ def test_inverse_incomplete_gamma_matches_mpmath(a, q):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(d=st.floats(1.0, 400.0),
+@given(d=st.floats(0.02, 400.0),
+       top=st.sampled_from([0.0, 0.5, 3.0, 200.0]),
        terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(0, 3), st.floats(1e-2, 1e2)),
                       min_size=1, max_size=3),
        sampled=st.booleans(),
        budget=st.floats(1e-200, 1e3))
-def test_radius_meets_any_tail_budget(d, terms, sampled, budget):
+def test_radius_meets_any_tail_budget(d, top, terms, sampled, budget):
     # the tail bound at the radius chosen for a budget is below it, for
     # Gaussian-polynomial envelopes and decay hints alike, at any dimension
-    # up to 400 (where Gamma(d/2) and the whole integral pass the doubles)
+    # up to 400 (where Gamma(d/2) and the whole integral pass the doubles),
+    # and below d = 1 with the kernel's growth up to x = top r
     if sampled:
         c, _, alpha = terms[0]
         f = tr.Sampled(math.exp, decay_hint=(c, alpha))
     else:
         f = tr.GaussPoly(tuple(terms))
-    R = tr._choose_r_max(f, d, budget)
+    R = tr._choose_r_max(f, d, budget, top)
     assert 0.0 < R < math.inf
-    assert tr._radial_tail(f, R, d) < budget
+    assert tr._radial_tail(f, R, d, top) < budget
 
 
 def test_choosing_the_radius_takes_microseconds():
@@ -522,18 +599,21 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     assert np.all(np.abs(got - want) <= allowed)
 
 
-NEAR_DIMS = [1.0, 1.3, 1.5, 1.9, 2.5, 2.7, 3.5, 4.2, 8.0, 16.0, 24.0, 24.5, 30.0, 38.0, 39.0,
+NEAR_DIMS = [0.1, 0.5, 1.0, 1.3, 1.5, 1.9, 2.5, 2.7, 3.5, 4.2, 8.0, 16.0, 24.0, 24.5, 30.0, 38.0, 39.0,
              40.0, 48.0, 64.0]
 
 
 def _near_scale(a, x, want):
     """What a kernel entry's error is measured against below the Hankel
     start: the envelope Gamma(a)/sqrt(pi) x^{1/2-a}, or |value| where that
-    is larger, and never more than 1, which bounds |0F1(a; -x^2)| (DLMF
-    10.14.4): below the turning point the envelope is far above the value."""
+    is larger, and from d = 1 on never more than 1, which there bounds
+    |0F1(a; -x^2)| (DLMF 10.14.4, a >= 1/2): below the turning point the
+    envelope is far above the value.  Below d = 1 the kernel itself grows
+    like the envelope, and the scale takes no cap."""
     with np.errstate(divide="ignore"):
         envelope = math.gamma(a) / math.sqrt(math.pi) * x ** (0.5 - a)
-    return np.minimum(np.maximum(envelope, np.abs(want)), 1.0)
+    scale = np.maximum(envelope, np.abs(want))
+    return scale if a < 0.5 else np.minimum(scale, 1.0)
 
 
 def _hyp0f1_40_digits(a, x):
@@ -644,14 +724,14 @@ def test_shared_grid_kernel_memory_is_bounded():
 
 
 @pytest.mark.parametrize("n", [10, 14])
-@pytest.mark.parametrize("d", [1.5, 2.0, 2.7, 8.0, 24.0, 39.0, 64.0])
+@pytest.mark.parametrize("d", [0.1, 0.5, 1.5, 2.0, 2.7, 8.0, 24.0, 39.0, 64.0])
 def test_gauss_jacobi_rule_matches_mpmath(n, d):
     # nodes: Newton on P_n^(0, d-1) at 30 digits from ours; weights
     # 2^d / ((1 - x^2) P_n'(x)^2).  Within 2^-52 on the nodes, and 2^-46
     # relative on the weights (plain Golub-Welsch missed the smallest
-    # weight at d = 39 by 5e-10)
+    # weight at d = 39 by 5e-10); below d = 1, beta = d - 1 lies in (-1, 0)
     beta = d - 1.0
-    xs, ws = tr._gauss_jacobi(n, beta)
+    xs, ws = tr._gauss_jacobi(n, d)
     with mp.workdps(30):
         for x, w in zip(xs.tolist(), ws.tolist()):
             t = mp.mpf(x)
