@@ -479,10 +479,11 @@ def test_shared_grid_refuses_structure_finer_than_its_panels():
 CUSP = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
 
 
-@pytest.mark.parametrize("d", [1.9, 2.0, 2.5, 3.5])
+@pytest.mark.parametrize("d", [0.3, 0.9, 1.9, 2.0, 2.5, 3.5])
 def test_shared_grid_matches_adaptive_oracle(d):
-    # the cusp has no closed form; ft_quadrature is the independent route.
-    # At non-integer d the kernel at 12.0 is mostly the Hankel expansion.
+    # the cusp has no closed form; ft_quadrature is the independent route
+    # (QAWS below d = 1).  At non-integer d the kernel at 12.0 is mostly
+    # the Hankel expansion.
     ps = [0.0, 0.7, 3.1, 12.0]
     values, errors = tr.ft_quadrature_many(CUSP, ps, d)
     for p, v, e in zip(ps, values, errors):
