@@ -14,9 +14,9 @@ Gaussian-polynomial profiles transform in closed form
 ``ft_quadrature_many``, one shared quadrature grid for many radii at once;
 ``ft_quadrature`` is the independent adaptive route that cross-checks both.
 The shared grid runs on numpy and ``math`` alone: its Gauss-Jacobi nodes
-by Golub and Welsch (``_gauss_jacobi``), its radius and tail bound by the
-incomplete gamma function and its inverse (``_log_gammaincc``,
-``_gammainccinv``), and its kernel 0F1(d/2; -x^2) from the Hankel
+by Golub and Welsch (``_gauss_jacobi``), its radius and tail bound by a
+closed-form bound on the incomplete gamma function (``_log_gamma_bound``),
+and its kernel 0F1(d/2; -x^2) from the Hankel
 expansion above a start (``_hankel_panels`` on the grid's panels,
 ``_hankel`` elsewhere) and from the power series and Miller's backward
 recurrence below it (``_near_kernel``), one route at every d.
@@ -102,13 +102,6 @@ _QAWS_LEAST_DIM = 2.0**-7
 # Bound on sqrt(P^2 + Q^2) of the Hankel expansion of J_nu(z) from z = 2 on,
 # at 1/2 < |nu| < 1: the kernel's growth below d = 1 (``_kernel_bound``).
 _KERNEL_BOUND = 1.05
-
-# Relative margin ``_choose_r_max`` keeps below the tail budget: the inverse
-# incomplete gamma function rounds.  ``_gammainccinv`` has read Q within
-# 1.8e-13 of its target, relative (400 random a in [0.5, 200] and targets
-# down to e^-700, against mpmath); scipy's gammainccinv read 1 + 4.4e-15.
-_TAIL_MARGIN = 1e-6
-
 
 # -- radial profiles -----------------------------------------------------
 
@@ -388,19 +381,18 @@ def _kernel_bound(d: float, top: float) -> list[tuple[float, float]]:
 
 
 def _radial_tail(f: RadialFunction, R: float, d: float, top: float = 0.0) -> float:
-    """Upper bound on int_R^inf |f(r) 0F1(d/2; -(top r)^2)| r^{d-1} dr via
-    incomplete gamma: (c b/2) Gamma(a) Q(a, alpha R^2) / alpha^a per
-    envelope term and term b r^e of ``_kernel_bound``, a = k + (d + e)/2,
-    in logs."""
+    """Upper bound on int_R^inf |f(r) 0F1(d/2; -(top r)^2)| r^{d-1} dr:
+    (c b/2) Gamma(a, alpha R^2) / alpha^a per envelope term and term b r^e
+    of ``_kernel_bound``, a = k + (d + e)/2, with Gamma(a, x) bounded by
+    ``_log_gamma_bound``, in logs."""
     bound = _kernel_bound(d, top)
     total = 0.0
     for c, k, alpha in _tail_envelope(f):
         if c > 0.0:
             for log_b, e in bound:
                 a = k + 0.5 * (d + e)
-                lg = math.lgamma(a)
-                total += math.exp(math.log(0.5 * c) + lg - a * math.log(alpha) + log_b
-                                  + _log_gammaincc(a, alpha * R * R, lg))
+                total += math.exp(math.log(0.5 * c) - a * math.log(alpha) + log_b
+                                  + _log_gamma_bound(a, alpha * R * R))
     return total
 
 
@@ -408,119 +400,76 @@ def _choose_r_max(f: RadialFunction, d: float, budget: float, top: float = 0.0) 
     """A radius R with ``_radial_tail(f, R, d, top) < budget``, in closed form.
 
     Each envelope term, times each term of ``_kernel_bound``, gets an even
-    share of the budget, less a relative margin of ``_TAIL_MARGIN`` for the
-    rounding of the inverse, and its incomplete-gamma tail is inverted for
-    R with ``_gammainccinv``.  R is the largest of these radii (the least
-    one for a single term), or one decay length if every term's whole
-    integral already fits its share.
+    share of the budget, less a relative margin of 1e-9 for the rounding of
+    the root and of alpha R^2 (about 2^-53 of x each, x < 800), and its
+    bound on Gamma(a, alpha R^2) is solved for R with
+    ``_gamma_bound_root``.  R is the largest of these radii (the least one
+    for a single term), or one decay length if every term's whole integral
+    already fits its share.
     """
     envelope = _tail_envelope(f)
     bound = _kernel_bound(d, top)
     if not budget > 0.0:
         raise ToleranceNotMet(f"could not bound the radial tail below {budget!r}")
-    log_share = math.log((1.0 - _TAIL_MARGIN) * budget / (len(envelope) * len(bound)))
+    log_share = math.log((1.0 - 1e-9) * budget / (len(envelope) * len(bound)))
     R = 0.0
     for c, k, alpha in envelope:
         if c > 0.0:
             for log_b, e in bound:
                 a = k + 0.5 * (d + e)
-                log_whole = math.log(0.5 * c) + math.lgamma(a) - a * math.log(alpha) + log_b
-                if log_whole > log_share:
-                    R = max(R, math.sqrt(_gammainccinv(a, log_share - log_whole) / alpha))
+                log_front = math.log(0.5 * c) - a * math.log(alpha) + log_b
+                if log_front + math.lgamma(a) > log_share:
+                    R = max(R, math.sqrt(_gamma_bound_root(a, log_share - log_front) / alpha))
     if not math.isfinite(R):
         raise ToleranceNotMet(f"could not bound the radial tail below {budget!r}")
     return R if R > 0.0 else 1.0 / math.sqrt(min(alpha for _, _, alpha in envelope))
 
 
-def _log_gammaincc(a: float, x: float, lgamma_a: float) -> float:
-    """log Q(a, x), Q = Gamma(a, x)/Gamma(a), for a > 0 and x >= 0, given
-    lgamma_a = log Gamma(a).
+def _log_gamma_bound(a: float, x: float) -> float:
+    """log U, U >= Gamma(a, x) for a > 0 and x >= 0: with s = max(a - 1, 0),
+    U = min(Gamma(a), x^{a-1} e^-x / (1 - s/x)) for x > s, Gamma(a) elsewhere.
 
-    Below x = a + 1, Q = 1 - P with P = x^a e^-x / Gamma(a + 1) sum_k x^k /
-    (a + 1)_k, whose terms shrink from the first (DLMF 8.7.1).  From there
-    on, Q = x^a e^-x / Gamma(a) / (x + 1 - a - 1(1 - a)/(x + 3 - a - 2(2 -
-    a)/(x + 5 - a - ...))) (DLMF 8.9.2), by the modified Lentz method to a
-    relative step of 2^-53: 7 steps at the x of a tail budget of 1e-13 and
-    a = 1.25.  Both carry the rounding of log(x^a e^-x / Gamma(a)), about
-    2^-53 of a |log x| + x + 1; near x = a + 1 at a < 1, where 1 - P
-    cancels and the fraction converges slowly, up to 50 times that
-    (1.2e-14 in log Q at a = 1/2).
+    For a <= 1 (s = 0) the second term is DLMF 8.10.1.  For a > 1, log t <=
+    log x + (t - x)/x gives t^{a-1} <= x^{a-1} e^{s(t - x)/x} at t >= x, and
+    its integral against e^-t from x on is the second term.  Against mpmath
+    log(U / Gamma(a, x)) is 0 to 0.144 for a from 0.0015 to 200 where x >=
+    a + 30, and at most 0.032 there for a <= 2.
     """
-    if x <= 0.0:
-        return 0.0
-    front = a * math.log(x) - x - lgamma_a  # log(x^a e^-x / Gamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        k = a
-        while term > total * 2.0**-54:
-            k += 1.0
-            term *= x / k
-            total += term
-        return math.log1p(-math.exp(front) * total)
-    tiny = 2.0**-1000
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    q = h = 1.0 / b
-    k = 0
-    while True:
-        k += 1
-        an = k * (a - k)
-        b += 2.0
-        q = an * q + b
-        q = 1.0 / (q or tiny)
-        c = b + an / c
-        step = (c or tiny) * q
-        h *= step
-        if abs(step - 1.0) <= 2.0**-53:
-            return front + math.log(h)
+    s = max(a - 1.0, 0.0)
+    if x <= s:
+        return math.lgamma(a)
+    return min(math.lgamma(a), (a - 1.0) * math.log(x) - x - math.log1p(-s / x))
 
 
-def _gammainccinv(a: float, log_q: float) -> float:
-    """x with log Q(a, x) = log_q, for a > 0 and log_q < 0.
+def _gamma_bound_root(a: float, log_u: float) -> float:
+    """x > s = max(a - 1, 0) at which log(x^{a-1} e^-x / (1 - s/x)), the
+    second term of ``_log_gamma_bound``, is log_u < log Gamma(a).
 
-    Halley's method on g(x) = log Q(a, x) - log_q, with g' = -h and g'' =
-    -h ((a - 1)/x - 1 + h), h = x^{a-1} e^-x / (Gamma(a) Q), kept inside
-    the bracket the signs of g have shown (bisection where a step leaves
-    it).  The first guess: for a small tail, x = L + (a - 1) log x +
-    log(1 + (a - 1)/x + (a - 1)(a - 2)/x^2), L = -log_q - log Gamma(a),
-    iterated from x = L (DLMF 8.11.2), within 1e-5 of the root at the
-    tail budgets of ``ft_quadrature_many``, so that one step of cubic
-    convergence ends it; for Q near 1, x = (P Gamma(a + 1))^{1/a} with P =
-    1 - Q (DLMF 8.7.1); else x = a.  It stops when a step is below 2^-16
-    of x: the next error is about the cube of that.  Where log Q is noisy
-    (a below 1e-12, where 1 - P keeps only 2^-53/Q of Q) the steps may
-    never shrink: after 400 of them ``ToleranceNotMet`` is raised (up to
-    95 were taken for a in [0.25, 500] and log Q in [-740, -1e-8]).
+    That term falls strictly from +inf at x = s to -inf, so Newton steps
+    from x = L + (a - 1) log L, L = -log_u (its root for large L, DLMF
+    8.11.2), are kept inside the bracket the signs have shown, bisecting
+    where a step leaves it.  It stops when a step is below 2^-30 of x: the
+    next error is about the square of that.
     """
-    lg = math.lgamma(a)
-    L = -log_q - lg
-    if L > a + 2.0:
-        x = L
-        for _ in range(3):
-            x = L + (a - 1.0) * math.log(x) + math.log1p((a - 1.0) / x * (1.0 + (a - 2.0) / x))
-    elif log_q > -0.1:
-        x = math.exp((math.log(-math.expm1(log_q)) + math.lgamma(a + 1.0)) / a)
-        if x < 2.0**-1000:  # the guess is the root to the last bit; no step may start there
-            return x
-    else:
-        x = a
-    lo, hi = 0.0, math.inf
-    for _ in range(400):
-        log_Q = _log_gammaincc(a, x, lg)
-        g = log_Q - log_q
+    s = max(a - 1.0, 0.0)
+    L = -log_u
+    x = L + (a - 1.0) * math.log(L) if L > 1.0 else 0.0
+    if not x > s:
+        x = s + 1.0
+    lo, hi = s, math.inf
+    for _ in range(100):
+        g = (a - 1.0) * math.log(x) - x - math.log1p(-s / x) - log_u
         if g > 0.0:
             lo = x
         elif g < 0.0:
             hi = x
         else:
             return x
-        h = math.exp((a - 1.0) * math.log(x) - x - lg - log_Q)
-        newton = g / h  # -g/g'
-        step = newton / (1.0 + 0.5 * newton * ((a - 1.0) / x - 1.0 + h))
-        if abs(step) <= 2.0**-16 * x:
+        step = g / (1.0 - (a - 1.0) / x + s / (x * (x - s)))  # -g/g'
+        if abs(step) <= 2.0**-30 * x:
             return x + step
-        x = x + step if lo < x + step < hi else (0.5 * (lo + hi) if hi < math.inf else 2.0 * x + 1.0)
-    raise ToleranceNotMet(f"could not invert the incomplete gamma function at a = {a!r}")
+        x = x + step if lo < x + step < hi else (0.5 * (lo + hi) if hi < math.inf else 2.0 * x)
+    return hi  # the bracket's upper end, where the term is below log_u
 
 
 def _prefactor(d: float) -> tuple[float, float]:
