@@ -20,7 +20,7 @@ _PANEL_CAP = 400
 
 # Gauss-Legendre orders of the two rules on each panel of
 # ``hermite_coeff_quadrature``.  Its panels start about 1 wide, not one
-# kernel period as in the shared grid of ``transform``, and are bisected
+# kernel period as in the shared grid of ``_grid``, and are bisected
 # until the two rules agree: the difference bounds the higher rule's error
 # once the lower one resolves f h_n on the panel.
 _RULE_ORDERS = (10, 14)

@@ -116,19 +116,22 @@ def _exact(f: RadialFunction):
 
 
 def _shared_grid(f: Sampled, d: float):
-    """Transform values and error estimates from ``ft_quadrature_many``.
+    """Transform values and error estimates from ``_grid.ft_quadrature_many``,
+    whose module loads here, on the first Sampled dual side.
 
     The memo is keyed by the radius itself: each call transforms, on one
     grid and in the order given, only the radii not seen before.  The
     shell sum passes distinct radii, bit for bit the same at every doubling.
     """
+    from . import _grid
+
     cache: dict[float, tuple[float, float]] = {}  # radius -> (value, error)
 
     def transformed(radii):
         ps = radii.tolist()
         new = [p for p in ps if p not in cache]
         if new:
-            values, errors = tr.ft_quadrature_many(f, new, d)
+            values, errors = _grid.ft_quadrature_many(f, new, d)
             cache.update(zip(new, zip(values.tolist(), errors.tolist())))
         return np.array([cache[p] for p in ps]).reshape(-1, 2).T
 

@@ -78,6 +78,7 @@ def test_each_command_loads_only_its_layers(argv):
     code, layers, numpy = run_cli_fresh(argv)
     assert code == 0
     assert layers == CLI_LAYERS[argv]
+    assert "_grid" not in layers  # no command transforms a Sampled profile
     assert numpy == (layers != NUMPY_FREE)
 
 
@@ -107,6 +108,37 @@ def test_a_public_name_loads_its_layer_on_first_use():
                            "thetasum.theta"]
     assert set(after_verify) - set(after_build) == {"thetasum.summation",
                                                     "thetasum.transform"}
+
+
+def test_only_a_sampled_verify_loads_the_shared_grid():
+    # the closed form serves a GaussPoly verify; a Sampled one loads the
+    # grid of ft_quadrature_many on its dual side
+    proc = run_fresh(
+        "import json, math, sys\n"
+        "import thetasum as ts\n"
+        "loaded = []\n"
+        "for f in (ts.GaussPoly(((1.0, 0, 1.0),)),\n"
+        "          ts.Sampled(lambda r: math.exp(-r * r), (1.0, 1.0))):\n"
+        "    assert ts.verify(ts.preset('zd', 2.5), f, tol=1e-8).passed\n"
+        "    loaded.append('thetasum._grid' in sys.modules)\n"
+        "print(json.dumps(loaded))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
+def test_the_shared_grid_depends_on_transform_one_way():
+    # _grid imports transform for the radius, tail and tolerances both
+    # quadrature routes share; transform never imports _grid
+    tree = ast.parse((Path(thetasum.__file__).parent / "transform.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or "", *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    assert not any("_grid" in name for name in names)
+    assert thetasum.ft_quadrature_many is importlib.import_module("thetasum._grid").ft_quadrature_many
 
 
 @pytest.mark.parametrize("name", thetasum.__all__)
@@ -159,11 +191,11 @@ def test_sampled_verify_loads_no_scipy():
 import math
 import numpy as np
 import thetasum as ts
-from thetasum import transform as tr
+from thetasum import _grid as gr
 f = ts.Sampled(lambda r: math.exp(-r * r), (1.0, 1.0))
 for d in (1.9, 2, 2.7, 3.5):
     assert ts.verify(ts.preset("zd", d), f, tol=1e-8).passed
-values, errors = tr.ft_quadrature_many(f, [0.0, 0.5, 1.0], 45)
+values, errors = gr.ft_quadrature_many(f, [0.0, 0.5, 1.0], 45)
 assert np.all(np.isfinite(values))
 """
     assert scipy_modules_after(code) == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetasum import _grid as gr
 from thetasum import qseries as qs
 from thetasum import summation as sm
 from thetasum import theta as th
@@ -138,13 +139,13 @@ def test_cusp_profile_verifies(monkeypatch):
     # e^{-r^3} decays faster than any Gaussian but its transform only
     # decays polynomially, so the dual sum needs thousands of shells
     blocks = []
-    kernel = tr._kernel
+    kernel = gr._kernel
 
     def recording_kernel(a, x):
         blocks.append(x.size)
         return kernel(a, x)
 
-    monkeypatch.setattr(tr, "_kernel", recording_kernel)
+    monkeypatch.setattr(gr, "_kernel", recording_kernel)
     f = tr.Sampled(lambda r: math.exp(-r ** 3), decay_hint=(1.2, 1.0))
     t0 = time.perf_counter()
     report = sm.verify(th.preset("zd", 2), f, tol=2e-5)
@@ -154,8 +155,8 @@ def test_cusp_profile_verifies(monkeypatch):
     assert report.residual <= 10.0 * report.tail_rhs  # heuristic stayed honest
     # thousands of radii share one grid per doubling, in bounded chunks
     assert report.L_star_used == 2048
-    assert sum(blocks) > 2 * tr._KERNEL_CHUNK
-    assert max(blocks) <= tr._KERNEL_CHUNK
+    assert sum(blocks) > 2 * gr._KERNEL_CHUNK
+    assert max(blocks) <= gr._KERNEL_CHUNK
 
 
 @pytest.mark.parametrize("name,d,a,b,hint", [
@@ -181,13 +182,13 @@ def test_sampled_dual_side_transforms_each_shell_radius_once(monkeypatch):
     # the radii the quadrature sees are the dual shells' own, bit for bit,
     # each transformed at the first doubling that lists it and never again
     seen = []
-    many = tr.ft_quadrature_many
+    many = gr.ft_quadrature_many
 
     def recording_many(f, ps, d):
         seen.extend(ps)
         return many(f, ps, d)
 
-    monkeypatch.setattr(tr, "ft_quadrature_many", recording_many)
+    monkeypatch.setattr(gr, "ft_quadrature_many", recording_many)
     spec = th.preset("dd", 2.4131)
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
     report = sm.verify(spec, f, tol=1e-8)
@@ -275,7 +276,7 @@ def test_per_term_table_of_sampled_profile_matches_closed_route():
 def test_per_term_table_adds_no_build_or_transform(monkeypatch):
     # the table is cut from the shells both sides summed
     calls = {"build": 0, "transform": 0}
-    coeffs, many = th._TermBuilder.coeffs, tr.ft_quadrature_many
+    coeffs, many = th._TermBuilder.coeffs, gr.ft_quadrature_many
 
     def counted_coeffs(self, L):
         calls["build"] += 1
@@ -286,7 +287,7 @@ def test_per_term_table_adds_no_build_or_transform(monkeypatch):
         return many(*args, **kwargs)
 
     monkeypatch.setattr(th._TermBuilder, "coeffs", counted_coeffs)
-    monkeypatch.setattr(tr, "ft_quadrature_many", counted_many)
+    monkeypatch.setattr(gr, "ft_quadrature_many", counted_many)
     f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
     counts = []
     for with_table in (False, True):
@@ -680,15 +681,15 @@ def test_measured_decay_is_infinite_where_the_windows_do_not_shrink(near, far):
 
 def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
     # each doubling of the dual side runs two composite rules at d = 2.5
-    tr._gauss_nodes.cache_clear()
+    gr._gauss_nodes.cache_clear()
     made = []
-    jacobi = tr._gauss_jacobi
+    jacobi = gr._gauss_jacobi
 
     def counted(n, d):
         made.append((n, d))
         return jacobi(n, d)
 
-    monkeypatch.setattr(tr, "_gauss_jacobi", counted)
+    monkeypatch.setattr(gr, "_gauss_jacobi", counted)
     f = tr.Sampled(lambda r: math.exp(-1.3 * r * r), decay_hint=(1.0, 1.3))
     reports = []
     for _ in range(2):
@@ -696,6 +697,6 @@ def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
         reports.append(sm.verify(th.preset("dd", 2.5), f, tol=1e-8))
     assert reports[0] == reports[1] and reports[0].passed
     assert sorted(made) == [(10, 2.5), (14, 2.5)]
-    for column in tr._gauss_nodes(10, 2.5):
+    for column in gr._gauss_nodes(10, 2.5):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
