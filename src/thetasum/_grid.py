@@ -37,12 +37,12 @@ _RULE_ORDERS = (10, 14)
 _KERNEL_CHUNK = 2**15
 
 # ``_kernel`` takes J_{a-1}(2x) from its Hankel expansion, ``_HANKEL_TERMS``
-# terms in all (P and Q together) up to |a - 1| = 18.5, from 2x =
-# ``_hankel_start(a - 1)`` up, and from ``_near_kernel`` below.  That start
-# is never below ``_HANKEL_SWITCH``: at half-integer order the expansion
-# ends, so its error bound alone would start it at 0, but at large such
-# order its terms cancel below 22 (1.2e-13 of the kernel envelope for 2x in
-# [16, 22] at d = 37, against 8e-15 just above), so a lower switch would
+# terms in all (P and Q together) up to |a - 1| = 18.5, from the start 2x
+# of its first tier (``_hankel_tiers``) up, and from ``_near_kernel`` below.
+# That start is never below ``_HANKEL_SWITCH``: at half-integer order the
+# expansion ends, so its error bound alone would start it at 0, but at large
+# such order its terms cancel below 22 (1.2e-13 of the kernel envelope for 2x
+# in [16, 22] at d = 37, against 8e-15 just above), so a lower switch would
 # leave those points outside the kernel's 1.1e-14 bar.  Above it the start
 # rises with the order until 18 terms meet 2^-53 (2x = 22.8 at d = 2.5, 23.2
 # at d = 2, 23.9 at d = 8, 34.7 at d = 24).  Measured, not tunable: 18
@@ -71,9 +71,10 @@ def _kernel(a: float, x: np.ndarray) -> np.ndarray:
     """0F1(a; -x^2) on an array of x >= 0, on numpy alone at every order.
 
     Gamma(a) x^{1-a} J_{a-1}(2x), the Bessel relation ``hyp0f1`` uses past
-    its series range.  Where 2x >= ``_hankel_start(a - 1)`` it comes from
-    the Hankel expansion (``_hankel``); below that start from
-    ``_near_kernel``, the power series and Miller's recurrence.
+    its series range.  Where 2x is at or above the start of the first tier
+    of ``_hankel_tiers(a - 1)`` it comes from the Hankel expansion
+    (``_hankel``); below that start from ``_near_kernel``, the power series
+    and Miller's recurrence.
     ``ft_quadrature_many`` takes the kernel from here on the panels that
     reach below the start, and on the others from ``_hankel_panels``.
     """
@@ -333,12 +334,6 @@ def _hankel_tiers(nu: float) -> tuple[_Tier, ...]:
         if not tiers or terms < 2 * len(tiers[-1].even):
             tiers.append(_Tier(s, tuple(signed[0::2]), tuple(signed[1::2])))
     return tuple(tiers)
-
-
-def _hankel_start(nu: float) -> float:
-    """Least z = 2x from which ``_kernel`` takes J_nu(z) from ``_hankel``
-    (see ``_hankel_tiers``); below it, from ``_near_kernel``."""
-    return _hankel_tiers(nu)[0].start
 
 
 def _horner(coeffs: Sequence[float], t: np.ndarray) -> np.ndarray:

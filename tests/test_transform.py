@@ -514,7 +514,7 @@ def test_shared_grid_evaluates_the_profile_once():
 def test_vectorised_kernel_matches_scalar_across_series_switch(a):
     # z = x^2 straddles the series switch of hyp0f1 (z = 25), the least
     # Hankel start of _kernel (2x = 22, z = 121) and the start at order a - 1
-    z0 = (0.5 * gr._hankel_start(a - 1.0)) ** 2
+    z0 = (0.5 * gr._hankel_tiers(a - 1.0)[0].start) ** 2
     z = np.array([0.0, 1e-3, 0.5, 7.0, 24.0, 24.99, 25.01, 26.0, 120.0, 120.99, 121.0,
                   121.01, 122.0, z0 * (1 - 1e-9), z0, z0 * (1 + 1e-9), 400.0, 4e4])
     assert tr._SERIES_SWITCH == 25.0
@@ -530,17 +530,19 @@ def test_hankel_start_follows_the_order():
     # Past |nu| = 18.5, where DLMF 10.17(iii) stops bounding the remainder
     # of 18 terms by the first omitted one, the terms grow with the order
     # and the start stays finite, where no term exceeds _HANKEL_LARGEST
-    assert gr._hankel_start(-0.5) == gr._hankel_start(0.5) == gr._hankel_start(11.5) == 22.0
-    assert 22.0 < gr._hankel_start(0.25) == gr._hankel_start(-0.25) < 23.0
-    assert gr._hankel_start(7.0) < gr._hankel_start(11.0) < gr._hankel_start(18.0)
-    assert math.isfinite(gr._hankel_start(18.5))
+    start = {nu: gr._hankel_tiers(nu)[0].start
+             for nu in (-0.5, 0.5, 11.5, 0.25, -0.25, 7.0, 11.0, 18.0, 18.5, 23.0, 62.0, 199.0)}
+    assert start[-0.5] == start[0.5] == start[11.5] == 22.0
+    assert 22.0 < start[0.25] == start[-0.25] < 23.0
+    assert start[7.0] < start[11.0] < start[18.0]
+    assert math.isfinite(start[18.5])
     for nu in (19.0, 23.0, 31.0, 62.0, 199.0):
         tier = gr._hankel_tiers(nu)[0]
         terms = 2 * len(tier.even)
-        assert tier.start == gr._hankel_start(nu) < math.inf
+        assert tier.start < math.inf
         assert terms >= nu - 0.5 and terms > gr._HANKEL_TERMS
         assert max(map(abs, tier.even + tier.odd)) <= gr._HANKEL_LARGEST * (1 + 1e-12)
-    assert gr._hankel_start(23.0) < gr._hankel_start(62.0) < gr._hankel_start(199.0)
+    assert start[23.0] < start[62.0] < start[199.0]
 
 
 def test_hankel_tiers_take_fewer_terms_further_out():
@@ -568,7 +570,7 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     # ft_quadrature_many budgets for the phase (3.1e-14 of the envelope at
     # x = 390 is a quarter of that).
     a = 0.5 * d
-    starts = [0.5 * gr._HANKEL_SWITCH, 0.5 * min(gr._hankel_start(a - 1.0), 200.0)]
+    starts = [0.5 * gr._HANKEL_SWITCH, 0.5 * min(gr._hankel_tiers(a - 1.0)[0].start, 200.0)]
     prefactor = 2.0 * math.pi**a / math.gamma(a)
     top = math.pi * 64 * tr._choose_r_max(CUSP, d, 1e-13 / prefactor)
     x = np.concatenate([x0 + np.linspace(-0.05, 0.05, 11) for x0 in starts]
@@ -616,7 +618,7 @@ def test_kernel_below_the_hankel_start_matches_mpmath(d):
     # to 2 are checked again as a chunk of their own, whose start index is
     # the least, where the order lies far above z
     a = 0.5 * d
-    end = 0.5 * gr._hankel_start(a - 1.0)
+    end = 0.5 * gr._hankel_tiers(a - 1.0)[0].start
     rng = np.random.default_rng(int(10 * d))
     x = np.concatenate([[0.0, 1e-8, 1.0 - 1e-9, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9,
                          np.nextafter(end, 0.0)], rng.uniform(0.0, end, 80)])
@@ -648,7 +650,7 @@ def test_recurrence_start_index_has_converged(d, monkeypatch):
 
     monkeypatch.setattr(gr, "_miller_norms", recording_norms)
     a = 0.5 * d
-    end = 0.5 * gr._hankel_start(a - 1.0)
+    end = 0.5 * gr._hankel_tiers(a - 1.0)[0].start
     rng = np.random.default_rng(int(10 * d))
     x = np.concatenate([[np.nextafter(1.0, 2.0), np.nextafter(end, 0.0)],
                         rng.uniform(1.0, end, 80)]).astype(np.longdouble)
@@ -664,7 +666,7 @@ def test_recurrence_mixing_the_ends_of_the_near_region_stays_finite():
     # 104) is 190, and the recurrence values at z just above 2 grow by about
     # 190! from it: they must stay finite and normal, with no numpy warning
     a = 19.5
-    end = 0.5 * gr._hankel_start(a - 1.0)
+    end = 0.5 * gr._hankel_tiers(a - 1.0)[0].start
     x = np.array([np.nextafter(1.0, 2.0), 1.0 + 1e-6, 1.5, 0.25 * end, np.nextafter(end, 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
