@@ -4,12 +4,11 @@ Layers, bottom up: ``errors`` (the exception types), ``spec`` (theta
 factors, specs, duals and the modular-relation residual, in pure Python),
 ``qseries`` (the series container ``build`` returns, plus the reference
 route the tests compare against), ``theta`` (spec coefficients on numpy),
-``transform`` (the dimensionally continued radial Fourier transform: its
-profiles, closed form, tail bounds and adaptive quadrature), ``_grid`` (the
-shared quadrature grid ``ft_quadrature_many``, loaded by Sampled profiles
-alone), ``summation`` (both sides of the summation identity and its
-verification), ``hermite`` (Gaussian expansion diagnostics), ``cli``
-(command line front end).
+``transform`` (the dimensionally continued radial Fourier transform),
+``_grid`` (its shared quadrature grid, loaded by Sampled profiles alone),
+``summation`` (both sides of the summation identity and its verification),
+``hermite`` (Gaussian expansion diagnostics), ``cli`` (command line front
+end).
 
 Only ``errors`` loads with the package.  Every other public name is looked
 up in its layer on first use (PEP 562), so ``import thetasum`` loads no

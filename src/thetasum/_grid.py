@@ -1,16 +1,12 @@
-"""The shared quadrature grid of the radial transform: ``ft_quadrature_many``.
+"""The shared quadrature grid of the radial transform, ``ft_quadrature_many``.
 
-One grid of composite Gauss rules on [0, R] serves every radius of a
-Sampled profile's dual side, and runs on numpy and ``math`` alone: its
-Gauss-Jacobi nodes by Golub and Welsch (``_gauss_jacobi``), and its kernel
-0F1(d/2; -x^2) from the Hankel expansion above a start (``_hankel_panels``
-on the grid's panels, ``_hankel`` elsewhere) and from the power series and
-Miller's backward recurrence below it (``_near_kernel``), one route at
-every d.  Its radius, tail bound, constant and tolerances are those of
-``transform``, shared with the adaptive route ``ft_quadrature`` there and
-read through that module, so one pair ``_ABS_TOL``, ``_REL_TOL`` governs
-both.  ``transform`` never imports this module; ``summation`` does, on the
-first Sampled dual side.
+On numpy and ``math`` alone: Gauss-Jacobi nodes by Golub and Welsch
+(``_gauss_jacobi``), and the kernel 0F1(d/2; -x^2) from the Hankel expansion
+above a start (``_hankel_panels``, ``_hankel``) and from the power series
+and Miller's backward recurrence below it (``_near_kernel``).  The radius,
+tail bound, constant and tolerances are read through ``transform``, so one
+pair ``_ABS_TOL``, ``_REL_TOL`` governs both quadrature routes;
+``transform`` never imports this module.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import numpy as np
 
 from . import transform as tr
 from .errors import DomainError, ToleranceNotMet
-from .transform import RadialFunction
 
 # Gauss rule orders of the shared grid in ``ft_quadrature_many``.  On panels
 # one kernel period wide the lower rule already sits near the rounding
@@ -457,7 +452,7 @@ def _far_panels(a: float, tiers: tuple[_Tier, ...], turn: np.ndarray, first: np.
             sums[at] += k.reshape(turn.size, -1) @ w
 
 
-def ft_quadrature_many(f: RadialFunction, ps: Sequence[float], d: float) -> tuple[np.ndarray, np.ndarray]:
+def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> tuple[np.ndarray, np.ndarray]:
     """Transform values and error estimates at many radii from one grid.
 
     f is evaluated once, on two composite Gauss rules of different order

@@ -10,15 +10,11 @@ measure r^{d-1} is unbounded at 0 and the kernel grows like its envelope,
 and the quadrature routes take both (``_kernel_bound``, the Gauss-Jacobi
 first panel, QAWS), down to the least d each resolves.
 Gaussian-polynomial profiles transform in closed form
-(``ft_closed``/``ft_gausspoly``).  Sampled profiles go through
-``_grid.ft_quadrature_many``, one shared quadrature grid for many radii at
-once; ``ft_quadrature`` here is the independent adaptive route that
-cross-checks both.  The two quadrature routes share what this module
-keeps: the radius and tail bound (``_choose_r_max``, ``_radial_tail``, by
-a closed-form bound on the incomplete gamma function,
-``_log_gamma_bound``), the kernel's growth below d = 1, the constant, the
-measure and the tolerances.  ``_grid`` imports this module, and this
-module never imports ``_grid``.
+(``ft_closed``/``ft_gausspoly``).  Sampled profiles go through the shared
+quadrature grid of ``_grid.ft_quadrature_many``; ``ft_quadrature`` here is
+the independent adaptive route that cross-checks both.  This module keeps
+what the two quadrature routes share, among it their radius and tail bound
+(``_choose_r_max``, by ``_log_gamma_bound``), and never imports ``_grid``.
 ``ft_quadrature`` and ``hyp0f1`` stay on scipy (``integrate.quad`` and
 ``special.jv``), which keeps the cross-check independent of the shared
 grid.
@@ -357,12 +353,12 @@ def _radial_tail(f: RadialFunction, R: float, d: float, top: float = 0.0) -> flo
 
 
 def _choose_r_max(f: RadialFunction, d: float, budget: float, top: float = 0.0) -> float:
-    """A radius R with ``_radial_tail(f, R, d, top) < budget``, in closed form.
+    """A radius R with ``_radial_tail(f, R, d, top) < budget``.
 
     Each envelope term, times each term of ``_kernel_bound``, gets an even
     share of the budget, less a relative margin of 1e-9 for the rounding of
-    the root and of alpha R^2 (about 2^-53 of x each, x < 800), and its
-    bound on Gamma(a, alpha R^2) is solved for R with
+    the root and of alpha R^2 (each moves the bound by about 2^-53 x), and
+    its bound on Gamma(a, alpha R^2) is solved for R with
     ``_gamma_bound_root``.  R is the largest of these radii (the least one
     for a single term), or one decay length if every term's whole integral
     already fits its share.
@@ -392,7 +388,7 @@ def _log_gamma_bound(a: float, x: float) -> float:
     For a <= 1 (s = 0) the second term is DLMF 8.10.1.  For a > 1, log t <=
     log x + (t - x)/x gives t^{a-1} <= x^{a-1} e^{s(t - x)/x} at t >= x, and
     its integral against e^-t from x on is the second term.  Against mpmath
-    log(U / Gamma(a, x)) is 0 to 0.144 for a from 0.0015 to 200 where x >=
+    log(U / Gamma(a, x)) is 0 to 0.143 for a from 0.0015 to 200 where x >=
     a + 30, and at most 0.032 there for a <= 2.
     """
     s = max(a - 1.0, 0.0)
@@ -421,10 +417,8 @@ def _gamma_bound_root(a: float, log_u: float) -> float:
         g = (a - 1.0) * math.log(x) - x - math.log1p(-s / x) - log_u
         if g > 0.0:
             lo = x
-        elif g < 0.0:
-            hi = x
         else:
-            return x
+            hi = x
         step = g / (1.0 - (a - 1.0) / x + s / (x * (x - s)))  # -g/g'
         if abs(step) <= 2.0**-30 * x:
             return x + step
