@@ -314,8 +314,8 @@ def test_tiny_dimension_transforms_hold_or_fail_fast(d):
 
 @pytest.mark.parametrize("d", [0.0005, 0.003])
 def test_shared_grid_bounds_the_tail_at_a_small_gamma_order(d):
-    # a term of 1e-13 still has a tail to bound, at the order a = d/2 of
-    # Gamma(a, x); inverting the incomplete gamma function there failed
+    # the tail of the 1e-13 term is bounded at the small order a = d/2 of
+    # Gamma(a, x), where Q(a, x) from 1 - P would keep no digits
     f = tr.GaussPoly(((1.0, 0, 1.0), (1e-13, 0, 0.5)))
     values, errors = gr.ft_quadrature_many(f, [0.0], d)
     assert abs(values[0] - tr.ft_gausspoly(f, d).eval(0.0)) <= errors[0]
