@@ -17,17 +17,8 @@ numpy, and ``thetasum.dual`` loads ``spec`` alone.
 
 import importlib
 
-from .errors import (
-    CoefficientOverflow,
-    DomainError,
-    IllConditioned,
-    InvalidSpec,
-    NegativeExponent,
-    OffsetMismatch,
-    ThetasumError,
-    ToleranceNotMet,
-    ZeroLeadingCoefficient,
-)
+from . import errors
+from .errors import *  # noqa: F403  (the exception types)
 
 # public name -> the layer that defines it, imported on first access
 _LAZY = {
@@ -60,44 +51,6 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientOverflow",
-    "DomainError",
-    "FTResult",
-    "FitResult",
-    "GaussPoly",
-    "IllConditioned",
-    "InvalidSpec",
-    "NegativeExponent",
-    "OffsetMismatch",
-    "QSeries",
-    "Sampled",
-    "ShellSum",
-    "ThetaFactor",
-    "ThetaSpec",
-    "ThetasumError",
-    "ToleranceNotMet",
-    "VerificationReport",
-    "ZeroLeadingCoefficient",
-    "build",
-    "coeff_bound",
-    "dual",
-    "eigen_residual",
-    "ft_closed",
-    "ft_gausspoly",
-    "ft_quadrature",
-    "ft_quadrature_many",
-    "gaussian_hermite_coeff",
-    "gaussian_span_fit",
-    "hermite_coeff_quadrature",
-    "hermite_h",
-    "hyp0f1",
-    "jacobi_residual",
-    "laplacian_d",
-    "lhs_sum",
-    "lincomb",
-    "preset",
-    "rhs_sum",
-    "theta_eval_product",
-    "verify",
-]
+# every exception type of ``errors`` and every name of ``_LAZY``
+__all__ = sorted([*(name for name, value in vars(errors).items()
+                    if isinstance(value, type) and issubclass(value, Exception)), *_LAZY])

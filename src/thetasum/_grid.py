@@ -2,11 +2,11 @@
 
 On numpy and ``math`` alone: Gauss-Jacobi nodes by Golub and Welsch
 (``_gauss_jacobi``), and the kernel 0F1(d/2; -x^2) from the Hankel expansion
-above a start (``_hankel_panels``, ``_hankel``) and from the power series
-and Miller's backward recurrence below it (``_near_kernel``).  The radius,
-tail bound, constant and tolerances are read through ``transform``, so one
-pair ``_ABS_TOL``, ``_REL_TOL`` governs both quadrature routes;
-``transform`` never imports this module.
+above a start (``_hankel_panels``) and from the power series and Miller's
+backward recurrence below it (``_near_kernel``).  The d, radius, tail
+bound and measure come from ``transform._radial_setup``, and the
+tolerances from ``transform`` too, so one pair ``_ABS_TOL``, ``_REL_TOL``
+governs both quadrature routes; ``transform`` never imports this module.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ def _kernel(a: float, x: np.ndarray) -> np.ndarray:
     Gamma(a) x^{1-a} J_{a-1}(2x), the Bessel relation ``hyp0f1`` uses past
     its series range.  Where 2x is at or above the start of the first tier
     of ``_hankel_tiers(a - 1)`` it comes from the Hankel expansion
-    (``_hankel``); below that start from ``_near_kernel``, the power series
-    and Miller's recurrence.
+    (``_hankel_panels``, on one row with offset 0); below that start from
+    ``_near_kernel``, the power series and Miller's recurrence.
     ``ft_quadrature_many`` takes the kernel from here on the panels that
     reach below the start, and on the others from ``_hankel_panels``.
     """
     tier = _hankel_tiers(a - 1.0)[0]
     out = np.empty_like(x)
     far = x >= 0.5 * tier.start
-    out[far] = _hankel(a, x[far], tier)
+    out[far] = _hankel_panels(a, tier, 2.0 * x[None, far], np.zeros((1, 1))).ravel()
     near = ~far
     out[near] = _near_kernel(a, x[near])
     return out
@@ -182,44 +182,24 @@ class _Tier(NamedTuple):
     odd: tuple[float, ...]
 
 
-def _hankel(a: float, x: np.ndarray, tier: _Tier) -> np.ndarray:
-    """Gamma(a) x^{1-a} J_nu(2x), nu = a - 1, by the Hankel expansion, for
-    z = 2x at or above ``tier.start``.
+def _hankel_panels(a: float, tier: _Tier, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Gamma(a) x^{1-a} J_nu(2x), nu = a - 1, by the Hankel expansion, at
+    z = 2x = theta + phi at or above ``tier.start``, for each offset phi
+    (rows, nodes) and angle theta (rows, panels) of a row: shape (rows,
+    nodes, panels), the panels last so that numpy's inner loops run along
+    them.
 
     J_nu(z) ~ sqrt(2/(pi z)) (P cos w - Q sin w), w = z - nu pi/2 - pi/4
-    (``_hankel_sums``).  cos w and sin w are taken from cos z and sin z and
-    the constant angle, so the phase w is never rounded: at z in the
-    thousands its rounding alone would cost ~1e-13.
-    """
-    z = 2.0 * x
-    P, Q, r = _hankel_sums(tier, 2.0 * x)
-    cc, sc = _hankel_angle(a)
-    # P cos w - Q sin w = cos z (P cos c + Q sin c) + sin z (P sin c - Q cos c)
-    cos_part = cc * P
-    cos_part += sc * Q
-    P *= sc
-    Q *= cc
-    P -= Q
-    P *= np.sin(z)
-    cos_part *= np.cos(z, out=z)
-    cos_part += P
-    cos_part *= np.power(r, a - 0.5, out=r)
-    cos_part *= _hankel_front(a, tier.start)
-    return cos_part
-
-
-def _hankel_panels(a: float, tier: _Tier, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``_hankel`` at z = theta + phi, for each offset phi (rows, nodes) and
-    angle theta (rows, panels) of a row: shape (rows, nodes, panels), the
-    panels last so that numpy's inner loops run along them.
-
-    ``ft_quadrature_many`` takes z = 2 pi p r at r = h m + s as the panel
-    angle theta = 2 pi p h m plus the node offset phi = 2 pi p s, so
-    cos z and sin z follow from those of theta and phi by the addition
-    theorem, and np.cos and np.sin run once per panel and per offset
-    instead of once per entry (each costs about 30 ns an entry).  Theta
-    and phi are each rounded like z itself, the rounding the error floor
-    of ``ft_quadrature_many`` budgets for the phase.
+    (``_hankel_sums``).  cos w and sin w follow from those of theta, of phi
+    and of the constant angle by the addition theorem, so the phase w is
+    never rounded: at z in the thousands its rounding alone would cost
+    ~1e-13.  ``ft_quadrature_many`` takes z = 2 pi p r at r = h m + s as
+    the panel angle theta = 2 pi p h m plus the node offset phi = 2 pi p s,
+    so np.cos and np.sin run once per panel and per offset instead of once
+    per entry (each costs about 30 ns an entry); ``_kernel`` passes z
+    itself as theta.  Theta and phi are each rounded like z itself, the
+    rounding the error floor of ``ft_quadrature_many`` budgets for the
+    phase.
     """
     theta, phi = theta[:, None, :], phi[:, :, None]
     P, Q, r = _hankel_sums(tier, np.add(theta, phi))
@@ -264,7 +244,7 @@ def _hankel_angle(a: float) -> tuple[float, float]:
 
 def _hankel_front(a: float, start: float) -> float:
     """Gamma(a)/sqrt(pi) (start/2)^{1/2-a}, so that the amplitude
-    Gamma(a)/sqrt(pi) x^{1/2-a} of ``_hankel`` is this times (start/2x)^{a-1/2};
+    Gamma(a)/sqrt(pi) x^{1/2-a} of ``_hankel_panels`` is this times (start/2x)^{a-1/2};
     in logs where Gamma(a) or the power is not a double."""
     try:
         front = math.gamma(a) * (0.5 * start) ** (0.5 - a)
@@ -457,8 +437,8 @@ def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> t
 
     f is evaluated once, on two composite Gauss rules of different order
     (``_RULE_ORDERS``) over the same panels of [0, R], each panel at most
-    one kernel period 1/max(ps) wide; R and its tail bound are chosen as in
-    ``ft_quadrature``.  The error estimate of each radius is the difference
+    one kernel period 1/max(ps) wide; d, R, its tail bound and the measure
+    come from ``transform._radial_setup``, as in ``ft_quadrature``.  The error estimate of each radius is the difference
     of the two rules, plus a rounding floor (a few ulps of the absolute sum,
     and the rounding of the kernel phase pi p r), plus the radial tail.
 
@@ -474,18 +454,13 @@ def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> t
     ps = np.asarray(ps, dtype=np.float64).ravel()
     if not np.all(np.isfinite(ps) & (ps >= 0.0)):
         raise DomainError("radii must be finite and nonnegative")
-    d = tr._quadrature_dim(d, _GRID_LEAST_DIM)
+    top = float(ps.max()) if ps.size else 0.0
+    d, R, tail, factor, base, rounding = tr._radial_setup(f, d, _GRID_LEAST_DIM, math.pi * top)
     if ps.size == 0:
         return np.zeros(0), np.zeros(0)
     a = 0.5 * d
-    prefactor, rounding = tr._prefactor(d)
-    top = math.pi * float(ps.max())
-    R = tr._choose_r_max(f, d, 0.1 * tr._ABS_TOL / prefactor, top)
-    tail = prefactor * tr._radial_tail(f, R, d, top)
-    panels = max(16, math.ceil(R * float(ps.max())))
+    panels = max(16, math.ceil(R * top))
     h = R / panels
-    factor, base, measure_rounding = tr._measure(prefactor, R, d)
-    rounding += measure_rounding
 
     offsets, nodes, wf = _composite_rule(R, panels, d, factor, base)
     fv = np.asarray(f.eval(nodes.ravel()), dtype=np.float64)

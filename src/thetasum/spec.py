@@ -30,6 +30,10 @@ _POWER_SUM_TOL = 1e-12
 # for q up to about 1 - 2e-4 (jacobi_residual up to t ~ 1.6e4).
 _PRODUCT_FACTOR_CAP = 100000
 
+# The theta kinds, each with its partner under Jacobi's relation: 2 <-> 4
+# swap, 3 stays (``dual``, ``jacobi_residual``).
+PARTNERS = {2: 4, 3: 3, 4: 2}
+
 
 @dataclass(frozen=True)
 class ThetaFactor:
@@ -42,7 +46,7 @@ class ThetaFactor:
     def __post_init__(self):
         # integers only, so the JSON round-trips: 3.0 and True raise; numpy's
         # integer types register as numbers.Integral
-        if not isinstance(self.kind, numbers.Integral) or self.kind not in (2, 3, 4):
+        if not isinstance(self.kind, numbers.Integral) or self.kind not in PARTNERS:
             raise InvalidSpec(f"kind must be 2, 3 or 4, got {self.kind!r}")
         object.__setattr__(self, "kind", int(self.kind))
         p = float(self.power)
@@ -180,6 +184,15 @@ def preset(name: str, d: float) -> ThetaSpec:
 # -- single theta values -------------------------------------------------
 
 
+def _partner(kind) -> int:
+    """The partner of a theta kind in ``PARTNERS``; ``DomainError`` for any
+    other kind."""
+    try:
+        return PARTNERS[kind]
+    except (KeyError, TypeError):  # TypeError: a kind that is no dict key
+        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}") from None
+
+
 def theta_eval_product(kind: int, q: float) -> float:
     """Theta value from the infinite product form (series-independent route).
 
@@ -194,8 +207,7 @@ def theta_eval_product(kind: int, q: float) -> float:
     partial products of kinds 2 and 3 dip below the smallest double before
     the later factors lift them back, and must not underflow to zero.
     """
-    if kind not in (2, 3, 4):
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
+    _partner(kind)
     q = float(q)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0, 1), got {q!r}")
@@ -232,8 +244,8 @@ def coeff_bound(d: float, l: int) -> float:
     """Shell-count bound 2^d (1 + d/l)^l (1 + l/d)^d for unit-scale series."""
     d = float(d)
     l = int(l)
-    if d <= 0 or l < 1:
-        raise DomainError("coeff_bound requires d > 0 and l >= 1")
+    if not (d > 0 and math.isfinite(d)) or l < 1:
+        raise DomainError("coeff_bound requires a finite d > 0 and l >= 1")
     return math.exp(
         d * math.log(2.0) + l * math.log1p(d / l) + d * math.log1p(l / d)
     )
@@ -259,7 +271,7 @@ def dual(spec: ThetaSpec) -> ThetaSpec:
         )
         new_factors = tuple(
             ThetaFactor(
-                kind={2: 4, 3: 3, 4: 2}[f.kind],
+                kind=PARTNERS[f.kind],
                 power=f.power,
                 scale=1 / f.scale,
             )
@@ -278,14 +290,12 @@ def jacobi_residual(kind: int, t: float) -> float:
     one of the two q rounds to 1, or needs more than the product's factor
     cap, raises ``ToleranceNotMet`` naming t.
     """
-    if kind not in (2, 3, 4):
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
+    partner = _partner(kind)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")
-    partner = {2: 4, 3: 3, 4: 2}[kind]
     q_lhs, q_rhs = math.exp(-math.pi / t), math.exp(-math.pi * t)
     if max(q_lhs, q_rhs) == 1.0:
         q = "e^(-pi/t)" if q_lhs == 1.0 else "e^(-pi t)"

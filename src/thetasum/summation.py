@@ -176,18 +176,15 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         values, errors = profile(side.radii)
         if side.at is not None:
             values, errors = values[side.at], errors[side.at]
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(
-                f"radial profile is {values[i]} at r = {float(np.sqrt(side.A[i]))!r}")
         with np.errstate(over="ignore"):  # refused just below
             terms = side.N * values
-        bad = np.flatnonzero(~np.isfinite(terms))
-        if bad.size:
-            i = bad[0]
-            raise CoefficientOverflow(
-                f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
+        if not np.isfinite(terms).all():  # a bad profile value is refused before an overflow
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = bad[0]
+                raise DomainError(f"radial profile is {values[i]} at r = {float(np.sqrt(side.A[i]))!r}")
+            i = np.flatnonzero(~np.isfinite(terms))[0]
+            raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
         errors = np.abs(side.N) * errors
         tail, at_floor = tail_of(side, terms, errors)
         if tail < 0.1 * tol:

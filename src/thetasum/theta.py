@@ -26,6 +26,7 @@ from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
     _POWER_SUM_TOL,
     _PRODUCT_FACTOR_CAP,
     PRESETS,
+    _partner,
     ThetaFactor,
     ThetaSpec,
     _json_number,
@@ -46,8 +47,7 @@ def theta_series(kind: int, L: int) -> QSeries:
     kind 3: 1 + 2 sum_{l>=1} q^{l^2}
     kind 4: 1 + 2 sum_{l>=1} (-1)^l q^{l^2}
     """
-    if kind not in (2, 3, 4):
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}")
+    _partner(kind)
     L = int(L)
     if L < 0:
         raise DomainError(f"order must be nonnegative, got {L}")

@@ -13,8 +13,9 @@ Gaussian-polynomial profiles transform in closed form
 (``ft_closed``/``ft_gausspoly``).  Sampled profiles go through the shared
 quadrature grid of ``_grid.ft_quadrature_many``; ``ft_quadrature`` here is
 the independent adaptive route that cross-checks both.  This module keeps
-what the two quadrature routes share, among it their radius and tail bound
-(``_choose_r_max``, by ``_log_gamma_bound``), and never imports ``_grid``.
+what the two quadrature routes share, their setup (``_radial_setup``: the
+d they run at, the constant, the radius and tail bound by
+``_log_gamma_bound``, the measure), and never imports ``_grid``.
 ``ft_quadrature`` and ``hyp0f1`` stay on scipy (``integrate.quad`` and
 ``special.jv``), which keeps the cross-check independent of the shared
 grid.
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import DomainError, ToleranceNotMet
 
 # Plain power series of 0F1 keeps ~1e-13 absolute accuracy up to |z| = 25
-# (largest term grows like e^{2 sqrt|z|}); beyond that the Bessel relation
-# is used.  Measured, not tunable.
+# (largest term grows like e^{2 sqrt|z|}); beyond that, unless |z| <= a,
+# the Bessel relation is used.  Measured, not tunable.
 _SERIES_SWITCH = 25.0
 
 # Least subinterval limit of the adaptive quadrature in ``ft_quadrature``.
@@ -170,9 +171,16 @@ def _real(value, r: float) -> float:
 
 def _check_dim(d: float) -> float:
     d = float(d)
-    if not d > 0.0:
-        raise DomainError(f"dimension parameter must be > 0, got {d!r}")
+    if not (d > 0.0 and math.isfinite(d)):
+        raise DomainError(f"dimension parameter must be > 0 and finite, got {d!r}")
     return d
+
+
+def _check_radius(p: float) -> float:
+    p = float(p)
+    if not (p >= 0.0 and math.isfinite(p)):
+        raise DomainError(f"p must be finite and nonnegative, got {p!r}")
+    return p
 
 
 # -- scalar special functions --------------------------------------------
@@ -181,9 +189,13 @@ def _check_dim(d: float) -> float:
 def hyp0f1(a: float, z: float) -> float:
     """Confluent limit function 0F1(a; z) for a > 0, real z.
 
-    Power series (exactly-rounded summation) for |z| <= 25; outside that
-    the Bessel relations 0F1(a;-x) = Gamma(a) x^{-(a-1)/2} J_{a-1}(2 sqrt x)
-    and its modified-Bessel mirror for z > 0.
+    Power series (exactly-rounded summation) for |z| <= max(25, a): up to
+    |z| = 25 its largest term grows like e^{2 sqrt|z|}, and where |z| <= a
+    every term is below the first.  Outside that the Bessel relations
+    0F1(a;-x) = Gamma(a) x^{-(a-1)/2} J_{a-1}(2 sqrt x) and its
+    modified-Bessel mirror for z > 0; where that product is not a double
+    (the front past the doubles, the Bessel function below the normal
+    doubles, or the value itself past them) ``DomainError`` names a and z.
     """
     a = float(a)
     z = float(z)
@@ -191,7 +203,7 @@ def hyp0f1(a: float, z: float) -> float:
         raise DomainError(f"hyp0f1 requires a > 0, got {a!r}")
     if not math.isfinite(z):
         raise DomainError(f"hyp0f1 requires finite z, got {z!r}")
-    if abs(z) <= _SERIES_SWITCH:
+    if abs(z) <= max(_SERIES_SWITCH, a):
         t = 1.0
         terms = [t]
         k = 0
@@ -206,8 +218,17 @@ def hyp0f1(a: float, z: float) -> float:
     y = 2.0 * math.sqrt(x)
     log_front = math.lgamma(a) - 0.5 * (a - 1.0) * math.log(x)
     if z < 0:
-        return math.exp(log_front) * float(special.jv(a - 1.0, y))
-    return math.exp(log_front + y) * float(special.ive(a - 1.0, y))
+        bessel = float(special.jv(a - 1.0, y))
+    else:
+        log_front += y
+        bessel = float(special.ive(a - 1.0, y))
+    try:
+        value = math.exp(log_front) * bessel
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and abs(bessel) >= 2.0**-1022):
+        raise DomainError(f"hyp0f1({a!r}, {z!r}) leaves the doubles on its Bessel route")
+    return value
 
 
 # -- closed-form transform ------------------------------------------------
@@ -253,9 +274,7 @@ def ft_gausspoly(f: GaussPoly, d: float) -> GaussPoly:
 
 def ft_closed(f: GaussPoly, p: float, d: float) -> float:
     """Closed-form transform value at radius p >= 0."""
-    p = float(p)
-    if p < 0:
-        raise DomainError(f"p must be nonnegative, got {p!r}")
+    p = _check_radius(p)
     return ft_gausspoly(f, d).eval(p)
 
 
@@ -426,62 +445,59 @@ def _gamma_bound_root(a: float, log_u: float) -> float:
     return hi  # the bracket's upper end, where the term is below log_u
 
 
-def _prefactor(d: float) -> tuple[float, float]:
-    """2 pi^{d/2} / Gamma(d/2), the constant of the transform, and a bound
-    on its relative rounding.
+def _radial_setup(f: RadialFunction, d: float, least: float, top: float
+                  ) -> tuple[float, float, float, float, float, float]:
+    """What both quadrature routes fix before they integrate f against
+    0F1(d/2; -(top r)^2): (d, R, tail, factor, base, rounding).
 
-    Up to d = 342 directly, rounded by a few ulps (bound 0).  From there
-    Gamma(d/2) is past the doubles, and the constant comes from its log,
-    rounded by about 2^-53 of the log's terms: 2e-13 at d = 344.  Past
-    d = 430 it is below the doubles, and ``DomainError`` is raised.
-    """
-    a = 0.5 * d
-    if a < 171.0:
-        return 2.0 * math.pi**a / math.gamma(a), 0.0
-    log_c = math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
-    if not log_c > math.log(2.0**-1022):
-        raise DomainError(f"the transform's constant 2 pi^(d/2)/Gamma(d/2) is below the doubles at d = {d!r}")
-    return math.exp(log_c), 2.0**-52 * (a * math.log(math.pi) + math.lgamma(a))
-
-
-def _quadrature_dim(d: float, least: float) -> float:
-    """The d at which a quadrature route runs: (d - 1) + 1, the d that the
-    double d - 1 carries.  It is d itself from d = 1/2 on, and within 2^-54
-    of d below; ``DomainError`` below the route's least d.
-
-    Both routes take r^{d-1} through d - 1 (the QAWS weight of
-    ``ft_quadrature``, the Jacobi recurrence of ``_gauss_jacobi``) and run
-    at this d throughout, so that their weight, kernel and constant agree:
-    with the weight at the rounded d and the constant at d, the weight's
-    integral near 0, about R^d/d, would err by up to 2^-54/d relative (the
-    adaptive route read 4.5e-12 off at d = 1e-5).  The transform is smooth
-    in d, so the value moves by about 2^-54 |dF/dd|.
+    - d is the d the route runs at, (d - 1) + 1: the d that the double
+      d - 1 carries, d itself from d = 1/2 on and within 2^-54 of d below;
+      ``DomainError`` below the route's least d.  Both routes take r^{d-1}
+      through d - 1 (the QAWS weight of ``ft_quadrature``, the Jacobi
+      recurrence of ``_grid._gauss_jacobi``) and run at this d throughout,
+      so that their weight, kernel and constant agree: with the weight at
+      the rounded d and the constant at d, the weight's integral near 0,
+      about R^d/d, would err by up to 2^-54/d relative (the adaptive route
+      read 4.5e-12 off at d = 1e-5).  The transform is smooth in d, so the
+      value moves by about 2^-54 |dF/dd|.
+    - The constant c = 2 pi^{d/2} / Gamma(d/2) is taken directly up to
+      d = 342, rounded by a few ulps.  From there Gamma(d/2) is past the
+      doubles, and c comes from its log, rounded by about 2^-53 of the
+      log's terms: 2e-13 at d = 344.  Past d = 430 c is below the doubles,
+      and ``DomainError`` is raised.
+    - R (``_choose_r_max``) keeps the tail, c times ``_radial_tail``, below
+      a tenth of ``_ABS_TOL``.
+    - c r^{d-1} = factor (r/base)^{d-1} on [0, R].  Where c R^{d-1} is a
+      double, base is 1 and factor c: the measure is taken directly.  Else
+      (r^{d-1} past the doubles, from d = 172 or so) base is R and factor
+      c R^{d-1}, from its log, which adds about 2^-53 of the log's terms,
+      and (r/R)^{d-1} adds d ulps.
+    - rounding bounds the relative rounding that c and the measure add.
     """
     d = _check_dim(d)
     if d < least:
         raise DomainError(f"this quadrature transform takes d >= {least!r}, got {d!r}: "
                           "below it rounding takes the measure r^(d-1) near r = 0")
-    return (d - 1.0) + 1.0
-
-
-def _measure(c: float, R: float, d: float) -> tuple[float, float, float]:
-    """(factor, base, rounding) with c r^{d-1} = factor (r/base)^{d-1} on
-    [0, R], and a bound on the relative rounding this adds.
-
-    Where c R^{d-1} is a double, base is 1 and factor c: the measure is
-    taken directly, with no added rounding.  Else (r^{d-1} past the
-    doubles, from d = 172 or so) base is R and factor c R^{d-1}, from its
-    log, which adds about 2^-53 of the log's terms, and (r/R)^{d-1} adds d
-    ulps.
-    """
+    d = (d - 1.0) + 1.0
+    a = 0.5 * d
+    if a < 171.0:
+        c, rounding = 2.0 * math.pi**a / math.gamma(a), 0.0
+    else:
+        log_c = math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
+        if not log_c > math.log(2.0**-1022):
+            raise DomainError(f"the transform's constant 2 pi^(d/2)/Gamma(d/2) is below the doubles at d = {d!r}")
+        c, rounding = math.exp(log_c), 2.0**-52 * (a * math.log(math.pi) + math.lgamma(a))
+    R = _choose_r_max(f, d, 0.1 * _ABS_TOL / c, top)
+    tail = c * _radial_tail(f, R, d, top)
     try:
-        top = c * R ** (d - 1.0)
+        factor = c * R ** (d - 1.0)
     except OverflowError:
-        top = math.inf
-    if 2.0**-1000 < top < math.inf:
-        return c, 1.0, 0.0
-    log_top = math.log(c) + (d - 1.0) * math.log(R)
-    return math.exp(log_top), R, 2.0**-52 * (abs(math.log(c)) + abs((d - 1.0) * math.log(R)) + d)
+        factor = math.inf
+    if 2.0**-1000 < factor < math.inf:
+        return d, R, tail, c, 1.0, rounding
+    log_factor = math.log(c) + (d - 1.0) * math.log(R)
+    rounding += 2.0**-52 * (abs(math.log(c)) + abs((d - 1.0) * math.log(R)) + d)
+    return d, R, tail, math.exp(log_factor), R, rounding
 
 
 def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
@@ -498,16 +514,9 @@ def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
     """
     from scipy import integrate
 
-    p = float(p)
-    if p < 0:
-        raise DomainError(f"p must be nonnegative, got {p!r}")
-    d = _quadrature_dim(d, _QAWS_LEAST_DIM)
+    p = _check_radius(p)
+    d, R, tail, factor, base, rounding = _radial_setup(f, d, _QAWS_LEAST_DIM, math.pi * p)
     a = 0.5 * d
-    prefactor, rounding = _prefactor(d)
-    R = _choose_r_max(f, d, 0.1 * _ABS_TOL / prefactor, math.pi * p)
-    tail = prefactor * _radial_tail(f, R, d, math.pi * p)
-    factor, base, measure_rounding = _measure(prefactor, R, d)
-    rounding += measure_rounding
 
     fv = f.eval
 
@@ -516,7 +525,8 @@ def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
 
     tols = {"epsabs": 0.5 * _ABS_TOL, "epsrel": 0.25 * _REL_TOL, "full_output": 1}
     if d < 1.0:  # no breakpoints with a weight: room for 4 panels a kernel period
-        res = integrate.quad(lambda r: profile_kernel(r) * prefactor, 0.0, R,
+        # base is 1 below d = 1: factor is the constant itself
+        res = integrate.quad(lambda r: profile_kernel(r) * factor, 0.0, R,
                              weight="alg", wvar=(d - 1.0, 0.0),
                              limit=max(_MAX_PANELS, math.ceil(4.0 * R * p)), **tols)
     else:

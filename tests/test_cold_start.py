@@ -237,6 +237,17 @@ def _scipy_users(module: str) -> set[tuple[str, str]]:
     return found
 
 
+def test_the_shared_grid_reads_its_setup_and_tolerances_alone_from_transform():
+    # the d, radius, tail and measure of both quadrature routes come from
+    # one place, transform._radial_setup
+    tree = ast.parse((Path(thetasum.__file__).parent / "_grid.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "tr"}
+    assert read == {"_radial_setup", "_ABS_TOL", "_REL_TOL", "RadialFunction"}
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "transform"
+                   for node in ast.walk(tree))
+
+
 def test_scipy_integrate_is_imported_only_by_ft_quadrature():
     assert _scipy_users("scipy.integrate") == {("transform", "ft_quadrature")}
 

@@ -605,6 +605,16 @@ def test_verify_refuses_a_shell_term_that_overflows():
         sm.verify(spec, tr.GaussPoly(((1e8, 0, 1.0),)), tol=1e-10)
 
 
+def test_a_bad_profile_value_is_refused_before_a_term_that_overflows():
+    # the term at r = 0, 1e300 times 1e10, overflows first in shell order;
+    # the profile's NaN from r = 2 on is still the refusal named
+    factors = (th.ThetaFactor(3, 3.0, Fraction(1)),)
+    spec = th.ThetaSpec(terms=((1e300, factors),), dim_d=3.0)
+    f = tr.Sampled(lambda r: 1e10 if r < 2.0 else math.nan, decay_hint=(1e10, 1.0))
+    with pytest.raises(DomainError, match=r"radial profile is nan at r = 2\.0$"):
+        sm.lhs_sum(spec, f, 1e-10)
+
+
 # theta3(q)^1.7 theta4(q^3)^0.8: its dual has a theta2(q^{1/3})^0.8 factor
 MIXED_SCALE_3 = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 1.7, Fraction(1)),
                                            th.ThetaFactor(4, 0.8, Fraction(3)))),), dim_d=2.5)

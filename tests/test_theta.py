@@ -603,6 +603,12 @@ def test_coeff_bound_majorizes_counts(d):
         assert counts[l] <= th.coeff_bound(d, l)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+def test_coeff_bound_refuses_a_dimension_that_is_not_finite_and_positive(d):
+    with pytest.raises(DomainError, match="finite d > 0"):
+        th.coeff_bound(d, 3)
+
+
 def test_coeff_bound_grows_subexponentially():
     # log bound is o(l): ratio at successive doublings shrinks
     r1 = math.log(th.coeff_bound(3, 50)) / 50

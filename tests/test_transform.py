@@ -38,6 +38,26 @@ def test_hyp0f1_routes_agree_near_switch(a, x):
         assert tr.hyp0f1(a, z) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("a, z", [(400.0, -26.0), (400.0, 26.0), (400.0, -399.0),
+                                  (200.0, -30.0), (172.0, -26.0)])
+def test_hyp0f1_takes_the_series_where_every_term_is_below_the_first(a, z):
+    # past |z| = 25 but within |z| <= a: the Bessel relation's front
+    # Gamma(a) x^{-(a-1)/2} passed the doubles at a = 400 although the value
+    # is O(1), and special.jv erred by 1.1e-13 at (200, -30); the exactly
+    # rounded series matches mpmath to the last bit
+    with mp.workdps(40):
+        want = float(mp.hyp0f1(a, z))
+    assert tr.hyp0f1(a, z) == want
+
+
+@pytest.mark.parametrize("a, z", [(400.0, -450.0), (2.5, 3e5)])
+def test_hyp0f1_refuses_a_bessel_product_past_the_doubles(a, z):
+    # J_399(2 sqrt 450) underflows although the value is 0.324; at
+    # (2.5, 3e5) the value itself is past the doubles
+    with pytest.raises(DomainError, match=f"hyp0f1\\({a!r}, {z!r}\\)"):
+        tr.hyp0f1(a, z)
+
+
 def test_gausspoly_eval_vectorized():
     f = tr.GaussPoly(((2.0, 1, 0.5),))
     r = np.array([0.0, 1.0, 2.0])
@@ -246,7 +266,7 @@ def test_dimension_gate():
     # one rule, d > 0, with no switch
     want = math.pi**0.25 * math.exp(-(math.pi * 0.5) ** 2)
     assert tr.ft_closed(GAUSS, 0.5, 0.5) == pytest.approx(want, rel=1e-14)
-    for d in (0.0, -0.5, math.nan):
+    for d in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="dimension parameter must be > 0"):
             tr.ft_gausspoly(GAUSS, d)
         for route in (lambda: tr.ft_quadrature(GAUSS, 0.5, d),
@@ -324,6 +344,10 @@ def test_shared_grid_bounds_the_tail_at_a_small_gamma_order(d):
 def test_negative_radius_rejected():
     with pytest.raises(DomainError):
         tr.ft_quadrature(GAUSS, -0.1, 2.0)
+    for p in (-0.1, math.nan, math.inf):
+        for route in (tr.ft_quadrature, tr.ft_closed, tr.eigen_residual):
+            with pytest.raises(DomainError, match="p must be finite and nonnegative"):
+                route(GAUSS, p, 2.5)
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
@@ -410,7 +434,8 @@ def test_choosing_the_radius_takes_microseconds():
     import time
 
     f = tr.Sampled(math.exp, decay_hint=(1.0, 1.0))
-    budget = 0.1 * tr._ABS_TOL / tr._prefactor(2.7)[0]
+    _, _, _, prefactor, _, _ = tr._radial_setup(f, 2.7, 1.0, 0.0)  # base 1: the factor is the constant
+    budget = 0.1 * tr._ABS_TOL / prefactor
     best = math.inf
     for _ in range(200):
         t0 = time.perf_counter()
@@ -484,7 +509,7 @@ def test_adaptive_oracle_never_reaches_the_shared_grid_kernel(monkeypatch):
         raise AssertionError("ft_quadrature called the shared-grid kernel")
 
     monkeypatch.setattr(gr, "_kernel", refuse)
-    monkeypatch.setattr(gr, "_hankel", refuse)
+    monkeypatch.setattr(gr, "_hankel_panels", refuse)
     monkeypatch.setattr(gr, "_near_kernel", refuse)
     monkeypatch.setattr(gr, "_miller_norms", refuse)
     for d in (1.9, 3.5):
@@ -749,7 +774,7 @@ def test_panel_kernel_matches_the_kernel(a):
     theta = np.outer(turn, h * np.arange(200, 260))
     z = theta[:, None, :] + phi[:, :, None]
     got = np.concatenate([gr._hankel_panels(a, t, theta, phi) for t in tiers], axis=1)
-    want = np.concatenate([gr._hankel(a, 0.5 * z, t) for t in tiers], axis=1)
+    want = np.concatenate([gr._kernel(a, 0.5 * z)] * len(tiers), axis=1)
     envelope = math.gamma(a) / math.sqrt(math.pi) * (0.5 * z) ** (0.5 - a)
     envelope = np.concatenate([envelope] * len(tiers), axis=1)
     zz = np.concatenate([z] * len(tiers), axis=1)
@@ -788,6 +813,10 @@ def test_shared_grid_rejects_bad_input():
         gr.ft_quadrature_many(nan, [0.0, 1.0], 2.0)
     values, errors = gr.ft_quadrature_many(GAUSS, [], 2.0)
     assert values.size == errors.size == 0
+    with pytest.raises(DomainError, match="dimension parameter must be > 0"):
+        gr.ft_quadrature_many(GAUSS, [], 0.0)
+    with pytest.raises(DomainError, match="takes d >="):
+        gr.ft_quadrature_many(GAUSS, [], 1e-13)
 
 
 def test_shared_grid_refuses_a_transform_that_overflows():
