@@ -438,9 +438,10 @@ def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> t
     f is evaluated once, on two composite Gauss rules of different order
     (``_RULE_ORDERS``) over the same panels of [0, R], each panel at most
     one kernel period 1/max(ps) wide; d, R, its tail bound and the measure
-    come from ``transform._radial_setup``, as in ``ft_quadrature``.  The error estimate of each radius is the difference
-    of the two rules, plus a rounding floor (a few ulps of the absolute sum,
-    and the rounding of the kernel phase pi p r), plus the radial tail.
+    come from ``transform._radial_setup``, as in ``ft_quadrature``.  The
+    error estimate of each radius is the difference of the two rules, plus
+    a rounding floor (a few ulps of the absolute sum, and the rounding of
+    the kernel phase pi p r), plus the radial tail.
 
     The radii are taken in chunks of about ``_KERNEL_CHUNK`` kernel
     entries.  In a chunk, the panels on which every node lies at or above
