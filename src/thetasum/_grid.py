@@ -464,12 +464,7 @@ def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> t
     h = R / panels
 
     offsets, nodes, wf = _composite_rule(R, panels, d, factor, base)
-    fv = np.asarray(f.eval(nodes.ravel()), dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(fv))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(f"radial profile is {fv[i]} at r = {float(nodes.flat[i])!r}")
-    wf *= fv.reshape(nodes.shape)[:, :, None]
+    wf *= f.eval(nodes.ravel()).reshape(nodes.shape)[:, :, None]
     wf = wf.reshape(-1, 2)
 
     sums = np.zeros((ps.size, 2))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import operator
 
 
 class ThetasumError(Exception):
@@ -39,3 +41,15 @@ class IllConditioned(ThetasumError, RuntimeError):
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
+
+
+def _whole(value, name: str, least: int) -> int:
+    """value as an int where it is an ``int`` or a numpy integer >= least;
+    else, a bool or any float (2.0 too) included, ``DomainError``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = least - 1
+    if n < least or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, ToleranceNotMet
+from .errors import DomainError, IllConditioned, ToleranceNotMet, _whole
 
 _PANEL_CAP = 400
 
@@ -31,9 +31,7 @@ def hermite_h(n: int, x):
 
     Recurrence: h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}.
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
+    n = _whole(n, "order", 0)
     xa = np.asarray(x, dtype=np.float64)
     h_prev = np.pi**-0.25 * np.exp(-0.5 * xa * xa)
     if n == 0:
@@ -58,9 +56,7 @@ def gaussian_hermite_coeff(alpha: float, n: int) -> float:
     Requires alpha > -1/2 for integrability.
     """
     alpha = float(alpha)
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
+    n = _whole(n, "order", 0)
     if not (math.isfinite(alpha) and alpha > -0.5):
         raise DomainError(f"alpha must exceed -1/2, got {alpha!r}")
     if n % 2 == 1:
@@ -105,9 +101,7 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
     to meet abs_tol: within 0.7% of a panel's width of its edge it lies
     outside both rules' nodes, and neither rule sees it.
     """
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
+    n = _whole(n, "order", 0)
     abs_tol = float(abs_tol)
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise DomainError(f"abs_tol must be finite and positive, got {abs_tol!r}")
@@ -190,7 +184,7 @@ def gaussian_span_fit(f: Callable[[float], float], alphas: Sequence[float],
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size == 0 or np.any(alphas <= 0):
         raise DomainError("alphas must be a nonempty list of positive rates")
-    x = np.linspace(0.0, x_max, int(n_grid))
+    x = np.linspace(0.0, x_max, _whole(n_grid, "n_grid", 1))
     A = np.exp(-np.outer(x * x, alphas))
     y = np.array([f(float(xi)) for xi in x])
     condition = float(np.linalg.cond(A))

@@ -24,6 +24,7 @@ from .errors import (
     NegativeExponent,
     OffsetMismatch,
     ZeroLeadingCoefficient,
+    _whole,
 )
 
 # Offsets are compared against the integer grid at this absolute slack;
@@ -38,9 +39,7 @@ class QSeries:
     __slots__ = ("denom_V", "offset_A", "coeffs")
 
     def __init__(self, denom_V: int, offset_A: float, coeffs):
-        if not isinstance(denom_V, (int, np.integer)) or denom_V < 1:
-            raise DomainError(f"denom_V must be a positive integer, got {denom_V!r}")
-        V = int(denom_V)
+        V = _whole(denom_V, "denom_V", 1)
         arr = np.asarray(coeffs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("coefficient sequence must be nonempty and one-dimensional")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import theta as th
 from . import transform as tr
-from .errors import CoefficientOverflow, DomainError, ToleranceNotMet
+from .errors import CoefficientOverflow, DomainError, ToleranceNotMet, _whole
 from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled
 
@@ -59,8 +59,6 @@ def _majorant(f: RadialFunction, d: float):
     (``theta._coeff_growth``), in logs.  A term with no nonzero shell, or an
     envelope term with c = 0, adds none.
     """
-    if not isinstance(f, (GaussPoly, Sampled)):
-        raise TypeError("radial profile must be GaussPoly or Sampled")
     envelope = [(math.log(c), k, alpha) for c, k, alpha in tr._tail_envelope(f) if c > 0.0]
 
     def tail(side, terms, errors):
@@ -166,10 +164,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(L_cap, (int, np.integer)) or isinstance(L_cap, bool):
-        raise DomainError(f"L_cap must be an integer, got {L_cap!r}")
-    if L_cap < 1:
-        raise DomainError(f"L_cap must be >= 1, got {L_cap!r}")
+    L_cap = _whole(L_cap, "L_cap", 1)
     L = min(32, L_cap)
     while True:
         side = th.side(spec, L)
@@ -178,11 +173,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
             values, errors = values[side.at], errors[side.at]
         with np.errstate(over="ignore"):  # refused just below
             terms = side.N * values
-        if not np.isfinite(terms).all():  # a bad profile value is refused before an overflow
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                i = bad[0]
-                raise DomainError(f"radial profile is {values[i]} at r = {float(np.sqrt(side.A[i]))!r}")
+        if not np.isfinite(terms).all():  # the profile refused its own non-finite values
             i = np.flatnonzero(~np.isfinite(terms))[0]
             raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
         errors = np.abs(side.N) * errors

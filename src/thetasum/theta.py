@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CoefficientOverflow, DomainError
+from .errors import CoefficientOverflow, _whole
 from . import qseries as qs
 from .qseries import QSeries
 from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
@@ -48,9 +48,7 @@ def theta_series(kind: int, L: int) -> QSeries:
     kind 4: 1 + 2 sum_{l>=1} (-1)^l q^{l^2}
     """
     _partner(kind)
-    L = int(L)
-    if L < 0:
-        raise DomainError(f"order must be nonnegative, got {L}")
+    L = _whole(L, "order", 0)
     if kind == 2:
         out = np.zeros(4 * L + 1)
         l = 1
@@ -208,9 +206,7 @@ def _clear_builders() -> None:
 
 def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _TermBuilder, np.ndarray]]:
     """Each term's coefficient times its 2^a prefactor, builder, and ``coeffs(L)``."""
-    L = int(L)
-    if L < 0:
-        raise DomainError(f"order must be nonnegative, got {L}")
+    L = _whole(L, "order", 0)
     builders = [(coeff, _builder(factors)) for coeff, factors in spec.terms]
     return [(coeff * term.prefactor, term, term.coeffs(L)) for coeff, term in builders]
 
@@ -297,7 +293,7 @@ def side(spec: ThetaSpec, L: int) -> Side:
     each term's growth constant: all a shell sum derives from the spec at
     order L.  Kept in the process cache next to the builders, so a later
     sum of the same spec at that order lists, sorts and measures nothing."""
-    L = int(L)
+    L = _whole(L, "order", 0)
     key = _side_key(spec, L)
     with _cache_lock:
         kept = _cache.get(key)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet, _whole
 
 # Plain power series of 0F1 keeps ~1e-13 absolute accuracy up to |z| = 25
 # (largest term grows like e^{2 sqrt|z|}); beyond that, unless |z| <= a,
@@ -78,10 +78,7 @@ class GaussPoly:
                 raise DomainError("non-finite GaussPoly term")
             if alpha <= 0:
                 raise DomainError(f"Gaussian rate must be positive, got {alpha!r}")
-            kk = int(k)
-            if kk != k or kk < 0:
-                raise DomainError(f"polynomial degree must be an integer >= 0, got {k!r}")
-            norm.append((c, kk, alpha))
+            norm.append((c, _whole(k, "polynomial degree", 0), alpha))
         if not norm:
             raise DomainError("GaussPoly without terms")
         object.__setattr__(self, "terms", tuple(norm))
@@ -136,8 +133,9 @@ class Sampled:
         object.__setattr__(self, "decay_hint", (scale, rate))
 
     def eval(self, r):
-        """fn at each r, as doubles.  A value that is not a real number
-        (complex, or no number at all) raises ``DomainError`` naming r."""
+        """fn at each r, as doubles.  The first value that is not a finite real
+        number (complex, NaN, infinite or none) raises ``DomainError`` naming
+        its r: a complex value is refused, not cut to its real part."""
         arr = np.asarray(r, dtype=np.float64)
         radii = arr.ravel().tolist()
         values = list(map(self.fn, radii))
@@ -145,8 +143,13 @@ class Sampled:
             out = np.asarray(values)
         except ValueError:  # values of different shapes
             out = np.asarray(values, dtype=object)
-        if out.shape != (len(radii),) or out.dtype.kind not in "biuf":
-            out = np.array([_real(v, x) for v, x in zip(values, radii)])
+        if out.shape != (len(radii),) or out.dtype.kind not in "biuf" or not np.isfinite(out).all():
+            for v, x in zip(values, radii):
+                try:
+                    if np.iscomplexobj(v) or not math.isfinite(v):
+                        raise TypeError
+                except (TypeError, ValueError):
+                    raise DomainError(f"radial profile is {v} at r = {x!r}") from None
         out = out.astype(np.float64, copy=False)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
@@ -155,18 +158,6 @@ class Sampled:
 
 
 RadialFunction = Union[GaussPoly, Sampled]
-
-
-def _real(value, r: float) -> float:
-    """A profile value as a float, or ``DomainError`` naming r where it is
-    not a real number: complex values are refused, not cut to their real
-    part."""
-    if not np.iscomplexobj(value):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise DomainError(f"radial profile is {value!r} at r = {r!r}, not a real number")
 
 
 def _check_dim(d: float) -> float:
@@ -286,9 +277,7 @@ def laplacian_d(f: GaussPoly, d: float, n: int = 1) -> GaussPoly:
     all times e^{-a r^2}.
     """
     d = float(d)
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
+    n = _whole(n, "repetition count", 0)
     terms = f.terms
     for _ in range(n):
         acc: dict[tuple[int, float], float] = {}
@@ -322,11 +311,14 @@ class FTResult(NamedTuple):
 
 
 def _tail_envelope(f: RadialFunction) -> list[tuple[float, int, float]]:
-    """(|c|, k, alpha) majorant terms for |f|."""
+    """(|c|, k, alpha) majorant terms for |f|.  Every route reads them here, so
+    this is where anything but a ``GaussPoly`` or a ``Sampled`` is refused."""
     if isinstance(f, GaussPoly):
         return [(abs(c), k, alpha) for c, k, alpha in f.terms]
-    scale, rate = f.decay_hint
-    return [(scale, 0, rate)]
+    if isinstance(f, Sampled):
+        scale, rate = f.decay_hint
+        return [(scale, 0, rate)]
+    raise TypeError("radial profile must be GaussPoly or Sampled")
 
 
 def _kernel_bound(d: float, top: float) -> list[tuple[float, float]]:
