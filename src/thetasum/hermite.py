@@ -153,15 +153,30 @@ def _panel_sums(f: Callable[[float], float], n: int,
     w[x_lo.size:, 1] = w_hi
     half = 0.5 * (hi - lo)[:, None]
     nodes = 0.5 * (lo + hi)[:, None] + half * x
-    fv = np.array([f(t) for t in nodes.ravel().tolist()], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(fv))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(f"profile is {fv[i]} at x = {float(nodes.flat[i])!r}")
-    g = fv.reshape(nodes.shape) * hermite_h(n, nodes)
+    g = _profile_values(f, nodes) * hermite_h(n, nodes)
     q = half * (g @ w)
     mags = half[:, 0] * (np.abs(g) @ w[:, 1])
     return np.column_stack([q[:, 1], np.abs(q[:, 1] - q[:, 0]), mags])
+
+
+def _profile_values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f at each point of x, as doubles in x's shape.  The first value that is
+    not a finite real number (complex, NaN, infinite or none) raises
+    ``DomainError`` naming its x, as ``transform.Sampled.eval`` does."""
+    xs = x.ravel().tolist()
+    values = [f(t) for t in xs]
+    try:
+        out = np.asarray(values)
+    except ValueError:  # values of different shapes
+        out = np.asarray(values, dtype=object)
+    if out.shape != (len(xs),) or out.dtype.kind not in "biuf" or not np.isfinite(out).all():
+        for v, t in zip(values, xs):
+            try:
+                if np.iscomplexobj(v) or not math.isfinite(v):
+                    raise TypeError
+            except (TypeError, ValueError):
+                raise DomainError(f"profile is {v} at x = {t!r}") from None
+    return out.astype(np.float64, copy=False).reshape(x.shape)
 
 
 class FitResult(NamedTuple):
@@ -182,11 +197,14 @@ def gaussian_span_fit(f: Callable[[float], float], alphas: Sequence[float],
     refuses with IllConditioned rather than return noise.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
-    if alphas.size == 0 or np.any(alphas <= 0):
-        raise DomainError("alphas must be a nonempty list of positive rates")
+    if alphas.size == 0 or not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise DomainError("alphas must be a nonempty list of finite positive rates")
+    x_max = float(x_max)
+    if not (math.isfinite(x_max) and x_max > 0.0):
+        raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
     x = np.linspace(0.0, x_max, _whole(n_grid, "n_grid", 1))
     A = np.exp(-np.outer(x * x, alphas))
-    y = np.array([f(float(xi)) for xi in x])
+    y = _profile_values(f, x)
     condition = float(np.linalg.cond(A))
     if cond_cap is not None and condition > cond_cap and regularization == 0.0:
         raise IllConditioned(

@@ -51,6 +51,19 @@ def test_negative_order_rejected():
         hm.hermite_h(-1, 0.0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("call", [
+    lambda n: hm.hermite_h(n, 0.3),
+    lambda n: hm.gaussian_hermite_coeff(1.0, n),
+    lambda n: hm.hermite_coeff_quadrature(lambda x: math.exp(-x * x), n),
+    lambda n: hm.gaussian_span_fit(lambda x: math.exp(-x * x), [1.0], n_grid=n),
+], ids=["hermite_h", "closed", "quadrature", "span_fit-n_grid"])
+def test_orders_and_grid_sizes_must_be_integers(call, n):
+    # hermite_h(2.5, x) was hermite_h(2, x), and True was read as 1
+    with pytest.raises(DomainError, match="must be an integer >= "):
+        call(n)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("n", list(range(0, 13)))
 def test_closed_form_matches_quadrature(alpha, n):
@@ -115,8 +128,11 @@ _GAUSS = lambda x: math.exp(-x * x)
     (_GAUSS, {"abs_tol": float("nan")}), (_GAUSS, {"abs_tol": float("inf")}),
     (lambda x: float("nan") if x > 1.0 else 1.0, {}),
     (lambda x: math.inf, {}),
+    (lambda x: complex(math.exp(-x * x)), {}),
+    (lambda x: np.complex128(math.exp(-x * x)), {}),
 ], ids=["x_max-negative", "x_max-zero", "x_max-nan", "x_max-inf", "abs_tol-zero",
-        "abs_tol-negative", "abs_tol-nan", "abs_tol-inf", "profile-nan", "profile-inf"])
+        "abs_tol-negative", "abs_tol-nan", "abs_tol-inf", "profile-nan", "profile-inf",
+        "profile-complex", "profile-numpy-complex"])
 def test_quadrature_rejects_bad_input(f, kwargs):
     # x_max = -3 used to integrate from 3 to -3 and flip the sign of the answer
     with pytest.raises(DomainError, match="x_max|abs_tol|at x = "):
@@ -210,3 +226,20 @@ def test_span_fit_rejects_bad_rates():
         hm.gaussian_span_fit(lambda x: 1.0, [])
     with pytest.raises(DomainError):
         hm.gaussian_span_fit(lambda x: 1.0, [1.0, -2.0])
+    for bad in (math.inf, math.nan):  # numpy's LinAlgError or overflow before
+        with pytest.raises(DomainError, match="alphas"):
+            hm.gaussian_span_fit(lambda x: 1.0, [1.0, bad])
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (_GAUSS, {"x_max": float("nan")}), (_GAUSS, {"x_max": float("inf")}),
+    (_GAUSS, {"x_max": 0.0}), (_GAUSS, {"x_max": -3.0}),
+    (lambda x: float("nan") if x > 1.0 else 1.0, {}),
+    (lambda x: complex(math.exp(-x * x)), {}),
+    (lambda x: np.complex128(math.exp(-x * x)), {}),
+], ids=["x_max-nan", "x_max-inf", "x_max-zero", "x_max-negative", "profile-nan",
+        "profile-complex", "profile-numpy-complex"])
+def test_span_fit_rejects_bad_input(f, kwargs):
+    # the profile's NaN or complex values went into the coefficients
+    with pytest.raises(DomainError, match="x_max|at x = "):
+        hm.gaussian_span_fit(f, [0.5, 1.0, 2.0], **kwargs)
