@@ -44,8 +44,8 @@ class IllConditioned(ThetasumError, RuntimeError):
 
 
 def _whole(value, name: str, least: int) -> int:
-    """value as an int where it is an ``int`` or a numpy integer >= least;
-    else, a bool or any float (2.0 too) included, ``DomainError``."""
+    """value as an int if it is an ``int`` or numpy integer >= least; anything
+    else, a bool and every float (2.0 too) included, raises ``DomainError``."""
     try:
         n = operator.index(value)
     except TypeError:

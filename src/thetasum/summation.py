@@ -173,7 +173,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
             values, errors = values[side.at], errors[side.at]
         with np.errstate(over="ignore"):  # refused just below
             terms = side.N * values
-        if not np.isfinite(terms).all():  # the profile refused its own non-finite values
+        if not np.isfinite(terms).all():  # values are finite (profiles refuse the rest)
             i = np.flatnonzero(~np.isfinite(terms))[0]
             raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
         errors = np.abs(side.N) * errors

@@ -248,6 +248,35 @@ def test_the_shared_grid_reads_its_setup_and_tolerances_alone_from_transform():
                    for node in ast.walk(tree))
 
 
+def test_each_input_decision_has_one_owner():
+    # errors._whole checks every order, degree and count: no function floors
+    # a parameter with int() (coeff_bound takes build's float exponents);
+    # Sampled.eval alone refuses a profile value, and transform alone tells
+    # the two profile types apart
+    casts, message, both = set(), set(), set()
+    for path in Path(thetasum.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if "radial profile is" in text:
+            message.add(path.stem)
+        tested = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+                if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "int" and call.args
+                       and isinstance(call.args[0], ast.Name) and call.args[0].id in params
+                       for call in ast.walk(node)):
+                    casts.add((path.stem, node.name))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                tested |= {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.args[1])}
+        if {"GaussPoly", "Sampled"} <= tested:
+            both.add(path.stem)
+    assert casts == {("spec", "coeff_bound")}
+    assert message == {"transform"}
+    assert both == {"transform"}
+
+
 def test_scipy_integrate_is_imported_only_by_ft_quadrature():
     assert _scipy_users("scipy.integrate") == {("transform", "ft_quadrature")}
 

@@ -254,6 +254,13 @@ def test_evaluate_tail_is_honest():
     assert abs(res.value - exact) <= res.tail
 
 
+@pytest.mark.parametrize("V", [True, 0, 2.0, "2"])
+def test_denominator_must_be_an_integer_of_at_least_one(V):
+    # True was read as 1
+    with pytest.raises(DomainError, match="denom_V must be an integer >= 1"):
+        qs.QSeries(V, 0.0, [1.0])
+
+
 def test_evaluate_domain():
     a = theta3_series(9)
     for bad in (0.0, 1.0, 1.5, -0.2):

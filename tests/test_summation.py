@@ -114,7 +114,8 @@ def test_wide_gaussian_verifies_at_noninteger_dimension(name, d, tol):
 @pytest.mark.parametrize("side", [
     lambda spec, f: sm.verify(spec, f),
     lambda spec, f: sm.rhs_sum(spec, f, 1e-10),
-], ids=["verify", "rhs_sum"])
+    lambda spec, f: tr.ft_quadrature(f, 0.5, spec.dim_d),
+], ids=["verify", "rhs_sum", "ft_quadrature"])
 def test_non_finite_profile_fails_fast(side):
     f = tr.Sampled(lambda r: math.nan, decay_hint=(1.0, 1.0))
     t0 = time.perf_counter()
@@ -669,6 +670,18 @@ def test_majorant_refuses_a_profile_it_cannot_bound(monkeypatch):
     monkeypatch.setattr(th, "_TermBuilder", _no_build)
     with pytest.raises(TypeError, match="GaussPoly or Sampled"):
         sm.lhs_sum(th.preset("zd", 2), lambda r: math.exp(-r * r), 1e-10)
+
+
+@pytest.mark.parametrize("route", [
+    lambda f: sm.rhs_sum(th.preset("zd", 2), f, 1e-10),
+    lambda f: tr.ft_quadrature(f, 0.5, 2.0),
+    lambda f: gr.ft_quadrature_many(f, [0.0, 0.5], 2.0),
+], ids=["rhs_sum", "ft_quadrature", "ft_quadrature_many"])
+def test_every_route_refuses_a_profile_of_neither_type(route):
+    # each reads the profile's envelope in transform._tail_envelope, which
+    # names the two types; a bare callable has no decay hint to bound it by
+    with pytest.raises(TypeError, match="GaussPoly or Sampled"):
+        route(lambda r: math.exp(-r * r))
 
 
 def _decay_windows(near, far):

@@ -48,6 +48,20 @@ def test_theta_series_rejects_bad_kind():
         th.theta_series(1, 10)
 
 
+@pytest.mark.parametrize("L", [2.7, 2.0, True, "4"])
+@pytest.mark.parametrize("call", [
+    lambda L: th.theta_series(3, L),
+    lambda L: th.build(th.preset("zd", 2), L),
+    lambda L: th.shells(th.preset("zd", 2), L),
+    lambda L: th.side(th.preset("zd", 2), L),
+    lambda L: th.coeff_table(th.preset("zd", 2), L),
+], ids=["theta_series", "build", "shells", "side", "coeff_table"])
+def test_an_order_that_is_not_an_integer_is_refused(call, L):
+    # these were floored, read True as 1, or crashed inside numpy (build at 2.7)
+    with pytest.raises(DomainError, match="order must be an integer >= 0"):
+        call(L)
+
+
 @pytest.mark.parametrize("kind", [2, 3, 4])
 @pytest.mark.parametrize("q", [0.02, 0.1, 0.3, 0.5])
 def test_product_form_matches_series(kind, q):

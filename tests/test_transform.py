@@ -69,6 +69,16 @@ def test_gausspoly_validation():
         tr.GaussPoly(((1.0, 0, -1.0),))
     with pytest.raises(DomainError):
         tr.GaussPoly(((1.0, -2, 1.0),))
+    for k in (True, 2.0):  # read as degree 1 and 2
+        with pytest.raises(DomainError, match="polynomial degree must be an integer >= 0"):
+            tr.GaussPoly(((1.0, k, 1.0),))
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "1"])
+def test_laplacian_count_must_be_an_integer(n):
+    # 1.5 was applied once, True once and "1" once
+    with pytest.raises(DomainError, match="repetition count must be an integer >= 0"):
+        tr.laplacian_d(GAUSS, 2.0, n)
 
 
 def test_sampled_eval_gives_the_profile_bit_for_bit():
@@ -83,8 +93,9 @@ def test_sampled_eval_gives_the_profile_bit_for_bit():
     assert f.eval(np.float32(0.5)) == fn(0.5)
 
 
-@pytest.mark.parametrize("bad", [1.0 + 2.0j, np.complex128(1.0 + 2.0j), "a", [1.0]],
-                         ids=["complex", "numpy-complex", "text", "list"])
+@pytest.mark.parametrize("bad", [1.0 + 2.0j, np.complex128(1.0 + 2.0j), "a", [1.0],
+                                 math.nan, math.inf, np.float64(-math.inf)],
+                         ids=["complex", "numpy-complex", "text", "list", "nan", "inf", "numpy-minus-inf"])
 def test_sampled_eval_refuses_a_value_that_is_no_real_number(bad):
     # the first radius past 0.5 is 0.75: the error names it; a complex value
     # is refused, not cut to its real part behind numpy's ComplexWarning
@@ -587,13 +598,12 @@ def test_kernel_matches_mpmath_hyp0f1(d):
     # shared grid for p = 64, with R the radius the grid takes for the cusp.
     # The error is measured against the kernel envelope
     # Gamma(a)/sqrt(pi) x^{1/2-a}: within 1.1e-14 of it, or no worse than
-    # special.jv where that itself misses the bar (past d = 30, between the
-    # turning point and the Hankel start; d = 40 is all special.jv).  At
-    # d = 2, special.j0 is within 1e-15 of the envelope below x = 12; above,
-    # its argument reduction errs like the rounding of x itself, so it is
-    # held to the 2 eps x^{1/2} per entry that the rounding floor of
-    # ft_quadrature_many budgets for the phase (3.1e-14 of the envelope at
-    # x = 390 is a quarter of that).
+    # scipy's special.jv where that itself misses the bar (past d = 30,
+    # between the turning point and the Hankel start).  special.jv is only
+    # the yardstick: the grid calls no scipy at any d.  At d = 2 the bar
+    # also admits the 2 eps x^{1/2} per entry that the rounding floor of
+    # ft_quadrature_many budgets for the rounding of the phase; there the
+    # kernel measured within 1.6e-15 of the envelope on the whole range.
     a = 0.5 * d
     starts = [0.5 * gr._HANKEL_SWITCH, 0.5 * min(gr._hankel_tiers(a - 1.0)[0].start, 200.0)]
     prefactor = 2.0 * math.pi**a / math.gamma(a)
@@ -704,7 +714,8 @@ def test_recurrence_mixing_the_ends_of_the_near_region_stays_finite():
 @pytest.mark.parametrize("d", [1.5, 1.9, 2.7, 3.5, 8.0])
 def test_shared_grid_never_calls_jv(d, monkeypatch):
     # below the Hankel start the shared grid runs the series and Miller's
-    # recurrence on numpy; special.jv is left to hyp0f1 and d > 39
+    # recurrence on numpy; special.jv is left to hyp0f1, and the grid calls
+    # no scipy at any d (test_cold_start pins its imports)
     def refuse(*args):
         raise AssertionError("the shared grid called special.jv")
 
@@ -811,6 +822,8 @@ def test_shared_grid_rejects_bad_input():
     nan = tr.Sampled(lambda r: math.nan, decay_hint=(1.0, 1.0))
     with pytest.raises(DomainError):
         gr.ft_quadrature_many(nan, [0.0, 1.0], 2.0)
+    with pytest.raises(TypeError, match="GaussPoly or Sampled"):
+        gr.ft_quadrature_many(lambda r: math.exp(-r * r), [0.0, 1.0], 2.0)
     values, errors = gr.ft_quadrature_many(GAUSS, [], 2.0)
     assert values.size == errors.size == 0
     with pytest.raises(DomainError, match="dimension parameter must be > 0"):
