@@ -153,7 +153,7 @@ def cmd_jacobi_check(args: argparse.Namespace) -> int:
     ts = _parse_floats(args.t, "--t")
     rows = [
         {"kind": kind, "t": t, "residual": sp.jacobi_residual(kind, t)}
-        for kind in sp.PARTNERS
+        for kind in sp.KINDS
         for t in ts
     ]
     _emit_rows(rows, ("kind", "t", "residual"), args)

@@ -6,11 +6,11 @@ A spec describes a finite linear combination of products of theta factors
     sum_i c_i * prod_m theta_{kind}(q^{scale})^{power}
 
 with real nonnegative powers summing to the dimension parameter d in every
-term.  This module holds the spec types and their JSON form, the named
-presets, ``dual`` (the modular transformation rule, factor by factor), the
-product form of a single theta value and the modular-relation residual
-built on it.  It imports no numpy: a command that only dualises a spec or
-checks the modular relation loads nothing else of the package.
+term.  This module holds ``KINDS``, the one table of the theta kinds, the
+spec types and their JSON form, the named presets, ``dual`` (the modular
+transformation rule, factor by factor), the product form of a single theta
+value and the modular-relation residual built on it.  It imports no numpy:
+a command that only dualises a spec or checks the modular relation loads nothing else of the package.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidSpec, ToleranceNotMet
 
@@ -30,25 +32,43 @@ _POWER_SUM_TOL = 1e-12
 # for q up to about 1 - 2e-4 (jacobi_residual up to t ~ 1.6e4).
 _PRODUCT_FACTOR_CAP = 100000
 
-# The theta kinds, each with its partner under Jacobi's relation: 2 <-> 4
-# swap, 3 stays (``dual``, ``jacobi_residual``).
-PARTNERS = {2: 4, 3: 3, 4: 2}
+
+class Kind(NamedTuple):
+    """A theta kind: its partner under Jacobi's relation (``dual``,
+    ``jacobi_residual``) and its Jacobi triple product
+    theta(q) = 2^two q^shift prod_{m>=1} (1 - q^{2m}) (1 + sign q^{2m-odd})^2."""
+    partner: int
+    two: int
+    shift: float
+    odd: int
+    sign: int
+
+
+KINDS = {  # 2 <-> 4 swap under Jacobi's relation, 3 stays
+    2: Kind(partner=4, two=1, shift=0.25, odd=0, sign=1),
+    3: Kind(partner=3, two=0, shift=0.0, odd=1, sign=1),
+    4: Kind(partner=2, two=0, shift=0.0, odd=1, sign=-1),
+}
+
+
+def _kind(kind, error: type = DomainError) -> int:
+    """kind as a plain int if it is an integer (numpy's too) that keys
+    ``KINDS``; 3.0, True or "3" raise ``error``."""
+    if not isinstance(kind, numbers.Integral) or kind not in KINDS:
+        raise error(f"kind must be 2, 3 or 4, got {kind!r}")
+    return operator.index(kind)
 
 
 @dataclass(frozen=True)
 class ThetaFactor:
-    """One factor theta_kind(q^scale)^power with kind in {2, 3, 4}."""
+    """One factor theta_kind(q^scale)^power with kind a key of ``KINDS``."""
 
     kind: int
     power: float
     scale: Fraction
 
     def __post_init__(self):
-        # integers only, so the JSON round-trips: 3.0 and True raise; numpy's
-        # integer types register as numbers.Integral
-        if not isinstance(self.kind, numbers.Integral) or self.kind not in PARTNERS:
-            raise InvalidSpec(f"kind must be 2, 3 or 4, got {self.kind!r}")
-        object.__setattr__(self, "kind", int(self.kind))
+        object.__setattr__(self, "kind", _kind(self.kind, InvalidSpec))  # so the JSON round-trips
         p = float(self.power)
         if not math.isfinite(p) or p < 0:
             raise InvalidSpec(f"power must be a finite real >= 0, got {self.power!r}")
@@ -184,21 +204,9 @@ def preset(name: str, d: float) -> ThetaSpec:
 # -- single theta values -------------------------------------------------
 
 
-def _partner(kind) -> int:
-    """The partner of a theta kind in ``PARTNERS``; ``DomainError`` for any
-    other kind."""
-    try:
-        return PARTNERS[kind]
-    except (KeyError, TypeError):  # TypeError: a kind that is no dict key
-        raise DomainError(f"kind must be 2, 3 or 4, got {kind!r}") from None
-
-
 def theta_eval_product(kind: int, q: float) -> float:
-    """Theta value from the infinite product form (series-independent route).
-
-    theta2 = 2 q^{1/4} prod (1-q^{2m}) (1+q^{2m})^2
-    theta3 =           prod (1-q^{2m}) (1+q^{2m-1})^2
-    theta4 =           prod (1-q^{2m}) (1-q^{2m-1})^2
+    """Theta value from the triple product of its ``KINDS`` row
+    (series-independent route).
 
     The product stops once q^{2m-1} < 1e-17; if that takes more than
     ``_PRODUCT_FACTOR_CAP`` factors (q above about 1 - 2e-4) it raises
@@ -207,23 +215,16 @@ def theta_eval_product(kind: int, q: float) -> float:
     partial products of kinds 2 and 3 dip below the smallest double before
     the later factors lift them back, and must not underflow to zero.
     """
-    _partner(kind)
+    row = KINDS[kind := _kind(kind)]
     q = float(q)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0, 1), got {q!r}")
-    if q == 0.0:
-        return 0.0 if kind == 2 else 1.0
     prod, scale = 1.0, 0  # the product is ldexp(prod, scale)
     m = 1
     while True:
         q2m = q ** (2 * m)
         even = 1.0 - q2m
-        if kind == 2:
-            odd = 1.0 + q2m
-        elif kind == 3:
-            odd = 1.0 + q ** (2 * m - 1)
-        else:
-            odd = 1.0 - q ** (2 * m - 1)
+        odd = 1.0 + row.sign * q ** (2 * m - row.odd)
         prod, e = math.frexp(prod * (even * odd * odd))
         scale += e
         if q2m < 1e-17 and q ** (2 * m - 1) < 1e-17:
@@ -234,10 +235,7 @@ def theta_eval_product(kind: int, q: float) -> float:
                 f"theta{kind} product at q = {q!r} has not converged "
                 f"after {_PRODUCT_FACTOR_CAP} factors"
             )
-    prod = math.ldexp(prod, scale)
-    if kind == 2:
-        return 2.0 * q ** 0.25 * prod
-    return prod
+    return 2.0 ** row.two * q ** row.shift * math.ldexp(prod, scale)
 
 
 def coeff_bound(d: float, l: int) -> float:
@@ -258,9 +256,9 @@ def coeff_bound(d: float, l: int) -> float:
 def dual(spec: ThetaSpec) -> ThetaSpec:
     """Dual spec under the modular transformation.
 
-    Factor map: kind 2 <-> kind 4 with inverted scale, kind 3 keeps its
-    kind with inverted scale; each term coefficient is divided by
-    sqrt(prod scale^power) over the factors of that term.  Specs are
+    Factor map: each kind to its ``KINDS`` partner with inverted scale;
+    each term coefficient is divided by sqrt(prod scale^power) over the
+    factors of that term.  Specs are
     frozen, so each one's dual is made once and kept for the process.
     """
     new_terms = []
@@ -271,7 +269,7 @@ def dual(spec: ThetaSpec) -> ThetaSpec:
         )
         new_factors = tuple(
             ThetaFactor(
-                kind=PARTNERS[f.kind],
+                kind=KINDS[f.kind].partner,
                 power=f.power,
                 scale=1 / f.scale,
             )
@@ -284,13 +282,13 @@ def dual(spec: ThetaSpec) -> ThetaSpec:
 def jacobi_residual(kind: int, t: float) -> float:
     """|theta_a(e^{-pi/t}) - sqrt(t) theta_b(e^{-pi t})| for the paired kinds.
 
-    Pairs: 2 <-> 4 swap, 3 stays.  Identically zero in exact arithmetic.
+    Pairs: the ``KINDS`` partners.  Identically zero in exact arithmetic.
     Both sides come from the product form, ``theta_eval_product``.  A t
     that is not finite raises ``DomainError``; a t so large or so small that
     one of the two q rounds to 1, or needs more than the product's factor
     cap, raises ``ToleranceNotMet`` naming t.
     """
-    partner = _partner(kind)
+    partner = KINDS[_kind(kind)].partner
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")

@@ -1,6 +1,7 @@
 """Generalized theta series: the coefficients of theta specs, on numpy.
 
-The specs themselves, their duals and the modular-relation residual live in
+The specs themselves, their duals, the modular-relation residual and
+``KINDS``, the table every kind-dependent number here is read from, live in
 ``spec`` (pure Python) and are re-exported here.  Each term's
 ``_TermBuilder`` decides its grid, the points (offset + g j)/D its
 recurrence runs on.  ``shells`` lists every term point by point on that
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,11 +27,12 @@ from .qseries import QSeries
 from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
     _POWER_SUM_TOL,
     _PRODUCT_FACTOR_CAP,
+    KINDS,
     PRESETS,
-    _partner,
     ThetaFactor,
     ThetaSpec,
     _json_number,
+    _kind,
     coeff_bound,
     dual,
     jacobi_residual,
@@ -41,47 +44,38 @@ from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
 
 
 def theta_series(kind: int, L: int) -> QSeries:
-    """Series of one theta function, complete for square exponents <= L.
-
-    kind 2: 2 q^{1/4} sum_{l>=1} q^{l^2-l}   (grid 1/4, offset 1)
-    kind 3: 1 + 2 sum_{l>=1} q^{l^2}
-    kind 4: 1 + 2 sum_{l>=1} (-1)^l q^{l^2}
+    """Series of one theta function, complete for exponents <= L: the lattice
+    sum over n in Z of sign^n q^{(n+a)^2}, with a^2 its ``KINDS`` row's shift
+    (theta2 on the grid 1/4), the reference for the builders' triple product.
     """
-    _partner(kind)
+    row = KINDS[_kind(kind)]
     L = _whole(L, "order", 0)
-    if kind == 2:
-        out = np.zeros(4 * L + 1)
-        l = 1
-        while l * l - l <= L:
-            out[4 * (l * l - l)] = 2.0
-            l += 1
-        return QSeries(4, 1, out)
-    out = np.zeros(L + 1)
-    out[0] = 1.0
-    l = 1
-    while l * l <= L:
-        out[l * l] = 2.0 if kind == 3 else 2.0 * (-1) ** l
-        l += 1
-    return QSeries(1, 0, out)
+    D = Fraction(row.shift).denominator
+    a, offset = math.sqrt(row.shift), int(D * row.shift)
+    out = np.zeros(D * L + 1)
+    for n in range(-math.isqrt(L) - 1, math.isqrt(L) + 1):
+        i = int(D * (n + a) ** 2) - offset
+        if i < out.size:
+            out[i] += row.sign ** n
+    return QSeries(D, offset, out)
 
 
 # -- term coefficients -------------------------------------------------
 
 
-# k [x^k] log P(x) collects w * a from each divisor pair a * j = k, with w
-# read off the Jacobi triple product by the parities of a and j:
-# _LOG_WEIGHTS[kind][a % 2][j % 2]
-_LOG_WEIGHTS = {
-    2: ((-3, 1), (-3, 1)),    # P = prod (1-x^m)(1+x^m)^2, x = q^2
-    3: ((-1, -1), (-2, 2)),   # P = prod (1-x^{2m})(1+x^{2m-1})^2, x = q
-    4: ((-1, -1), (-2, -2)),  # P = prod (1-x^{2m})(1-x^{2m-1})^2, x = q
-}
+# k [x^k] log P(x), x = q^{2 - odd}, collects w * a from each divisor pair
+# a * j = k, w = _LOG_W[kind][a % 2, j % 2]: -1 where a factor (1 - q^{2m})
+# is 1 - x^a (no odd a at odd = 1), and -2 (-sign)^j where a squared factor
+# is 1 + sign x^a (no even a at odd = 1).  Derived once: every grow reads it.
+_LOG_W = {kind: np.array([[-(1 - a * r.odd) - 2 * (-r.sign) ** j * (1 - (1 - a) * r.odd)
+                           for j in (0, 1)] for a in (0, 1)], dtype=np.float64)
+          for kind, r in KINDS.items()}
 
 
 def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
     """e[k - lo - 1] = k [x^k] log P(x) for lo < k <= n: exact integers in f64.
 
-    P is theta3 or theta4 itself, and theta2(q) = 2 q^{1/4} P(q^2).  Every
+    theta(q) = 2^two q^shift P(q^{2 - odd}) by the kind's row.  Every
     divisor pair a * j = k in (lo, n] adds its weight in one ``bincount``;
     the sums are exact, so their order does not matter.
     """
@@ -90,7 +84,7 @@ def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
     start = np.cumsum(count) - count  # where the pairs of each a start
     j = np.arange(count.sum()) + np.repeat(lo // a + 1 - start, count)
     a = np.repeat(a, count)
-    w = np.array(_LOG_WEIGHTS[kind], dtype=np.float64)
+    w = _LOG_W[kind]
     return np.bincount(a * j - lo - 1, weights=a * w[a % 2, j % 2], minlength=n - lo)
 
 
@@ -98,8 +92,8 @@ class _TermBuilder:
     """Coefficients of one term prod theta_kind(q^s)^p, grown in place.
 
     By the Jacobi triple product the term equals 2^a q^w exp(sum p log
-    P_kind(q^s')), where a and w sum p and p s / 4 over the theta2 factors,
-    and s' is 2s for theta2 and s otherwise.  The factor logs h are added
+    P(q^{s (2 - odd)})), where a and w sum p two and p s shift over the
+    factors' ``KINDS`` rows.  The factor logs h are added
     on the term's grid (denominator D, stride g) and the exp recurrence
 
         n b_n = sum_{k=1..n} h_k b_{n-k},  b_0 = 1,
@@ -121,12 +115,13 @@ class _TermBuilder:
         # scale s = num/den as (num, den, s D): each factor's variable is
         # x = q^{step/D}, and the recurrence runs in units of g
         self.scales = [(f.scale.numerator, f.scale.denominator, int(f.scale * D)) for f in fs]
-        steps = [sD * (2 if f.kind == 2 else 1) for f, (_, _, sD) in zip(fs, self.scales)]
+        rows = [KINDS[f.kind] for f in fs]
+        steps = [sD * (2 - row.odd) for row, (_, _, sD) in zip(rows, self.scales)]
         self.g = math.gcd(*steps)
         self.strides = [step // self.g for step in steps]
-        theta2 = [f for f in fs if f.kind == 2]
-        self.offset = math.fsum(f.power * float(f.scale * D) / 4 for f in theta2)
-        self.prefactor = 2.0 ** math.fsum(f.power for f in theta2)
+        self.offset = math.fsum(f.power * sD * row.shift
+                                for f, row, (_, _, sD) in zip(fs, rows, self.scales))
+        self.prefactor = 2.0 ** math.fsum(f.power * row.two for f, row in zip(fs, rows))
         self.h = np.zeros(1)
         self.b = np.ones(1)
 

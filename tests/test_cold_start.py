@@ -277,6 +277,32 @@ def test_each_input_decision_has_one_owner():
     assert both == {"transform"}
 
 
+def _is_int_literal(node) -> bool:
+    """An integer constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_int_literal, node.elts))
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_spec_alone_tells_the_theta_kinds_apart():
+    # spec.KINDS is the one table of the theta kinds: no other module
+    # compares a kind with an integer or writes a table keyed by 2, 3 and 4
+    found = set()
+    for path in Path(thetasum.__file__).parent.glob("*.py"):
+        if path.stem == "spec":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(getattr(side, "id", getattr(side, "attr", None)) == "kind" for side in sides)
+                        and any(map(_is_int_literal, sides))):
+                    found.add((path.stem, node.lineno))
+            elif isinstance(node, ast.Dict):
+                if {2, 3, 4} <= {key.value for key in node.keys if isinstance(key, ast.Constant)}:
+                    found.add((path.stem, node.lineno))
+    assert found == set()
+
+
 def test_scipy_integrate_is_imported_only_by_ft_quadrature():
     assert _scipy_users("scipy.integrate") == {("transform", "ft_quadrature")}
 

@@ -26,6 +26,7 @@ def test_factor_rejects_a_bool_a_float_and_a_string_kind(kind):
 @pytest.mark.parametrize("name", [
     "ThetaFactor", "ThetaSpec", "_json_number", "PRESETS", "preset", "theta_eval_product",
     "coeff_bound", "dual", "jacobi_residual", "_POWER_SUM_TOL", "_PRODUCT_FACTOR_CAP",
+    "KINDS", "_kind",
 ])
 def test_theta_re_exports_the_spec_layer(name):
     assert getattr(th, name) is getattr(sp, name)

@@ -48,6 +48,34 @@ def test_theta_series_rejects_bad_kind():
         th.theta_series(1, 10)
 
 
+# each function that takes a kind, on its own
+KIND_READERS = pytest.mark.parametrize("call", [
+    lambda kind: th.theta_series(kind, 4).coeffs,
+    lambda kind: th.theta_eval_product(kind, 0.5),
+    lambda kind: th.jacobi_residual(kind, 1.0),
+], ids=["theta_series", "theta_eval_product", "jacobi_residual"])
+
+
+@pytest.mark.parametrize("kind", [1, 3.0, np.float64(3.0), True, "3", None],
+                         ids=["1", "float", "numpy-float", "bool", "string", "None"])
+@KIND_READERS
+def test_every_kind_reader_refuses_what_is_no_kind(call, kind):
+    # 3.0 and np.float64(3.0) were looked up by value and returned theta3
+    with pytest.raises(DomainError, match=re.escape(f"kind must be 2, 3 or 4, got {kind!r}")):
+        call(kind)
+
+
+@KIND_READERS
+def test_every_kind_reader_takes_a_numpy_integer(call):
+    assert np.array_equal(call(np.int64(3)), call(3))
+
+
+def test_log_weights_are_derived_from_the_kind_rows():
+    # the hand-written table the rows replaced
+    assert {kind: w.tolist() for kind, w in th._LOG_W.items()} == {
+        2: [[-3, 1], [-3, 1]], 3: [[-1, -1], [-2, 2]], 4: [[-1, -1], [-2, -2]]}
+
+
 @pytest.mark.parametrize("L", [2.7, 2.0, True, "4"])
 @pytest.mark.parametrize("call", [
     lambda L: th.theta_series(3, L),
