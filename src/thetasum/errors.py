@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its one integer and one real check."""
 
 import operator
 
@@ -53,3 +53,13 @@ def _whole(value, name: str, least: int) -> int:
     if n < least or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _real(value, name: str, zero: bool = False) -> float:
+    """value as a float if it is a finite real > 0, or >= 0 with zero; a bool,
+    a string and anything else raise ``DomainError``."""
+    import math, numbers  # here: ``import thetasum`` loads this module alone
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and (value > 0 or zero and value == 0)):
+        raise DomainError(f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
+    return float(value)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, ToleranceNotMet, _whole
+from .errors import DomainError, IllConditioned, ToleranceNotMet, _real, _whole
 
 _PANEL_CAP = 400
 
@@ -102,12 +102,8 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
     outside both rules' nodes, and neither rule sees it.
     """
     n = _whole(n, "order", 0)
-    abs_tol = float(abs_tol)
-    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
-        raise DomainError(f"abs_tol must be finite and positive, got {abs_tol!r}")
-    x_max = math.sqrt(2.0 * n + 1.0) + 12.0 if x_max is None else float(x_max)
-    if not (math.isfinite(x_max) and x_max > 0.0):
-        raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
+    abs_tol = _real(abs_tol, "abs_tol")
+    x_max = math.sqrt(2.0 * n + 1.0) + 12.0 if x_max is None else _real(x_max, "x_max")
 
     budget = 0.1 * abs_tol
     half = np.linspace(0.0, x_max, max(1, math.ceil(x_max)) + 1)
@@ -194,24 +190,26 @@ def gaussian_span_fit(f: Callable[[float], float], alphas: Sequence[float],
     Tikhonov-regularized (Gaussian families are near-degenerate by
     design); the condition number of the raw design matrix is reported.
     With cond_cap set and exceeded while regularization is zero the fit
-    refuses with IllConditioned rather than return noise.
+    refuses with IllConditioned rather than return noise.  A regularization
+    that is not a finite real >= 0, or a cond_cap that is neither None nor
+    a finite real > 0, raises ``DomainError``.
     """
+    lam = _real(regularization, "regularization", zero=True)
+    if cond_cap is not None:
+        _real(cond_cap, "cond_cap")
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size == 0 or not np.all(np.isfinite(alphas) & (alphas > 0)):
         raise DomainError("alphas must be a nonempty list of finite positive rates")
-    x_max = float(x_max)
-    if not (math.isfinite(x_max) and x_max > 0.0):
-        raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
+    x_max = _real(x_max, "x_max")
     x = np.linspace(0.0, x_max, _whole(n_grid, "n_grid", 1))
     A = np.exp(-np.outer(x * x, alphas))
     y = _profile_values(f, x)
     condition = float(np.linalg.cond(A))
-    if cond_cap is not None and condition > cond_cap and regularization == 0.0:
+    if cond_cap is not None and condition > cond_cap and lam == 0.0:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds cap {cond_cap:.3e}",
             condition,
         )
-    lam = float(regularization)
     if lam > 0.0:
         A_aug = np.vstack([A, lam * np.eye(alphas.size)])
         y_aug = np.concatenate([y, np.zeros(alphas.size)])

@@ -12,7 +12,6 @@ the residual together with every error source that was accepted.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import theta as th
 from . import transform as tr
-from .errors import CoefficientOverflow, DomainError, ToleranceNotMet, _whole
+from .errors import CoefficientOverflow, ToleranceNotMet, _real, _whole
 from .theta import ThetaSpec
 from .transform import GaussPoly, RadialFunction, Sampled
 
@@ -161,9 +160,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     of finite terms, that overflows raises
     ``CoefficientOverflow``.
     """
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    _real(tol, "tol")
     L_cap = _whole(L_cap, "L_cap", 1)
     L = min(32, L_cap)
     while True:

@@ -130,9 +130,11 @@ _GAUSS = lambda x: math.exp(-x * x)
     (lambda x: math.inf, {}),
     (lambda x: complex(math.exp(-x * x)), {}),
     (lambda x: np.complex128(math.exp(-x * x)), {}),
+    (_GAUSS, {"abs_tol": True}), (_GAUSS, {"abs_tol": "1e-11"}), (_GAUSS, {"x_max": "6"}),
 ], ids=["x_max-negative", "x_max-zero", "x_max-nan", "x_max-inf", "abs_tol-zero",
         "abs_tol-negative", "abs_tol-nan", "abs_tol-inf", "profile-nan", "profile-inf",
-        "profile-complex", "profile-numpy-complex"])
+        "profile-complex", "profile-numpy-complex", "abs_tol-bool", "abs_tol-string",
+        "x_max-string"])
 def test_quadrature_rejects_bad_input(f, kwargs):
     # x_max = -3 used to integrate from 3 to -3 and flip the sign of the answer
     with pytest.raises(DomainError, match="x_max|abs_tol|at x = "):
@@ -219,6 +221,23 @@ def test_span_fit_refuses_degenerate_family_without_regularization():
         hm.gaussian_span_fit(sech, [1.0, 1.0001, 1.0002, 1.0003],
                              regularization=0.0, cond_cap=1e6)
     assert info.value.condition > 1e6
+
+
+@pytest.mark.parametrize("kwargs, says", [
+    ({"regularization": math.nan, "cond_cap": 1e6}, "regularization must be finite and >= 0"),
+    ({"regularization": -1.0, "cond_cap": 1e6}, "regularization must be finite and >= 0"),
+    ({"regularization": True}, "regularization must be finite and >= 0"),
+    ({"cond_cap": math.nan}, "cond_cap must be finite and positive"),
+    ({"cond_cap": -1.0}, "cond_cap must be finite and positive"),
+    ({"cond_cap": "x"}, "cond_cap must be finite and positive"),
+], ids=["regularization-nan", "regularization-negative", "regularization-bool",
+        "cond_cap-nan", "cond_cap-negative", "cond_cap-string"])
+def test_span_fit_refuses_a_bad_regularization_or_cap(kwargs, says):
+    # a NaN or negative regularization fitted past the cap (condition 1.39e9)
+    # where 0.0 raises IllConditioned; a NaN cap fitted, a string one raised TypeError
+    sech = lambda x: 1.0 / math.cosh(x)
+    with pytest.raises(DomainError, match=says):
+        hm.gaussian_span_fit(sech, [1.0, 1.0001, 1.0002], **kwargs)
 
 
 def test_span_fit_rejects_bad_rates():
