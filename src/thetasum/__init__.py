@@ -7,8 +7,8 @@ route the tests compare against), ``theta`` (spec coefficients on numpy),
 ``transform`` (the dimensionally continued radial Fourier transform),
 ``_grid`` (its shared quadrature grid, loaded by Sampled profiles alone),
 ``summation`` (both sides of the summation identity and its verification),
-``hermite`` (Gaussian expansion diagnostics), ``cli`` (command line front
-end).
+``hermite`` (Hermite expansion coefficients, in closed form for Gaussians
+and by quadrature for any profile), ``cli`` (command line front end).
 
 Only ``errors`` loads with the package.  Every other public name is looked
 up in its layer on first use (PEP 562), so ``import thetasum`` loads no
@@ -22,8 +22,8 @@ from .errors import *  # noqa: F403  (the exception types)
 
 # public name -> the layer that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(("FitResult", "gaussian_hermite_coeff", "gaussian_span_fit",
-                     "hermite_coeff_quadrature", "hermite_h"), "hermite"),
+    **dict.fromkeys(("gaussian_hermite_coeff", "hermite_coeff_quadrature", "hermite_h"),
+                    "hermite"),
     **dict.fromkeys(("QSeries", "lincomb"), "qseries"),
     **dict.fromkeys(("ThetaFactor", "ThetaSpec", "coeff_bound", "dual", "jacobi_residual",
                      "preset", "theta_eval_product"), "spec"),

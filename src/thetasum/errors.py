@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its one integer and one real check."""
+"""Exception types shared across the package, and its one integer and one real-number check."""
 
+import math
 import operator
 
 
@@ -35,14 +36,6 @@ class ToleranceNotMet(ThetasumError, RuntimeError):
     """Requested tolerance unreachable within the resource caps."""
 
 
-class IllConditioned(ThetasumError, RuntimeError):
-    """Linear system too ill-conditioned to solve reliably."""
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
-
-
 def _whole(value, name: str, least: int) -> int:
     """value as an int if it is an ``int`` or numpy integer >= least; anything
     else, a bool and every float (2.0 too) included, raises ``DomainError``."""
@@ -55,11 +48,20 @@ def _whole(value, name: str, least: int) -> int:
     return n
 
 
-def _real(value, name: str, zero: bool = False) -> float:
-    """value as a float if it is a finite real > 0, or >= 0 with zero; a bool,
-    a string and anything else raise ``DomainError``."""
-    import math, numbers  # here: ``import thetasum`` loads this module alone
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            math.isfinite(value) and (value > 0 or zero and value == 0)):
-        raise DomainError(f"{name} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
+def _number(value, name: str) -> float:
+    """value as a float if it is a real number, numpy's too; a bool, a string
+    and anything else raise ``DomainError``."""
+    if not isinstance(value, float):  # a float needs no look at the numeric tower
+        import numbers  # here: ``import thetasum`` loads this module alone
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _real(value, name: str, zero: bool = False) -> float:
+    """``_number(value, name)`` if it is finite and > 0, or >= 0 with zero;
+    anything else raises ``DomainError``."""
+    x = _number(value, name)
+    if not (math.isfinite(x) and (x > 0 or zero and x == 0)):
+        raise DomainError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}, got {value!r}")
+    return x

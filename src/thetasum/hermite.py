@@ -4,17 +4,18 @@ h_n(x) = e^{-x^2/2} H_n(x) / sqrt(sqrt(pi) 2^n n!) with the physicists'
 H_n, evaluated through the normalized three-term recurrence (raw H_n
 overflows past n ~ 150).  ``gaussian_hermite_coeff`` carries the closed
 form for <e^{-alpha x^2}, h_n>; the quadrature route exists to check it
-and to expand arbitrary profiles.  Both run on numpy alone.
+and to expand arbitrary profiles.  Both run on numpy alone, and
+``hermite-demo`` prints the one against the other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IllConditioned, ToleranceNotMet, _real, _whole
+from .errors import DomainError, ToleranceNotMet, _number, _real, _whole
 
 _PANEL_CAP = 400
 
@@ -53,9 +54,9 @@ def gaussian_hermite_coeff(alpha: float, n: int) -> float:
         a_{2m} = sqrt(pi beta) (2m)!/m! (beta-1)^m / sqrt(sqrt(pi) 2^{2m} (2m)!)
 
     (validated against the quadrature route; see the paired tests).
-    Requires alpha > -1/2 for integrability.
+    Requires a real alpha > -1/2 for integrability.
     """
-    alpha = float(alpha)
+    alpha = _number(alpha, "alpha")
     n = _whole(n, "order", 0)
     if not (math.isfinite(alpha) and alpha > -0.5):
         raise DomainError(f"alpha must exceed -1/2, got {alpha!r}")
@@ -173,48 +174,3 @@ def _profile_values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
             except (TypeError, ValueError):
                 raise DomainError(f"profile is {v} at x = {t!r}") from None
     return out.astype(np.float64, copy=False).reshape(x.shape)
-
-
-class FitResult(NamedTuple):
-    coeffs: np.ndarray
-    sup_err: float
-    condition: float
-
-
-def gaussian_span_fit(f: Callable[[float], float], alphas: Sequence[float],
-                      x_max: float = 6.0, n_grid: int = 401,
-                      regularization: float = 1e-12,
-                      cond_cap: float | None = None) -> FitResult:
-    """Least-squares fit of an even profile by sum_j c_j e^{-alpha_j x^2}.
-
-    Tikhonov-regularized (Gaussian families are near-degenerate by
-    design); the condition number of the raw design matrix is reported.
-    With cond_cap set and exceeded while regularization is zero the fit
-    refuses with IllConditioned rather than return noise.  A regularization
-    that is not a finite real >= 0, or a cond_cap that is neither None nor
-    a finite real > 0, raises ``DomainError``.
-    """
-    lam = _real(regularization, "regularization", zero=True)
-    if cond_cap is not None:
-        _real(cond_cap, "cond_cap")
-    alphas = np.asarray(list(alphas), dtype=np.float64)
-    if alphas.size == 0 or not np.all(np.isfinite(alphas) & (alphas > 0)):
-        raise DomainError("alphas must be a nonempty list of finite positive rates")
-    x_max = _real(x_max, "x_max")
-    x = np.linspace(0.0, x_max, _whole(n_grid, "n_grid", 1))
-    A = np.exp(-np.outer(x * x, alphas))
-    y = _profile_values(f, x)
-    condition = float(np.linalg.cond(A))
-    if cond_cap is not None and condition > cond_cap and lam == 0.0:
-        raise IllConditioned(
-            f"design matrix condition {condition:.3e} exceeds cap {cond_cap:.3e}",
-            condition,
-        )
-    if lam > 0.0:
-        A_aug = np.vstack([A, lam * np.eye(alphas.size)])
-        y_aug = np.concatenate([y, np.zeros(alphas.size)])
-    else:
-        A_aug, y_aug = A, y
-    coeffs, *_ = np.linalg.lstsq(A_aug, y_aug, rcond=None)
-    resid = A @ coeffs - y
-    return FitResult(coeffs=coeffs, sup_err=float(np.max(np.abs(resid))), condition=condition)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidSpec, ToleranceNotMet
+from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number
 
 _POWER_SUM_TOL = 1e-12
 
@@ -213,10 +213,11 @@ def theta_eval_product(kind: int, q: float) -> float:
     ``ToleranceNotMet`` instead of returning a truncated value.  The running
     product is kept as a mantissa and a power of two: for q near 1 the
     partial products of kinds 2 and 3 dip below the smallest double before
-    the later factors lift them back, and must not underflow to zero.
+    the later factors lift them back, and must not underflow to zero.  A
+    q that is not a real number in [0, 1) raises ``DomainError``.
     """
     row = KINDS[kind := _kind(kind)]
-    q = float(q)
+    q = _number(q, "q")
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0, 1), got {q!r}")
     prod, scale = 1.0, 0  # the product is ldexp(prod, scale)
@@ -284,12 +285,12 @@ def jacobi_residual(kind: int, t: float) -> float:
 
     Pairs: the ``KINDS`` partners.  Identically zero in exact arithmetic.
     Both sides come from the product form, ``theta_eval_product``.  A t
-    that is not finite raises ``DomainError``; a t so large or so small that
-    one of the two q rounds to 1, or needs more than the product's factor
-    cap, raises ``ToleranceNotMet`` naming t.
+    that is not a finite real > 0 raises ``DomainError``; a t so large or
+    so small that one of the two q rounds to 1, or needs more than the
+    product's factor cap, raises ``ToleranceNotMet`` naming t.
     """
     partner = KINDS[_kind(kind)].partner
-    t = float(t)
+    t = _number(t, "t")
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if t <= 0:

@@ -34,8 +34,6 @@ class ShellSum(NamedTuple):
     tail: float
     abs_sum: float  # sum of |term| magnitudes, for rounding floors
     budget: float   # accumulated transform error estimates
-    shells: tuple   # (l, A_l, N_l, term) arrays over the summed nonzero shells, by A_l;
-                    # the first three are the cached side's, read-only
 
 
 def _poly_gauss_tail(log_C: float, n: float, A0: float, h: float, alpha: float) -> float:
@@ -176,8 +174,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
         errors = np.abs(side.N) * errors
         tail, at_floor = tail_of(side, terms, errors)
         if tail < 0.1 * tol:
-            return ShellSum(_fsum(terms), L, tail, _fsum(np.abs(terms)), math.fsum(errors),
-                            (side.l, side.A, side.N, terms))
+            return ShellSum(_fsum(terms), L, tail, _fsum(np.abs(terms)), math.fsum(errors))
         if at_floor or L >= L_cap:
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
             raise ToleranceNotMet(f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} {where}")
@@ -224,7 +221,6 @@ class VerificationReport:
     error_budget: float
     tol: float
     passed: bool
-    per_term_table: tuple | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,7 +236,7 @@ class VerificationReport:
 
 
 def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10, *,
-           L_cap: int = 4096, with_table: bool = False) -> VerificationReport:
+           L_cap: int = 4096) -> VerificationReport:
     """Check the summation identity for (spec, f) at tolerance tol.
 
     PASS iff residual <= tol + _PASS_MULTIPLIER * (tail_lhs + tail_rhs +
@@ -267,16 +263,4 @@ def verify(spec: ThetaSpec, f: RadialFunction, tol: float = 1e-10, *,
         error_budget=budget,
         tol=tol,
         passed=passed,
-        per_term_table=_term_table(left, right) if with_table else None,
     )
-
-
-def _term_table(left: ShellSum, right: ShellSum) -> tuple:
-    """Leading diagnostic rows: the summed shells with A_l <= 16 of both sides."""
-    rows = []
-    for side, shells in (("lhs", left.shells), ("rhs", right.shells)):
-        for l, A, N, term in zip(*(column.tolist() for column in shells)):
-            if A > 16.0:
-                break
-            rows.append({"side": side, "l": l, "A": A, "N": N, "term": term})
-    return tuple(rows)

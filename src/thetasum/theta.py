@@ -258,8 +258,8 @@ def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
 class Side(NamedTuple):
     """The nonzero points of ``shells`` at one order, as a shell sum reads them.
 
-    The arrays are read-only: ``side`` keeps them for the process, and a
-    shell sum hands l, A and N out.
+    The arrays are read-only: ``side`` keeps them for the process and
+    hands the same ones to every caller.
     """
 
     l: np.ndarray      # each nonzero point's index on its term's grid, by exponent

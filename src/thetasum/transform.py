@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet, _whole
+from .errors import DomainError, ToleranceNotMet, _number, _real, _whole
 
 # Plain power series of 0F1 keeps ~1e-13 absolute accuracy up to |z| = 25
 # (largest term grows like e^{2 sqrt|z|}); beyond that, unless |z| <= a,
@@ -161,17 +161,10 @@ RadialFunction = Union[GaussPoly, Sampled]
 
 
 def _check_dim(d: float) -> float:
-    d = float(d)
+    d = _number(d, "dimension parameter")
     if not (d > 0.0 and math.isfinite(d)):
         raise DomainError(f"dimension parameter must be > 0 and finite, got {d!r}")
     return d
-
-
-def _check_radius(p: float) -> float:
-    p = float(p)
-    if not (p >= 0.0 and math.isfinite(p)):
-        raise DomainError(f"p must be finite and nonnegative, got {p!r}")
-    return p
 
 
 # -- scalar special functions --------------------------------------------
@@ -265,7 +258,7 @@ def ft_gausspoly(f: GaussPoly, d: float) -> GaussPoly:
 
 def ft_closed(f: GaussPoly, p: float, d: float) -> float:
     """Closed-form transform value at radius p >= 0."""
-    p = _check_radius(p)
+    p = _real(p, "p", zero=True)
     return ft_gausspoly(f, d).eval(p)
 
 
@@ -274,9 +267,9 @@ def laplacian_d(f: GaussPoly, d: float, n: int = 1) -> GaussPoly:
 
     Exact on the coefficient level:
     r^{2k} e^{-a r^2} -> 2k(2k-2+d) r^{2k-2} - 2a(4k+d) r^{2k} + 4a^2 r^{2k+2},
-    all times e^{-a r^2}.
+    all times e^{-a r^2}.  Every d > 0 is taken.
     """
-    d = float(d)
+    d = _check_dim(d)
     n = _whole(n, "repetition count", 0)
     terms = f.terms
     for _ in range(n):
@@ -506,7 +499,7 @@ def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
     """
     from scipy import integrate
 
-    p = _check_radius(p)
+    p = _real(p, "p", zero=True)
     d, R, tail, factor, base, rounding = _radial_setup(f, d, _QAWS_LEAST_DIM, math.pi * p)
     a = 0.5 * d
 

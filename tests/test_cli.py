@@ -350,7 +350,7 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("cls", errors.ThetasumError.__subclasses__(),
                          ids=lambda cls: cls.__name__)
 def test_every_package_error_has_its_exit_code(capsys, monkeypatch, cls):
-    error = cls("boom", 1e20) if cls is errors.IllConditioned else cls("boom")
+    error = cls("boom")
 
     def fail(spec, L):
         raise error

@@ -159,6 +159,10 @@ def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         thetasum.no_such_name
     assert not hasattr(thetasum, "spec_of_nothing")
+    for retired in ("gaussian_span_fit", "FitResult", "IllConditioned"):
+        with pytest.raises(AttributeError, match=retired):
+            getattr(thetasum, retired)
+        assert retired not in thetasum.__all__
 
 
 def test_import_loads_no_scipy():

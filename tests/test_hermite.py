@@ -8,7 +8,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from thetasum import hermite as hm
-from thetasum.errors import DomainError, IllConditioned, ToleranceNotMet
+from thetasum.errors import DomainError, ToleranceNotMet
 
 
 def test_first_two_functions_explicit():
@@ -56,8 +56,7 @@ def test_negative_order_rejected():
     lambda n: hm.hermite_h(n, 0.3),
     lambda n: hm.gaussian_hermite_coeff(1.0, n),
     lambda n: hm.hermite_coeff_quadrature(lambda x: math.exp(-x * x), n),
-    lambda n: hm.gaussian_span_fit(lambda x: math.exp(-x * x), [1.0], n_grid=n),
-], ids=["hermite_h", "closed", "quadrature", "span_fit-n_grid"])
+], ids=["hermite_h", "closed", "quadrature"])
 def test_orders_and_grid_sizes_must_be_integers(call, n):
     # hermite_h(2.5, x) was hermite_h(2, x), and True was read as 1
     with pytest.raises(DomainError, match="must be an integer >= "):
@@ -102,6 +101,9 @@ def test_coefficient_domain():
     for bad in (-0.5, -1.0, float("nan")):
         with pytest.raises(DomainError):
             hm.gaussian_hermite_coeff(bad, 0)
+    for bad in (True, "1"):  # both were read as alpha = 1
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            hm.gaussian_hermite_coeff(bad, 2)
     with pytest.raises(DomainError):
         hm.gaussian_hermite_coeff(1.0, -2)
 
@@ -193,72 +195,3 @@ def test_expansion_reconstructs_profile():
         errs.append(float(np.max(np.abs(approx - profile))))
     assert errs[-1] < 1e-6
     assert errs[-1] < errs[0]
-
-
-def test_span_fit_recovers_exact_member():
-    target = lambda x: math.exp(-x * x) - 0.5 * math.exp(-2.0 * x * x)
-    fit = hm.gaussian_span_fit(target, [1.0, 2.0])
-    np.testing.assert_allclose(fit.coeffs, [1.0, -0.5], atol=1e-7)
-    assert fit.sup_err < 1e-9
-
-
-def test_span_fit_improves_with_family_size():
-    sech = lambda x: 1.0 / math.cosh(x)
-    small = hm.gaussian_span_fit(sech, [0.3, 1.0])
-    large = hm.gaussian_span_fit(sech, [0.2, 0.5, 1.0, 2.0])
-    assert large.sup_err < small.sup_err
-
-
-def test_span_fit_reports_conditioning():
-    sech = lambda x: 1.0 / math.cosh(x)
-    fit = hm.gaussian_span_fit(sech, [0.5, 1.0, 2.0])
-    assert fit.condition > 1.0
-
-
-def test_span_fit_refuses_degenerate_family_without_regularization():
-    sech = lambda x: 1.0 / math.cosh(x)
-    with pytest.raises(IllConditioned) as info:
-        hm.gaussian_span_fit(sech, [1.0, 1.0001, 1.0002, 1.0003],
-                             regularization=0.0, cond_cap=1e6)
-    assert info.value.condition > 1e6
-
-
-@pytest.mark.parametrize("kwargs, says", [
-    ({"regularization": math.nan, "cond_cap": 1e6}, "regularization must be finite and >= 0"),
-    ({"regularization": -1.0, "cond_cap": 1e6}, "regularization must be finite and >= 0"),
-    ({"regularization": True}, "regularization must be finite and >= 0"),
-    ({"cond_cap": math.nan}, "cond_cap must be finite and positive"),
-    ({"cond_cap": -1.0}, "cond_cap must be finite and positive"),
-    ({"cond_cap": "x"}, "cond_cap must be finite and positive"),
-], ids=["regularization-nan", "regularization-negative", "regularization-bool",
-        "cond_cap-nan", "cond_cap-negative", "cond_cap-string"])
-def test_span_fit_refuses_a_bad_regularization_or_cap(kwargs, says):
-    # a NaN or negative regularization fitted past the cap (condition 1.39e9)
-    # where 0.0 raises IllConditioned; a NaN cap fitted, a string one raised TypeError
-    sech = lambda x: 1.0 / math.cosh(x)
-    with pytest.raises(DomainError, match=says):
-        hm.gaussian_span_fit(sech, [1.0, 1.0001, 1.0002], **kwargs)
-
-
-def test_span_fit_rejects_bad_rates():
-    with pytest.raises(DomainError):
-        hm.gaussian_span_fit(lambda x: 1.0, [])
-    with pytest.raises(DomainError):
-        hm.gaussian_span_fit(lambda x: 1.0, [1.0, -2.0])
-    for bad in (math.inf, math.nan):  # numpy's LinAlgError or overflow before
-        with pytest.raises(DomainError, match="alphas"):
-            hm.gaussian_span_fit(lambda x: 1.0, [1.0, bad])
-
-
-@pytest.mark.parametrize("f, kwargs", [
-    (_GAUSS, {"x_max": float("nan")}), (_GAUSS, {"x_max": float("inf")}),
-    (_GAUSS, {"x_max": 0.0}), (_GAUSS, {"x_max": -3.0}),
-    (lambda x: float("nan") if x > 1.0 else 1.0, {}),
-    (lambda x: complex(math.exp(-x * x)), {}),
-    (lambda x: np.complex128(math.exp(-x * x)), {}),
-], ids=["x_max-nan", "x_max-inf", "x_max-zero", "x_max-negative", "profile-nan",
-        "profile-complex", "profile-numpy-complex"])
-def test_span_fit_rejects_bad_input(f, kwargs):
-    # the profile's NaN or complex values went into the coefficients
-    with pytest.raises(DomainError, match="x_max|at x = "):
-        hm.gaussian_span_fit(f, [0.5, 1.0, 2.0], **kwargs)

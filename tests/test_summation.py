@@ -252,55 +252,6 @@ def test_report_json_keys_are_stable():
     assert data["pass"] is True
 
 
-def test_per_term_table_on_request():
-    report = sm.verify(th.preset("zd", 2), GAUSS, tol=1e-10, with_table=True)
-    assert report.per_term_table is not None
-    sides = {row["side"] for row in report.per_term_table}
-    assert sides == {"lhs", "rhs"}
-    row = report.per_term_table[0]
-    assert set(row) == {"side", "l", "A", "N", "term"}
-
-
-def test_per_term_table_of_sampled_profile_matches_closed_route():
-    spec = th.preset("zd", 2.5)
-    sampled = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
-    rows = sm.verify(spec, sampled, tol=1e-8, with_table=True).per_term_table
-    want = sm.verify(spec, GAUSS, tol=1e-8, with_table=True).per_term_table
-    assert len(rows) == len(want)
-    assert {row["side"] for row in rows} == {"lhs", "rhs"}
-    for got, ref in zip(rows, want):
-        assert (got["side"], got["l"], got["A"], got["N"]) == (
-            ref["side"], ref["l"], ref["A"], ref["N"])
-        assert got["term"] == pytest.approx(ref["term"], rel=1e-10, abs=1e-12)
-
-
-def test_per_term_table_adds_no_build_or_transform(monkeypatch):
-    # the table is cut from the shells both sides summed
-    calls = {"build": 0, "transform": 0}
-    coeffs, many = th._TermBuilder.coeffs, gr.ft_quadrature_many
-
-    def counted_coeffs(self, L):
-        calls["build"] += 1
-        return coeffs(self, L)
-
-    def counted_many(*args, **kwargs):
-        calls["transform"] += 1
-        return many(*args, **kwargs)
-
-    monkeypatch.setattr(th._TermBuilder, "coeffs", counted_coeffs)
-    monkeypatch.setattr(gr, "ft_quadrature_many", counted_many)
-    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
-    counts = []
-    for with_table in (False, True):
-        th._clear_builders()  # else the second call finds every side cached
-        calls.update(build=0, transform=0)
-        report = sm.verify(th.preset("zd", 2.5), f, tol=1e-8, with_table=with_table)
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0]["build"] > 0 and counts[0]["transform"] > 0
-    assert {row["side"] for row in report.per_term_table} == {"lhs", "rhs"}
-
-
 def test_dual_builds_store_few_more_entries_than_nonzero_shells(monkeypatch):
     # the theta2^d term of the dual of dd at d = 4.113 has offset d/4; summed
     # on a grid common to both terms it would take 4000 times the entries
@@ -340,10 +291,11 @@ def test_profile_is_evaluated_once_per_distinct_radius():
         radii.append(r)
         return math.exp(-r * r)
 
-    left = sm.lhs_sum(th.preset("dd", 2.4), tr.Sampled(f, decay_hint=(1.0, 1.0)), 1e-8)
+    spec = th.preset("dd", 2.4)
+    left = sm.lhs_sum(spec, tr.Sampled(f, decay_hint=(1.0, 1.0)), 1e-8)
     assert left.L_used == 32
     assert len(radii) == len(set(radii)) == 33
-    assert left.shells[1].size == 66
+    assert th.side(spec, left.L_used).A.size == 66
 
 
 def test_verify_computes_each_recurrence_index_once(monkeypatch):
@@ -389,11 +341,6 @@ def test_verify_builds_a_shared_dual_term_once(monkeypatch):
     sm.rhs_sum(spec, GAUSS, 1e-10)
     assert made.count(theta3) == 1
     assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
-
-
-def test_report_table_absent_by_default():
-    report = sm.verify(th.preset("zd", 2), GAUSS, tol=1e-10)
-    assert report.per_term_table is None
 
 
 def test_l_cap_refuses_slow_decay():
@@ -590,9 +537,12 @@ def test_verify_passes_at_large_dimension_and_huge_coefficient():
 
 
 def test_order_cap_and_table_are_keyword_only():
-    # a stale positional settings argument must not land in L_cap
+    # a stale positional settings argument must not land in L_cap, and
+    # verify takes no with_table
     with pytest.raises(TypeError):
         sm.verify(th.preset("zd", 2), GAUSS, 1e-10, 4096)
+    with pytest.raises(TypeError):
+        sm.verify(th.preset("zd", 2), GAUSS, 1e-10, with_table=True)
     with pytest.raises(TypeError):
         sm.rhs_sum(th.preset("zd", 2), GAUSS, 1e-10, 4096)
 

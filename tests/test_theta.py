@@ -110,6 +110,9 @@ def test_product_form_domain():
         th.theta_eval_product(3, 1.0)
     with pytest.raises(DomainError):
         th.theta_eval_product(3, -0.1)
+    for q in (True, "0.5"):  # "0.5" gave theta3(0.5)
+        with pytest.raises(DomainError, match="q must be a real number"):
+            th.theta_eval_product(3, q)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -589,6 +592,9 @@ def test_jacobi_residual_small(kind, t):
 def test_jacobi_residual_rejects_nonpositive_t():
     with pytest.raises(DomainError):
         th.jacobi_residual(3, 0.0)
+    for t in (True, "1.0"):  # "1.0" gave a residual of 0.0
+        with pytest.raises(DomainError, match="t must be a real number"):
+            th.jacobi_residual(3, t)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

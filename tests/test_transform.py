@@ -284,6 +284,13 @@ def test_dimension_gate():
                       lambda: gr.ft_quadrature_many(GAUSS, [0.5], d)):
             with pytest.raises(DomainError, match="dimension parameter must be > 0"):
                 route()
+    for d in (True, "2.5"):  # ft_gausspoly took them as d = 1 and 2.5
+        for route in (lambda: tr.ft_gausspoly(GAUSS, d), lambda: tr.ft_closed(GAUSS, 0.5, d),
+                      lambda: tr.laplacian_d(GAUSS, d), lambda: tr.eigen_residual(GAUSS, 0.5, d),
+                      lambda: tr.ft_quadrature(GAUSS, 0.5, d),
+                      lambda: gr.ft_quadrature_many(GAUSS, [0.5], d)):
+            with pytest.raises(DomainError, match="dimension parameter must be a real number"):
+                route()
     with pytest.raises(TypeError):
         tr.ft_gausspoly(GAUSS, 0.5, experimental_dim=True)
 
@@ -358,6 +365,10 @@ def test_negative_radius_rejected():
     for p in (-0.1, math.nan, math.inf):
         for route in (tr.ft_quadrature, tr.ft_closed, tr.eigen_residual):
             with pytest.raises(DomainError, match="p must be finite and nonnegative"):
+                route(GAUSS, p, 2.5)
+    for p in (True, "0.5"):  # ft_closed took "0.5" as p = 0.5
+        for route in (tr.ft_quadrature, tr.ft_closed, tr.eigen_residual):
+            with pytest.raises(DomainError, match="p must be a real number"):
                 route(GAUSS, p, 2.5)
 
 
