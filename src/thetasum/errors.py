@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer and one real-number check."""
+"""Exception types shared across the package, its one integer and one
+real-number check, and its one check of profile values."""
 
 import math
 import operator
@@ -48,20 +49,44 @@ def _whole(value, name: str, least: int) -> int:
     return n
 
 
-def _number(value, name: str) -> float:
+def _number(value, name: str, error: type = DomainError) -> float:
     """value as a float if it is a real number, numpy's too; a bool, a string
-    and anything else raise ``DomainError``."""
+    and anything else raise ``error``."""
     if not isinstance(value, float):  # a float needs no look at the numeric tower
         import numbers  # here: ``import thetasum`` loads this module alone
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
+            raise error(f"{name} must be a real number, got {value!r}")
     return float(value)
 
 
-def _real(value, name: str, zero: bool = False) -> float:
-    """``_number(value, name)`` if it is finite and > 0, or >= 0 with zero;
-    anything else raises ``DomainError``."""
-    x = _number(value, name)
+def _real(value, name: str, zero: bool = False, error: type = DomainError) -> float:
+    """``_number(value, name, error)`` if it is finite and > 0, or >= 0 with
+    zero; anything else raises ``error``."""
+    x = _number(value, name, error)
     if not (math.isfinite(x) and (x > 0 or zero and x == 0)):
-        raise DomainError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}, got {value!r}")
+        raise error(f"{name} must be finite and {'nonnegative' if zero else 'positive'}, got {value!r}")
     return x
+
+
+def _profile_values(fn, points, what: str, at: str):
+    """fn at each of points (a numpy array), as doubles in its shape.  The
+    first value that is not a finite real number (complex, NaN, infinite or
+    none) raises ``DomainError`` "<what> is <value> at <at> = <point>": a
+    complex value is refused, not cut to its real part.  One finiteness test
+    runs over all values, and the per-value search only when it fails."""
+    import numpy as np  # here: ``import thetasum`` loads this module alone
+
+    xs = points.ravel().tolist()
+    values = list(map(fn, xs))
+    try:
+        out = np.asarray(values)
+    except ValueError:  # values of different shapes
+        out = np.asarray(values, dtype=object)
+    if out.shape != (len(xs),) or out.dtype.kind not in "biuf" or not np.isfinite(out).all():
+        for v, x in zip(values, xs):
+            try:
+                if np.iscomplexobj(v) or not math.isfinite(v):
+                    raise TypeError
+            except (TypeError, ValueError):
+                raise DomainError(f"{what} is {v} at {at} = {x!r}") from None
+    return out.astype(np.float64, copy=False).reshape(points.shape)

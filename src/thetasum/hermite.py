@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet, _number, _real, _whole
+from .errors import DomainError, ToleranceNotMet, _number, _profile_values, _real, _whole
 
 _PANEL_CAP = 400
 
@@ -82,11 +82,10 @@ def gaussian_hermite_coeff(alpha: float, n: int) -> float:
 
 
 def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
-                             abs_tol: float = 1e-11,
-                             x_max: float | None = None) -> float:
-    """<f, h_n> by adaptive composite Gauss-Legendre quadrature on [-x_max, x_max].
+                             abs_tol: float = 1e-11) -> float:
+    """<f, h_n> by adaptive composite Gauss-Legendre quadrature on [-x_max, x_max],
+    x_max = sqrt(2n + 1) + 12, the effective support of h_n.
 
-    x_max defaults to the effective support of h_n, sqrt(2n + 1) + 12.
     The interval starts as panels about 1 wide with x = 0 an edge, so a kink
     or jump at 0 is integrated exactly.  Two Gauss-Legendre rules of
     different order (``_RULE_ORDERS``) run on each panel, f is
@@ -104,7 +103,7 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
     """
     n = _whole(n, "order", 0)
     abs_tol = _real(abs_tol, "abs_tol")
-    x_max = math.sqrt(2.0 * n + 1.0) + 12.0 if x_max is None else _real(x_max, "x_max")
+    x_max = math.sqrt(2.0 * n + 1.0) + 12.0
 
     budget = 0.1 * abs_tol
     half = np.linspace(0.0, x_max, max(1, math.ceil(x_max)) + 1)
@@ -150,27 +149,7 @@ def _panel_sums(f: Callable[[float], float], n: int,
     w[x_lo.size:, 1] = w_hi
     half = 0.5 * (hi - lo)[:, None]
     nodes = 0.5 * (lo + hi)[:, None] + half * x
-    g = _profile_values(f, nodes) * hermite_h(n, nodes)
+    g = _profile_values(f, nodes, "profile", "x") * hermite_h(n, nodes)
     q = half * (g @ w)
     mags = half[:, 0] * (np.abs(g) @ w[:, 1])
     return np.column_stack([q[:, 1], np.abs(q[:, 1] - q[:, 0]), mags])
-
-
-def _profile_values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """f at each point of x, as doubles in x's shape.  The first value that is
-    not a finite real number (complex, NaN, infinite or none) raises
-    ``DomainError`` naming its x, as ``transform.Sampled.eval`` does."""
-    xs = x.ravel().tolist()
-    values = [f(t) for t in xs]
-    try:
-        out = np.asarray(values)
-    except ValueError:  # values of different shapes
-        out = np.asarray(values, dtype=object)
-    if out.shape != (len(xs),) or out.dtype.kind not in "biuf" or not np.isfinite(out).all():
-        for v, t in zip(values, xs):
-            try:
-                if np.iscomplexobj(v) or not math.isfinite(v):
-                    raise TypeError
-            except (TypeError, ValueError):
-                raise DomainError(f"profile is {v} at x = {t!r}") from None
-    return out.astype(np.float64, copy=False).reshape(x.shape)

@@ -24,6 +24,8 @@ from .errors import (
     NegativeExponent,
     OffsetMismatch,
     ZeroLeadingCoefficient,
+    _number,
+    _real,
     _whole,
 )
 
@@ -45,9 +47,9 @@ class QSeries:
             raise DomainError("coefficient sequence must be nonempty and one-dimensional")
         if not np.all(np.isfinite(arr)):
             raise CoefficientOverflow("non-finite coefficient")
-        off = float(offset_A)
-        if off < -_OFFSET_TOL:
-            raise DomainError(f"offset_A must be nonnegative, got {off!r}")
+        off = _number(offset_A, "offset_A")
+        if not -_OFFSET_TOL <= off < math.inf:
+            raise DomainError(f"offset_A must be finite and nonnegative, got {off!r}")
         off = max(off, 0.0)
 
         # shift leading zeros into the offset
@@ -160,7 +162,7 @@ def lincomb(terms: Sequence[tuple[float, QSeries]]) -> QSeries:
     for (c, s), k, sh in zip(terms, stretch, shifts):
         idx = np.arange(s.coeffs.size) * k + sh
         keep = idx <= L
-        out[idx[keep]] += float(c) * s.coeffs[keep]
+        out[idx[keep]] += _number(c, "lincomb coefficient") * s.coeffs[keep]
     return QSeries(V, base, out)
 
 
@@ -197,11 +199,9 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
     1 by l ~ 220-265, while reliable_exponent still claims the whole range.
     ``theta.build`` does not use it: it builds from the product form.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-    if alpha < 0:
+    if _number(alpha, "alpha") < 0:
         raise NegativeExponent(f"negative exponent {alpha}")
+    alpha = _real(alpha, "alpha", zero=True)
     if a.is_zero or a.coeffs[0] == 0.0:
         raise ZeroLeadingCoefficient("pow_real requires a nonzero leading coefficient")
 
@@ -253,7 +253,7 @@ def evaluate(a: QSeries, q: float) -> EvalResult:
     order (n measured on the stored coefficients) and sums the resulting
     polynomial-times-geometric majorant in closed form.
     """
-    q = float(q)
+    q = _number(q, "q")
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
     value = math.fsum(a.coeffs * np.power(q, a.exponents()))

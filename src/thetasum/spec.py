@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number
+from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number, _real
 
 _POWER_SUM_TOL = 1e-12
 
@@ -69,10 +69,7 @@ class ThetaFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _kind(self.kind, InvalidSpec))  # so the JSON round-trips
-        p = float(self.power)
-        if not math.isfinite(p) or p < 0:
-            raise InvalidSpec(f"power must be a finite real >= 0, got {self.power!r}")
-        object.__setattr__(self, "power", p)
+        object.__setattr__(self, "power", _real(self.power, "power", zero=True, error=InvalidSpec))
         s = self.scale if isinstance(self.scale, Fraction) else Fraction(self.scale)
         if s <= 0:
             raise InvalidSpec(f"scale must be positive, got {s}")
@@ -89,7 +86,7 @@ class ThetaSpec:
     def __post_init__(self):
         norm = []
         for coeff, factors in self.terms:
-            c = float(coeff)
+            c = _number(coeff, "term coefficient", InvalidSpec)
             if not math.isfinite(c):
                 raise InvalidSpec(f"term coefficient must be finite, got {coeff!r}")
             fs = tuple(factors)
@@ -99,9 +96,7 @@ class ThetaSpec:
         if not norm:
             raise InvalidSpec("spec without terms")
         object.__setattr__(self, "terms", tuple(norm))
-        d = float(self.dim_d)
-        if not math.isfinite(d):
-            raise InvalidSpec(f"dim_d must be finite, got {self.dim_d!r}")
+        d = _real(self.dim_d, "dim_d", error=InvalidSpec)
         if not d > _POWER_SUM_TOL:
             # within the power-sum tolerance of 0 a term of zero powers would pass
             raise InvalidSpec(f"dim_d must be > {_POWER_SUM_TOL!r}, the power-sum tolerance, "
@@ -147,14 +142,14 @@ class ThetaSpec:
                     ThetaFactor(
                         # JSON integers only: 3.0, 1.5 and a zero denominator raise
                         kind=f["kind"],
-                        power=_json_number(f["power"], "power"),
-                        scale=Fraction(_json_number(f["scale"][0], "scale", int),
-                                       _json_number(f["scale"][1], "scale", int)),
+                        power=f["power"],
+                        scale=Fraction(_json_number(f["scale"][0], "scale"),
+                                       _json_number(f["scale"][1], "scale")),
                     )
                     for f in t["factors"]
                 )
-                terms.append((_json_number(t["coeff"], "coeff"), factors))
-            return cls(terms=tuple(terms), dim_d=_json_number(data["dim_d"], "dim_d"))
+                terms.append((t["coeff"], factors))
+            return cls(terms=tuple(terms), dim_d=data["dim_d"])
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError) as exc:
             if isinstance(exc, InvalidSpec):
@@ -170,13 +165,13 @@ class ThetaSpec:
         return cls.from_json_dict(data)
 
 
-def _json_number(value, name: str, kinds: type | tuple = (int, float)) -> float | int:
-    """``value`` if it is a JSON number of ``kinds`` (a float unless ``kinds`` is
-    int); a string or a bool raises ``InvalidSpec``."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        what = "integer" if kinds is int else "number"
-        raise InvalidSpec(f"{name} must be a JSON {what}, got {value!r}")
-    return value if kinds is int else float(value)
+def _json_number(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float (1.0 too), a string or a bool
+    raises ``InvalidSpec``.  The real fields (power, coeff, dim_d) need no such
+    check: the constructors refuse what is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpec(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 PRESETS = ("zd", "dd", "theta4d")  # the names ``preset`` builds: the CLI's --preset choices
@@ -241,10 +236,10 @@ def theta_eval_product(kind: int, q: float) -> float:
 
 def coeff_bound(d: float, l: int) -> float:
     """Shell-count bound 2^d (1 + d/l)^l (1 + l/d)^d for unit-scale series."""
-    d = float(d)
-    l = int(l)
-    if not (d > 0 and math.isfinite(d)) or l < 1:
-        raise DomainError("coeff_bound requires a finite d > 0 and l >= 1")
+    d, l = _real(d, "d"), _number(l, "l")
+    if not 1.0 <= l < math.inf:
+        raise DomainError(f"l must be finite and >= 1, got {l!r}")
+    l = int(l)  # floored: the exponents of a ``build`` series are floats
     return math.exp(
         d * math.log(2.0) + l * math.log1p(d / l) + d * math.log1p(l / d)
     )

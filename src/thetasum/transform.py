@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet, _number, _real, _whole
+from .errors import DomainError, ToleranceNotMet, _number, _profile_values, _real, _whole
 
 # Plain power series of 0F1 keeps ~1e-13 absolute accuracy up to |z| = 25
 # (largest term grows like e^{2 sqrt|z|}); beyond that, unless |z| <= a,
@@ -72,13 +72,10 @@ class GaussPoly:
     def __post_init__(self):
         norm = []
         for c, k, alpha in self.terms:
-            c = float(c)
-            alpha = float(alpha)
-            if not (math.isfinite(c) and math.isfinite(alpha)):
-                raise DomainError("non-finite GaussPoly term")
-            if alpha <= 0:
-                raise DomainError(f"Gaussian rate must be positive, got {alpha!r}")
-            norm.append((c, _whole(k, "polynomial degree", 0), alpha))
+            c = _number(c, "GaussPoly coefficient")
+            if not math.isfinite(c):
+                raise DomainError(f"GaussPoly coefficient must be finite, got {c!r}")
+            norm.append((c, _whole(k, "polynomial degree", 0), _real(alpha, "Gaussian rate")))
         if not norm:
             raise DomainError("GaussPoly without terms")
         object.__setattr__(self, "terms", tuple(norm))
@@ -111,8 +108,8 @@ class Sampled:
 
     decay_hint = (scale, rate) asserts |f(r)| <= scale * exp(-rate r^2);
     it drives window selection and tail bounds, so it is mandatory.  fn
-    must be callable and the hint a pair of finite positive numbers, or
-    ``DomainError`` is raised.
+    must be callable and the hint a pair of finite positive real numbers,
+    or ``DomainError`` is raised.
     """
 
     fn: Callable[[float], float]
@@ -125,33 +122,17 @@ class Sampled:
         try:
             if isinstance(hint, (str, bytes)):
                 raise TypeError
-            scale, rate = (float(v) for v in hint)
+            scale, rate = hint
         except (TypeError, ValueError):
             raise DomainError(f"decay_hint must be a pair (scale, rate) of numbers, got {hint!r}") from None
-        if not (math.isfinite(scale) and scale > 0 and math.isfinite(rate) and rate > 0):
-            raise DomainError(f"decay_hint must be positive (scale, rate), got {hint!r}")
-        object.__setattr__(self, "decay_hint", (scale, rate))
+        object.__setattr__(self, "decay_hint", (_real(scale, "decay_hint scale"),
+                                                _real(rate, "decay_hint rate")))
 
     def eval(self, r):
         """fn at each r, as doubles.  The first value that is not a finite real
-        number (complex, NaN, infinite or none) raises ``DomainError`` naming
-        its r: a complex value is refused, not cut to its real part."""
-        arr = np.asarray(r, dtype=np.float64)
-        radii = arr.ravel().tolist()
-        values = list(map(self.fn, radii))
-        try:
-            out = np.asarray(values)
-        except ValueError:  # values of different shapes
-            out = np.asarray(values, dtype=object)
-        if out.shape != (len(radii),) or out.dtype.kind not in "biuf" or not np.isfinite(out).all():
-            for v, x in zip(values, radii):
-                try:
-                    if np.iscomplexobj(v) or not math.isfinite(v):
-                        raise TypeError
-                except (TypeError, ValueError):
-                    raise DomainError(f"radial profile is {v} at r = {x!r}") from None
-        out = out.astype(np.float64, copy=False)
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        number raises ``DomainError`` naming its r (``errors._profile_values``)."""
+        out = _profile_values(self.fn, np.asarray(r, dtype=np.float64), "radial profile", "r")
+        return out if out.ndim else float(out)
 
     def __call__(self, r):
         return self.eval(r)
@@ -181,10 +162,8 @@ def hyp0f1(a: float, z: float) -> float:
     (the front past the doubles, the Bessel function below the normal
     doubles, or the value itself past them) ``DomainError`` names a and z.
     """
-    a = float(a)
-    z = float(z)
-    if not (math.isfinite(a) and a > 0):
-        raise DomainError(f"hyp0f1 requires a > 0, got {a!r}")
+    a = _real(a, "hyp0f1 parameter a")
+    z = _number(z, "hyp0f1 argument z")
     if not math.isfinite(z):
         raise DomainError(f"hyp0f1 requires finite z, got {z!r}")
     if abs(z) <= max(_SERIES_SWITCH, a):
@@ -456,7 +435,8 @@ def _radial_setup(f: RadialFunction, d: float, least: float, top: float
       double, base is 1 and factor c: the measure is taken directly.  Else
       (r^{d-1} past the doubles, from d = 172 or so) base is R and factor
       c R^{d-1}, from its log, which adds about 2^-53 of the log's terms,
-      and (r/R)^{d-1} adds d ulps.
+      and (r/R)^{d-1} adds d ulps; where c R^{d-1} is past the doubles
+      (d = 200 at rate 0.05), ``DomainError`` is raised.
     - rounding bounds the relative rounding that c and the measure add.
     """
     d = _check_dim(d)
@@ -480,9 +460,12 @@ def _radial_setup(f: RadialFunction, d: float, least: float, top: float
         factor = math.inf
     if 2.0**-1000 < factor < math.inf:
         return d, R, tail, c, 1.0, rounding
-    log_factor = math.log(c) + (d - 1.0) * math.log(R)
+    try:
+        factor = math.exp(math.log(c) + (d - 1.0) * math.log(R))
+    except OverflowError:
+        raise DomainError(f"the transform's measure c R^(d-1) is past the doubles at d = {d!r}") from None
     rounding += 2.0**-52 * (abs(math.log(c)) + abs((d - 1.0) * math.log(R)) + d)
-    return d, R, tail, math.exp(log_factor), R, rounding
+    return d, R, tail, factor, R, rounding
 
 
 def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:

@@ -230,7 +230,7 @@ def test_unreadable_spec_file_is_usage_error(capsys, tmp_path):
     ("term", "factors", [], "term without factors"),
     ("term", "coeff", math.nan, "term coefficient must be finite, got nan"),
     ("term", "coeff", math.inf, "term coefficient must be finite, got inf"),
-    ("factor", "power", -3.0, "power must be a finite real >= 0, got -3.0"),
+    ("factor", "power", -3.0, "power must be finite and nonnegative, got -3.0"),
     ("factor", "scale", [-1, 1], "scale must be positive, got -1"),
     ("factor", "scale", [0, 1], "scale must be positive, got 0"),
 ], ids=["scale-overflow", "scale-zero-denominator", "scale-not-whole", "scale-float",
@@ -406,7 +406,7 @@ def test_transform_rejects_bad_radii(capsys, radii):
     (["jacobi-check", "--t", "1,two"], "--t expects comma-separated numbers"),
     (["jacobi-check", "--t", ", ,"], "--t expects at least one number"),
     (["verify", "--preset", "zd", "--dim", "2", "--f", ";"], "--f is empty"),
-    (["verify", "--preset", "zd", "--dim", "2", "--f", "1,0,-1"], "rate must be positive"),
+    (["verify", "--preset", "zd", "--dim", "2", "--f", "1,0,-1"], "Gaussian rate must be finite and positive"),
     (["transform", "--dim", "2", "--f", "1,-2,1"], "degree must be an integer >= 0"),
     (["hermite-demo", "--alpha", "-0.5"], "--alpha must exceed -1/2"),
     (["hermite-demo", "--alpha", "-3"], "--alpha must exceed -1/2"),

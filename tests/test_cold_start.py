@@ -254,30 +254,39 @@ def test_the_shared_grid_reads_its_setup_and_tolerances_alone_from_transform():
 
 def test_each_input_decision_has_one_owner():
     # errors._whole checks every order, degree and count: no function floors
-    # a parameter with int() (coeff_bound takes build's float exponents);
-    # Sampled.eval alone refuses a profile value, and transform alone tells
-    # the two profile types apart
-    casts, message, both = set(), set(), set()
+    # a parameter with int() (coeff_bound floors build's float exponents,
+    # after errors._number); errors._profile_values alone refuses a profile
+    # value and words its message, Sampled.eval and the Hermite quadrature
+    # call it with their own labels, and hermite keeps no check of its own;
+    # transform alone tells the two profile types apart
+    casts, valued, message, callers, both = set(), set(), set(), set(), set()
     for path in Path(thetasum.__file__).parent.glob("*.py"):
-        text = path.read_text(encoding="utf-8")
-        if "radial profile is" in text:
-            message.add(path.stem)
         tested = set()
-        for node in ast.walk(ast.parse(text)):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
-                if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                       and call.func.id == "int" and call.args
+                calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+                if any(isinstance(call.func, ast.Name) and call.func.id == "int" and call.args
                        and isinstance(call.args[0], ast.Name) and call.args[0].id in params
-                       for call in ast.walk(node)):
+                       for call in calls):
                     casts.add((path.stem, node.name))
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "isinstance" and len(node.args) == 2):
-                tested |= {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.args[1])}
+                if any(getattr(call.func, "attr", None) == "iscomplexobj" for call in calls):
+                    valued.add((path.stem, node.name))
+            elif isinstance(node, ast.JoinedStr):
+                parts = {part.value for part in node.values if isinstance(part, ast.Constant)}
+                if {" is ", " at "} <= parts:
+                    message.add(path.stem)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "_profile_values":
+                    callers.add((path.stem, *(arg.value for arg in node.args[2:])))
+                elif node.func.id == "isinstance" and len(node.args) == 2:
+                    tested |= {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.args[1])}
         if {"GaussPoly", "Sampled"} <= tested:
             both.add(path.stem)
     assert casts == {("spec", "coeff_bound")}
-    assert message == {"transform"}
+    assert valued == {("errors", "_profile_values")}
+    assert message == {"errors"}
+    assert callers == {("transform", "radial profile", "r"), ("hermite", "profile", "x")}
     assert both == {"transform"}
 
 

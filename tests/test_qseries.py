@@ -254,6 +254,13 @@ def test_evaluate_tail_is_honest():
     assert abs(res.value - exact) <= res.tail
 
 
+@pytest.mark.parametrize("offset", [-1.0, math.nan, math.inf])
+def test_offset_must_be_finite_and_nonnegative(offset):
+    # a NaN or infinite offset was stored as it came
+    with pytest.raises(DomainError, match="offset_A must be finite and nonnegative"):
+        qs.QSeries(1, offset, [1.0])
+
+
 @pytest.mark.parametrize("V", [True, 0, 2.0, "2"])
 def test_denominator_must_be_an_integer_of_at_least_one(V):
     # True was read as 1

@@ -438,10 +438,12 @@ def test_spec_takes_every_dim_above_zero():
     for name in th.PRESETS:
         assert th.preset(name, 0.5).dim_d == 0.5
     three = th.ThetaFactor(3, 0.0, Fraction(1))
-    for d in (0.0, -1.0, th._POWER_SUM_TOL):
-        with pytest.raises(InvalidSpec, match=r"dim_d must be > 1e-12, the power-sum tolerance"):
+    for d in (0.0, -1.0):
+        with pytest.raises(InvalidSpec, match=r"dim_d must be finite and positive"):
             th.ThetaSpec(terms=((1.0, (three,)),), dim_d=d)
-    with pytest.raises(InvalidSpec, match=r"dim_d must be > 1e-12"):
+    with pytest.raises(InvalidSpec, match=r"dim_d must be > 1e-12, the power-sum tolerance"):
+        th.ThetaSpec(terms=((1.0, (three,)),), dim_d=th._POWER_SUM_TOL)
+    with pytest.raises(InvalidSpec, match=r"dim_d must be finite and positive, got -2.0"):
         th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, 2.0, Fraction(1)),)),), dim_d=-2.0)
 
 
@@ -558,6 +560,7 @@ def test_from_json_rejects_a_kind_that_is_not_an_integer(kind):
     ("dim_d", "2.0"), ("dim_d", True), ("scale", [True, 1]), ("scale", [1, "2"]),
 ])
 def test_from_json_rejects_strings_and_bools_for_numbers(where, value):
+    # the integer scale is checked as JSON; the real fields by the constructors
     data = th.preset("zd", 2).to_json_dict()
     if where == "dim_d":
         data["dim_d"] = value
@@ -565,7 +568,9 @@ def test_from_json_rejects_strings_and_bools_for_numbers(where, value):
         data["terms"][0]["coeff"] = value
     else:
         data["terms"][0]["factors"][0][where] = value
-    with pytest.raises(InvalidSpec, match="must be a JSON"):
+    says = {"coeff": "term coefficient must be a real number", "power": "power must be a real number",
+            "dim_d": "dim_d must be a real number", "scale": "scale must be a JSON integer"}[where]
+    with pytest.raises(InvalidSpec, match=says):
         th.ThetaSpec.from_json_dict(data)
 
 
@@ -653,7 +658,7 @@ def test_coeff_bound_majorizes_counts(d):
 
 @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
 def test_coeff_bound_refuses_a_dimension_that_is_not_finite_and_positive(d):
-    with pytest.raises(DomainError, match="finite d > 0"):
+    with pytest.raises(DomainError, match="d must be finite and positive"):
         th.coeff_bound(d, 3)
 
 

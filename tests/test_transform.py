@@ -115,7 +115,8 @@ def test_sampled_eval_lets_the_profile_raise():
 
 
 @pytest.mark.parametrize("hint", [(1.0,), (1, 1, 2), None, ("a", 1.0), "12", (1.0, 1j),
-                                  (0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+                                  (0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan),
+                                  ("2.5", 1.0), (1.0, True)])
 def test_sampled_refuses_a_bad_decay_hint(hint):
     with pytest.raises(DomainError, match="decay_hint"):
         tr.Sampled(math.exp, decay_hint=hint)
@@ -819,12 +820,16 @@ def test_transforms_past_the_gamma_function_of_the_doubles(d):
 
 
 def test_transforms_refuse_a_dimension_past_the_doubles():
-    # at d = 1e4 the constant 2 pi^{d/2} / Gamma(d/2) is below the doubles
-    f = tr.Sampled(lambda r: math.exp(-r * r), decay_hint=(1.0, 1.0))
-    with pytest.raises(DomainError, match="below the doubles"):
-        gr.ft_quadrature_many(f, [0.0, 1.0], 1e4)
-    with pytest.raises(DomainError, match="below the doubles"):
-        tr.ft_quadrature(f, 1.0, 1e4)
+    # at d = 1e4 the constant 2 pi^{d/2} / Gamma(d/2) is below the doubles;
+    # at d = 200 and rate 0.05 the measure c R^{d-1} is past them (both
+    # routes raised OverflowError)
+    for rate, d, says in [(1.0, 1e4, "constant .* below the doubles at d = 10000.0"),
+                          (0.05, 200.0, "measure .* past the doubles at d = 200.0")]:
+        f = tr.Sampled(lambda r: math.exp(-rate * r * r), decay_hint=(1.0, rate))
+        with pytest.raises(DomainError, match=says):
+            gr.ft_quadrature_many(f, [0.0, 1.0], d)
+        with pytest.raises(DomainError, match=says):
+            tr.ft_quadrature(f, 1.0, d)
 
 
 def test_shared_grid_rejects_bad_input():
