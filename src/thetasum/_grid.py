@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import transform as tr
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet, _points
 
 # Gauss rule orders of the shared grid in ``ft_quadrature_many``.  On panels
 # one kernel period wide the lower rule already sits near the rounding
@@ -452,9 +452,7 @@ def ft_quadrature_many(f: tr.RadialFunction, ps: Sequence[float], d: float) -> t
     recurrence below the start runs.  Both rules are applied in one
     product.
     """
-    ps = np.asarray(ps, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(ps) & (ps >= 0.0)):
-        raise DomainError("radii must be finite and nonnegative")
+    ps = _points(ps, "p", "nonnegative").ravel()
     top = float(ps.max()) if ps.size else 0.0
     d, R, tail, factor, base, rounding = tr._radial_setup(f, d, _GRID_LEAST_DIM, math.pi * top)
     if ps.size == 0:

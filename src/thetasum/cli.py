@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import spec as sp
-from .errors import DomainError, InvalidSpec, ThetasumError, ToleranceNotMet
+from .errors import DomainError, InvalidSpec, ThetasumError, ToleranceNotMet, _whole
 
 if TYPE_CHECKING:
     from .transform import GaussPoly
@@ -122,12 +122,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     from . import transform as tr
 
     f = _parse_gauss(args.f)
-    radii = _parse_floats(args.p, "--p")
-    bad = [p for p in radii if not (math.isfinite(p) and p >= 0)]
-    if bad:
-        raise DomainError(f"--p radii must be finite and >= 0, got {bad[0]!r}")
-    fhat = tr.ft_gausspoly(f, args.dim)
-    rows = [{"p": p, "value": float(fhat.eval(p))} for p in radii]
+    rows = [{"p": p, "value": tr.ft_closed(f, p, args.dim)} for p in _parse_floats(args.p, "--p")]
     _emit_rows(rows, ("p", "value"), args)
     return 0
 
@@ -163,10 +158,7 @@ def cmd_jacobi_check(args: argparse.Namespace) -> int:
 def cmd_hermite_demo(args: argparse.Namespace) -> int:
     from . import hermite as hm
 
-    if not args.alpha > -0.5:
-        raise DomainError(f"--alpha must exceed -1/2, got {args.alpha}")
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
+    _whole(args.n_max, "--n-max", 0)
     profile = lambda x: math.exp(-args.alpha * x * x)
     rows = []
     for n in range(args.n_max + 1):

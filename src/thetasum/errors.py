@@ -1,5 +1,6 @@
-"""Exception types shared across the package, its one integer and one
-real-number check, and its one check of profile values."""
+"""Exception types shared across the package, and its one check of each
+kind of argument: integers, real numbers with their sign rules, evaluation
+points, rational scales and profile values."""
 
 import math
 import operator
@@ -59,13 +60,46 @@ def _number(value, name: str, error: type = DomainError) -> float:
     return float(value)
 
 
-def _real(value, name: str, zero: bool = False, error: type = DomainError) -> float:
-    """``_number(value, name, error)`` if it is finite and > 0, or >= 0 with
-    zero; anything else raises ``error``."""
+def _real(value, name: str, sign: str = "positive", error: type = DomainError) -> float:
+    """``_number(value, name, error)`` if it is finite and, by sign, > 0
+    ("positive"), >= 0 ("nonnegative") or of either sign ("any"); anything
+    else raises ``error`` "<name> must be finite[ and <sign>], got <value>"."""
     x = _number(value, name, error)
-    if not (math.isfinite(x) and (x > 0 or zero and x == 0)):
-        raise error(f"{name} must be finite and {'nonnegative' if zero else 'positive'}, got {value!r}")
+    if not (math.isfinite(x) and (x > 0 or x == 0 and sign == "nonnegative" or sign == "any")):
+        raise error(f"{name} must be finite{'' if sign == 'any' else ' and ' + sign}, got {value!r}")
     return x
+
+
+def _points(values, name: str, sign: str | None = None):
+    """values, a real number or an array or sequence of them, as a float64
+    ndarray of their shape (a float64 array as it is).  An array of a dtype
+    not integer or float, or an element ``_number`` refuses, raises
+    ``DomainError``; with sign, so does a point outside ``_real``'s rule."""
+    import numpy as np  # here: ``import thetasum`` loads this module alone
+
+    if isinstance(values, float):  # a float needs no look at its type
+        values = np.asarray(values)
+    elif not isinstance(values, np.ndarray):
+        items = np.asarray(values, dtype=object)
+        values = np.array([_number(v, name) for v in items.flat]).reshape(items.shape)
+    elif values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number, got a {values.dtype} array")
+    out = values.astype(np.float64, copy=False)
+    for x in (out.min(), out.max()) if sign and out.size else ():  # a NaN is both
+        _real(float(x), name, sign)
+    return out
+
+
+def _scale(value, name: str, error: type = DomainError):
+    """value as a positive ``Fraction``: a rational (a Fraction or an integer,
+    numpy's too) as it is, any other real through ``_real`` and then exactly,
+    so 0.5 is 1/2; a bool, a string, NaN, inf and a value <= 0 raise ``error``."""
+    import numbers
+    from fractions import Fraction  # here: ``import thetasum`` loads this module alone
+
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool) and value > 0:
+        return Fraction(int(value.numerator), int(value.denominator))
+    return Fraction(_real(value, name, error=error))  # refuses a rational <= 0 too
 
 
 def _profile_values(fn, points, what: str, at: str):

@@ -10,21 +10,16 @@ and to expand arbitrary profiles.  Both run on numpy alone, and
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet, _number, _profile_values, _real, _whole
+from .errors import DomainError, ToleranceNotMet, _number, _points, _profile_values, _whole
 
 _PANEL_CAP = 400
-
-# Gauss-Legendre orders of the two rules on each panel of
-# ``hermite_coeff_quadrature``.  Its panels start about 1 wide, not one
-# kernel period as in the shared grid of ``_grid``, and are bisected
-# until the two rules agree: the difference bounds the higher rule's error
-# once the lower one resolves f h_n on the panel.
-_RULE_ORDERS = (10, 14)
+_ABS_TOL = 1e-11  # the error hermite_coeff_quadrature meets
 
 
 def hermite_h(n: int, x):
@@ -33,7 +28,7 @@ def hermite_h(n: int, x):
     Recurrence: h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}.
     """
     n = _whole(n, "order", 0)
-    xa = np.asarray(x, dtype=np.float64)
+    xa = _points(x, "x")
     h_prev = np.pi**-0.25 * np.exp(-0.5 * xa * xa)
     if n == 0:
         return h_prev if h_prev.ndim else float(h_prev)
@@ -58,7 +53,7 @@ def gaussian_hermite_coeff(alpha: float, n: int) -> float:
     """
     alpha = _number(alpha, "alpha")
     n = _whole(n, "order", 0)
-    if not (math.isfinite(alpha) and alpha > -0.5):
+    if not -0.5 < alpha < math.inf:
         raise DomainError(f"alpha must exceed -1/2, got {alpha!r}")
     if n % 2 == 1:
         return 0.0
@@ -81,31 +76,29 @@ def gaussian_hermite_coeff(alpha: float, n: int) -> float:
     return sign * math.exp(log_mag)
 
 
-def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
-                             abs_tol: float = 1e-11) -> float:
+def hermite_coeff_quadrature(f: Callable[[float], float], n: int) -> float:
     """<f, h_n> by adaptive composite Gauss-Legendre quadrature on [-x_max, x_max],
     x_max = sqrt(2n + 1) + 12, the effective support of h_n.
 
     The interval starts as panels about 1 wide with x = 0 an edge, so a kink
     or jump at 0 is integrated exactly.  Two Gauss-Legendre rules of
-    different order (``_RULE_ORDERS``) run on each panel, f is
+    different order (``_rules``) run on each panel, f is
     evaluated once per node, and a panel's error estimate is the difference
     of the two rules; a half of a bisected panel takes at least half the
     change the bisection made to its parent's value, so the two rules
     agreeing by chance on a half does not end the search.  The total
     estimate adds a rounding floor of 2^-50 times the absolute sum of the
     terms.  Each round bisects the panels whose estimate is above their
-    share (by width) of 0.1 abs_tol, until the total is at most 0.1 abs_tol;
-    ToleranceNotMet if it is still above abs_tol when a round would pass
+    share (by width) of 0.1 ``_ABS_TOL``, until the total is at most that;
+    ToleranceNotMet if it is still above ``_ABS_TOL`` when a round would pass
     ``_PANEL_CAP`` panels.  A jump or kink away from x = 0 is not guaranteed
-    to meet abs_tol: within 0.7% of a panel's width of its edge it lies
+    to meet ``_ABS_TOL``: within 0.7% of a panel's width of its edge it lies
     outside both rules' nodes, and neither rule sees it.
     """
     n = _whole(n, "order", 0)
-    abs_tol = _real(abs_tol, "abs_tol")
     x_max = math.sqrt(2.0 * n + 1.0) + 12.0
 
-    budget = 0.1 * abs_tol
+    budget = 0.1 * _ABS_TOL
     half = np.linspace(0.0, x_max, max(1, math.ceil(x_max)) + 1)
     edges = np.concatenate([-half[:0:-1], half])
     lo, hi = edges[:-1], edges[1:]
@@ -116,10 +109,8 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
             break
         split = sums[:, 1] > budget * (hi - lo) / (2.0 * x_max)
         if not split.any() or lo.size + np.count_nonzero(split) > _PANEL_CAP:
-            if total > abs_tol:
-                raise ToleranceNotMet(
-                    f"quadrature error {total:.3e} above requested {abs_tol:.3e}"
-                )
+            if total > _ABS_TOL:
+                raise ToleranceNotMet(f"quadrature error {total:.3e} above requested {_ABS_TOL:.3e}")
             break
         mid = 0.5 * (lo + hi)[split]
         new_lo = np.concatenate([lo[split], mid])
@@ -135,18 +126,27 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int,
     return math.fsum(sums[:, 0])
 
 
+@functools.cache
+def _rules() -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rules of orders 10 and 14 on each panel of
+    ``hermite_coeff_quadrature``, made once and read-only: nodes on [-1, 1],
+    weights in one column per rule (zero on the other rule's nodes).  Panels
+    start about 1 wide, not one kernel period as in ``_grid``, and are
+    bisected until the rules agree: the difference bounds the higher rule's
+    error once the lower one resolves f h_n on the panel."""
+    (x_lo, w_lo), (x_hi, w_hi) = (np.polynomial.legendre.leggauss(k) for k in (10, 14))
+    x = np.concatenate([x_lo, x_hi])
+    w = np.zeros((x.size, 2))
+    w[:x_lo.size, 0], w[x_lo.size:, 1] = w_lo, w_hi
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_sums(f: Callable[[float], float], n: int,
                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per panel [lo, hi] of f h_n: the higher-order rule's value, the
     difference of the two rules, and the higher-order rule's absolute sum."""
-    from numpy.polynomial.legendre import leggauss
-
-    (x_lo, w_lo), (x_hi, w_hi) = (leggauss(k) for k in _RULE_ORDERS)
-    x = np.concatenate([x_lo, x_hi])
-    # one column per rule, zero on the other rule's nodes
-    w = np.zeros((x.size, 2))
-    w[:x_lo.size, 0] = w_lo
-    w[x_lo.size:, 1] = w_hi
+    x, w = _rules()
     half = 0.5 * (hi - lo)[:, None]
     nodes = 0.5 * (lo + hi)[:, None] + half * x
     g = _profile_values(f, nodes, "profile", "x") * hermite_h(n, nodes)

@@ -13,7 +13,6 @@ All operations are pure; instances are immutable after construction.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     ZeroLeadingCoefficient,
     _number,
     _real,
+    _scale,
     _whole,
 )
 
@@ -201,7 +201,7 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
     """
     if _number(alpha, "alpha") < 0:
         raise NegativeExponent(f"negative exponent {alpha}")
-    alpha = _real(alpha, "alpha", zero=True)
+    alpha = _real(alpha, "alpha", "nonnegative")
     if a.is_zero or a.coeffs[0] == 0.0:
         raise ZeroLeadingCoefficient("pow_real requires a nonzero leading coefficient")
 
@@ -220,9 +220,7 @@ def pow_real(a: QSeries, alpha: float) -> QSeries:
 
 def rescale(a: QSeries, s) -> QSeries:
     """Substitute q -> q^s for rational s > 0: every exponent multiplies by s."""
-    s = Fraction(s)
-    if s <= 0:
-        raise DomainError(f"scale must be positive, got {s}")
+    s = _scale(s, "scale")
     num, den = s.numerator, s.denominator
     out = np.zeros(a.trunc_L * num + 1, dtype=np.float64)
     out[::num] = a.coeffs

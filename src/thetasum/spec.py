@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number, _real
+from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number, _real, _scale
 
 _POWER_SUM_TOL = 1e-12
 
@@ -69,11 +69,8 @@ class ThetaFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _kind(self.kind, InvalidSpec))  # so the JSON round-trips
-        object.__setattr__(self, "power", _real(self.power, "power", zero=True, error=InvalidSpec))
-        s = self.scale if isinstance(self.scale, Fraction) else Fraction(self.scale)
-        if s <= 0:
-            raise InvalidSpec(f"scale must be positive, got {s}")
-        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "power", _real(self.power, "power", "nonnegative", InvalidSpec))
+        object.__setattr__(self, "scale", _scale(self.scale, "scale", InvalidSpec))
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,7 @@ class ThetaSpec:
     def __post_init__(self):
         norm = []
         for coeff, factors in self.terms:
-            c = _number(coeff, "term coefficient", InvalidSpec)
-            if not math.isfinite(c):
-                raise InvalidSpec(f"term coefficient must be finite, got {coeff!r}")
+            c = _real(coeff, "term coefficient", "any", InvalidSpec)
             fs = tuple(factors)
             if not fs:
                 raise InvalidSpec("term without factors")
@@ -179,19 +174,18 @@ PRESETS = ("zd", "dd", "theta4d")  # the names ``preset`` builds: the CLI's --pr
 
 def preset(name: str, d: float) -> ThetaSpec:
     """Named spec families: zd (cubic lattice), dd (checkerboard), theta4d."""
-    one = Fraction(1)
     if name == "zd":
-        return ThetaSpec(terms=((1.0, (ThetaFactor(3, d, one),)),), dim_d=d)
+        return ThetaSpec(terms=((1.0, (ThetaFactor(3, d, 1),)),), dim_d=d)
     if name == "dd":
         return ThetaSpec(
             terms=(
-                (0.5, (ThetaFactor(3, d, one),)),
-                (0.5, (ThetaFactor(4, d, one),)),
+                (0.5, (ThetaFactor(3, d, 1),)),
+                (0.5, (ThetaFactor(4, d, 1),)),
             ),
             dim_d=d,
         )
     if name == "theta4d":
-        return ThetaSpec(terms=((1.0, (ThetaFactor(4, d, one),)),), dim_d=d)
+        return ThetaSpec(terms=((1.0, (ThetaFactor(4, d, 1),)),), dim_d=d)
     raise InvalidSpec(f"unknown preset {name!r} "
                       f"(expected {', '.join(PRESETS[:-1])} or {PRESETS[-1]})")
 
@@ -285,11 +279,7 @@ def jacobi_residual(kind: int, t: float) -> float:
     product's factor cap, raises ``ToleranceNotMet`` naming t.
     """
     partner = KINDS[_kind(kind)].partner
-    t = _number(t, "t")
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    t = _real(t, "t")
     q_lhs, q_rhs = math.exp(-math.pi / t), math.exp(-math.pi * t)
     if max(q_lhs, q_rhs) == 1.0:
         q = "e^(-pi/t)" if q_lhs == 1.0 else "e^(-pi t)"

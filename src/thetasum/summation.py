@@ -126,7 +126,7 @@ def _shared_grid(f: Sampled, d: float):
         ps = radii.tolist()
         new = [p for p in ps if p not in cache]
         if new:
-            values, errors = _grid.ft_quadrature_many(f, new, d)
+            values, errors = _grid.ft_quadrature_many(f, np.array(new), d)
             cache.update(zip(new, zip(values.tolist(), errors.tolist())))
         return np.array([cache[p] for p in ps]).reshape(-1, 2).T
 

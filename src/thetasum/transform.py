@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet, _number, _profile_values, _real, _whole
+from .errors import DomainError, ToleranceNotMet, _points, _profile_values, _real, _whole
 
 # Plain power series of 0F1 keeps ~1e-13 absolute accuracy up to |z| = 25
 # (largest term grows like e^{2 sqrt|z|}); beyond that, unless |z| <= a,
@@ -70,21 +70,17 @@ class GaussPoly:
     terms: tuple[tuple[float, int, float], ...]
 
     def __post_init__(self):
-        norm = []
-        for c, k, alpha in self.terms:
-            c = _number(c, "GaussPoly coefficient")
-            if not math.isfinite(c):
-                raise DomainError(f"GaussPoly coefficient must be finite, got {c!r}")
-            norm.append((c, _whole(k, "polynomial degree", 0), _real(alpha, "Gaussian rate")))
+        norm = tuple((_real(c, "GaussPoly coefficient", "any"), _whole(k, "polynomial degree", 0),
+                      _real(alpha, "Gaussian rate")) for c, k, alpha in self.terms)
         if not norm:
             raise DomainError("GaussPoly without terms")
-        object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(self, "terms", norm)
 
     def eval(self, r):
         """Sum of the terms at r.  Where c r^{2k} is past the doubles (r^2
         itself from r ~ 1.3e154), a term is c exp(k log r^2 - alpha r^2),
         which is 0 there unless alpha is tiny."""
-        r = np.asarray(r, dtype=np.float64)
+        r = _points(r, "r")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r2 = np.square(r)
             out = np.zeros_like(r2)
@@ -131,7 +127,7 @@ class Sampled:
     def eval(self, r):
         """fn at each r, as doubles.  The first value that is not a finite real
         number raises ``DomainError`` naming its r (``errors._profile_values``)."""
-        out = _profile_values(self.fn, np.asarray(r, dtype=np.float64), "radial profile", "r")
+        out = _profile_values(self.fn, _points(r, "r"), "radial profile", "r")
         return out if out.ndim else float(out)
 
     def __call__(self, r):
@@ -139,13 +135,6 @@ class Sampled:
 
 
 RadialFunction = Union[GaussPoly, Sampled]
-
-
-def _check_dim(d: float) -> float:
-    d = _number(d, "dimension parameter")
-    if not (d > 0.0 and math.isfinite(d)):
-        raise DomainError(f"dimension parameter must be > 0 and finite, got {d!r}")
-    return d
 
 
 # -- scalar special functions --------------------------------------------
@@ -163,9 +152,7 @@ def hyp0f1(a: float, z: float) -> float:
     doubles, or the value itself past them) ``DomainError`` names a and z.
     """
     a = _real(a, "hyp0f1 parameter a")
-    z = _number(z, "hyp0f1 argument z")
-    if not math.isfinite(z):
-        raise DomainError(f"hyp0f1 requires finite z, got {z!r}")
+    z = _real(z, "hyp0f1 argument z", "any")
     if abs(z) <= max(_SERIES_SWITCH, a):
         t = 1.0
         terms = [t]
@@ -211,7 +198,7 @@ def ft_gausspoly(f: GaussPoly, d: float) -> GaussPoly:
     Every d > 0 is taken.  A transformed coefficient that is not a finite
     double raises ``DomainError``.
     """
-    d = _check_dim(d)
+    d = _real(d, "dimension parameter")
     s = 0.5 * d
     out: dict[tuple[int, float], float] = {}
     for c, k, alpha in f.terms:
@@ -237,7 +224,7 @@ def ft_gausspoly(f: GaussPoly, d: float) -> GaussPoly:
 
 def ft_closed(f: GaussPoly, p: float, d: float) -> float:
     """Closed-form transform value at radius p >= 0."""
-    p = _real(p, "p", zero=True)
+    p = _real(p, "p", "nonnegative")
     return ft_gausspoly(f, d).eval(p)
 
 
@@ -248,7 +235,7 @@ def laplacian_d(f: GaussPoly, d: float, n: int = 1) -> GaussPoly:
     r^{2k} e^{-a r^2} -> 2k(2k-2+d) r^{2k-2} - 2a(4k+d) r^{2k} + 4a^2 r^{2k+2},
     all times e^{-a r^2}.  Every d > 0 is taken.
     """
-    d = _check_dim(d)
+    d = _real(d, "dimension parameter")
     n = _whole(n, "repetition count", 0)
     terms = f.terms
     for _ in range(n):
@@ -439,7 +426,7 @@ def _radial_setup(f: RadialFunction, d: float, least: float, top: float
       (d = 200 at rate 0.05), ``DomainError`` is raised.
     - rounding bounds the relative rounding that c and the measure add.
     """
-    d = _check_dim(d)
+    d = _real(d, "dimension parameter")
     if d < least:
         raise DomainError(f"this quadrature transform takes d >= {least!r}, got {d!r}: "
                           "below it rounding takes the measure r^(d-1) near r = 0")
@@ -482,7 +469,7 @@ def ft_quadrature(f: RadialFunction, p: float, d: float) -> FTResult:
     """
     from scipy import integrate
 
-    p = _real(p, "p", zero=True)
+    p = _real(p, "p", "nonnegative")
     d, R, tail, factor, base, rounding = _radial_setup(f, d, _QAWS_LEAST_DIM, math.pi * p)
     a = 0.5 * d
 

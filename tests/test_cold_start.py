@@ -252,14 +252,35 @@ def test_the_shared_grid_reads_its_setup_and_tolerances_alone_from_transform():
                    for node in ast.walk(tree))
 
 
+def _label(node):
+    """A constant's value or a name's identifier, as a call argument."""
+    return node.value if isinstance(node, ast.Constant) else getattr(node, "id", None)
+
+
+def _converts_a_parameter(call, params) -> bool:
+    """call is Fraction(p), math.isfinite(p), np.isfinite(p) or
+    np.asarray(p, dtype=np.float64), with p a parameter of its function."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if not (call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in params):
+        return False
+    return name in ("Fraction", "isfinite") or name == "asarray" and any(
+        kw.arg == "dtype" and getattr(kw.value, "attr", None) == "float64" for kw in call.keywords)
+
+
 def test_each_input_decision_has_one_owner():
     # errors._whole checks every order, degree and count: no function floors
     # a parameter with int() (coeff_bound floors build's float exponents,
     # after errors._number); errors._profile_values alone refuses a profile
     # value and words its message, Sampled.eval and the Hermite quadrature
     # call it with their own labels, and hermite keeps no check of its own;
-    # transform alone tells the two profile types apart
-    casts, valued, message, callers, both = set(), set(), set(), set(), set()
+    # transform alone tells the two profile types apart.  errors._points
+    # alone turns evaluation points into doubles and errors._scale alone
+    # makes a rational scale: no function outside errors calls Fraction,
+    # math.isfinite, np.isfinite or np.asarray(..., dtype=np.float64) on a
+    # parameter of its own, except QSeries on its coefficient array, whose
+    # rules (one dimension, not empty, CoefficientOverflow) are not a sign rule
+    casts, valued, message, both, own = set(), set(), set(), set(), set()
+    callers = {"_profile_values": set(), "_points": set(), "_scale": set()}
     for path in Path(thetasum.__file__).parent.glob("*.py"):
         tested = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -272,13 +293,16 @@ def test_each_input_decision_has_one_owner():
                     casts.add((path.stem, node.name))
                 if any(getattr(call.func, "attr", None) == "iscomplexobj" for call in calls):
                     valued.add((path.stem, node.name))
+                if path.stem != "errors" and any(_converts_a_parameter(call, params) for call in calls):
+                    own.add((path.stem, node.name))
             elif isinstance(node, ast.JoinedStr):
                 parts = {part.value for part in node.values if isinstance(part, ast.Constant)}
                 if {" is ", " at "} <= parts:
                     message.add(path.stem)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id == "_profile_values":
-                    callers.add((path.stem, *(arg.value for arg in node.args[2:])))
+                if node.func.id in callers:
+                    skip = 2 if node.func.id == "_profile_values" else 1
+                    callers[node.func.id].add((path.stem, *map(_label, node.args[skip:])))
                 elif node.func.id == "isinstance" and len(node.args) == 2:
                     tested |= {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.args[1])}
         if {"GaussPoly", "Sampled"} <= tested:
@@ -286,7 +310,10 @@ def test_each_input_decision_has_one_owner():
     assert casts == {("spec", "coeff_bound")}
     assert valued == {("errors", "_profile_values")}
     assert message == {"errors"}
-    assert callers == {("transform", "radial profile", "r"), ("hermite", "profile", "x")}
+    assert callers["_profile_values"] == {("transform", "radial profile", "r"), ("hermite", "profile", "x")}
+    assert callers["_points"] == {("transform", "r"), ("hermite", "x"), ("_grid", "p", "nonnegative")}
+    assert callers["_scale"] == {("spec", "scale", "InvalidSpec"), ("qseries", "scale")}
+    assert own == {("qseries", "__init__")}
     assert both == {"transform"}
 
 

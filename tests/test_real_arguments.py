@@ -1,8 +1,11 @@
 """Every public real argument goes through ``errors._number``: a bool or a
 numeric string is refused with the one message, and an int or a numpy float
-is taken as the float it equals."""
+is taken as the float it equals.  Evaluation points go through
+``errors._points`` and rational scales through ``errors._scale``, which
+refuse the same values."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,7 @@ from thetasum import qseries as qs
 from thetasum import spec as sp
 from thetasum import summation as sm
 from thetasum import transform as tr
+from thetasum import errors
 from thetasum.errors import DomainError, InvalidSpec
 
 GAUSS = tr.GaussPoly(((1.0, 0, 1.0),))
@@ -49,7 +53,6 @@ EARLIER = {
     "ft_quadrature d": lambda v: tr.ft_quadrature(GAUSS, 0.5, v),
     "ft_quadrature_many d": lambda v: gr.ft_quadrature_many(GAUSS, [0.5], v),
     "gaussian_hermite_coeff alpha": lambda v: hm.gaussian_hermite_coeff(v, 2),
-    "hermite_coeff_quadrature abs_tol": lambda v: hm.hermite_coeff_quadrature(math.exp, 2, abs_tol=v),
     "theta_eval_product q": lambda v: sp.theta_eval_product(3, v),
     "jacobi_residual t": lambda v: sp.jacobi_residual(3, v),
     "verify tol": lambda v: sm.verify(sp.preset("zd", 2.0), GAUSS, tol=v),
@@ -76,3 +79,94 @@ def test_every_real_argument_takes_an_int_and_a_numpy_float(name):
     want = call(x)
     for value in (np.float64(x), np.float32(x)) + (() if whole is None else (whole, np.int64(whole))):
         assert call(value) == want, value
+
+
+SAMPLED = tr.Sampled(lambda r: math.exp(-r * r), (1.0, 1.0))
+
+# evaluation point -> the call with the points v in their place
+POINTS = {
+    "GaussPoly.eval r": GAUSS.eval,
+    "Sampled.eval r": SAMPLED.eval,
+    "hermite_h x": lambda v: hm.hermite_h(2, v),
+    "ft_quadrature_many p": lambda v: gr.ft_quadrature_many(GAUSS, v, 2.0),
+}
+
+
+@pytest.mark.parametrize("value", [True, "2.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("name", POINTS)
+def test_every_evaluation_point_refuses_a_bool_and_a_numeric_string(name, value):
+    # hermite_h(2, "2.5") gave 0.2684, GaussPoly.eval("0.5") 0.7788
+    for points in (value, [0.5, value], [[0.5], [value]]):
+        with pytest.raises(DomainError, match=f"must be a real number, got {value!r}$"):
+            POINTS[name](points)
+
+
+@pytest.mark.parametrize("array", [np.array([True]), np.array(["0.5"]), np.array([0.5 + 0j]),
+                                   np.array([0.5], dtype=object)],
+                         ids=["bool", "string", "complex", "object"])
+@pytest.mark.parametrize("name", POINTS)
+def test_every_evaluation_point_refuses_an_array_that_is_not_real(name, array):
+    with pytest.raises(DomainError, match=f"must be a real number, got a {array.dtype} array$"):
+        POINTS[name](array)
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_every_evaluation_point_takes_arrays_ints_and_numpy_floats(name):
+    call = POINTS[name]
+    want = np.asarray(call(np.array([0.0, 0.5, 2.0])))
+    for points in ([0.0, 0.5, 2.0], [0, 0.5, 2], (np.float32(0.0), np.float64(0.5), np.int64(2)),
+                   np.array([0.0, 0.5, 2.0], dtype=np.float32)):
+        assert np.array_equal(np.asarray(call(points)), want), points
+    want = np.asarray(call(np.array([0.0, 1.0, 2.0])))
+    for points in (np.array([0, 1, 2]), np.array([0, 1, 2], dtype=np.uint8), [0, 1, 2]):
+        assert np.array_equal(np.asarray(call(points)), want), points
+
+
+def test_a_float64_array_of_points_is_not_copied():
+    points = np.array([[0.5, 1.0], [2.0, 3.0]])
+    assert errors._points(points, "r") is points
+    assert errors._points(points, "r", "nonnegative") is points
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+def test_the_shared_grid_takes_radii_by_the_nonnegative_rule(bad):
+    with pytest.raises(DomainError, match=f"p must be finite and nonnegative, got {bad!r}$"):
+        gr.ft_quadrature_many(GAUSS, [0.5, bad, 1.0], 2.0)
+
+
+# scale -> (the call with v in its place, the error it raises)
+SCALES = {
+    "ThetaFactor scale": (lambda v: sp.ThetaFactor(3, 2.0, v), InvalidSpec),
+    "rescale s": (lambda v: qs.rescale(SERIES, v), DomainError),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1/2", "0.5"], ids=["bool", "fraction-string", "string"])
+@pytest.mark.parametrize("name", SCALES)
+def test_every_scale_refuses_a_bool_and_a_string(name, value):
+    # ThetaFactor(3, 2.0, "1/2") built scale 1/2, ThetaFactor(3, 2.0, True) scale 1
+    call, error = SCALES[name]
+    with pytest.raises(error, match=f"scale must be a real number, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, 0.0, 0, Fraction(-1, 2)],
+                         ids=["nan", "inf", "-inf", "negative", "zero", "int-zero", "negative-fraction"])
+@pytest.mark.parametrize("name", SCALES)
+def test_every_scale_refuses_what_is_not_finite_and_positive(name, value):
+    # a NaN scale raised a raw ValueError, an infinite one a raw OverflowError
+    call, error = SCALES[name]
+    with pytest.raises(error, match=re.escape(f"scale must be finite and positive, got {value!r}") + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", SCALES)
+def test_every_scale_takes_fractions_ints_and_exact_floats(name):
+    call, _ = SCALES[name]
+    half, two = call(Fraction(1, 2)), call(Fraction(2))
+    assert call(0.5) == call(np.float64(0.5)) == call(np.float32(0.5)) == half
+    assert call(2) == call(np.int64(2)) == call(2.0) == two
+    if name == "ThetaFactor scale":
+        for value in (0.5, np.int64(2), np.float32(0.5)):
+            scale = call(value).scale
+            assert type(scale) is Fraction and type(scale.numerator) is int, value

@@ -604,7 +604,7 @@ def test_jacobi_residual_rejects_nonpositive_t():
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_jacobi_residual_refuses_a_t_that_is_not_finite(t):
-    with pytest.raises(DomainError, match=f"t must be finite, got {t!r}"):
+    with pytest.raises(DomainError, match=f"t must be finite and positive, got {t!r}"):
         th.jacobi_residual(3, t)
 
 
