@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from thetasum import _grid as gr
+from thetasum import errors
 from thetasum import hermite as hm
 from thetasum import qseries as qs
 from thetasum import spec as sp
 from thetasum import summation as sm
 from thetasum import transform as tr
-from thetasum import errors
 from thetasum.errors import DomainError, InvalidSpec
 
 GAUSS = tr.GaussPoly(((1.0, 0, 1.0),))
@@ -126,12 +126,6 @@ def test_a_float64_array_of_points_is_not_copied():
     points = np.array([[0.5, 1.0], [2.0, 3.0]])
     assert errors._points(points, "r") is points
     assert errors._points(points, "r", "nonnegative") is points
-
-
-@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
-def test_the_shared_grid_takes_radii_by_the_nonnegative_rule(bad):
-    with pytest.raises(DomainError, match=f"p must be finite and nonnegative, got {bad!r}$"):
-        gr.ft_quadrature_many(GAUSS, [0.5, bad, 1.0], 2.0)
 
 
 # scale -> (the call with v in its place, the error it raises)

@@ -833,8 +833,9 @@ def test_transforms_refuse_a_dimension_past_the_doubles():
 
 
 def test_shared_grid_rejects_bad_input():
-    with pytest.raises(DomainError):
-        gr.ft_quadrature_many(GAUSS, [0.5, -0.1], 2.0)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):  # the nonnegative rule of errors._real
+        with pytest.raises(DomainError, match=f"p must be finite and nonnegative, got {bad!r}$"):
+            gr.ft_quadrature_many(GAUSS, [0.5, bad, 1.0], 2.0)
     nan = tr.Sampled(lambda r: math.nan, decay_hint=(1.0, 1.0))
     with pytest.raises(DomainError):
         gr.ft_quadrature_many(nan, [0.0, 1.0], 2.0)
