@@ -278,7 +278,8 @@ def test_dim_below_one_transforms_and_the_old_flag_is_a_usage_error(capsys):
     assert json.loads(out)[0]["value"] == pytest.approx(want, rel=1e-14)
     for dim in ("0", "-1"):
         code, out, err = run(capsys, ["transform", "--f", "1,0,1", "--dim", dim])
-        assert code == 2 and out == "" and f"dimension parameter must be finite and positive, got {float(dim)!r}" in err
+        says = f"dimension parameter must be finite and positive, got {float(dim)!r}"
+        assert code == 2 and out == "" and says in err
     code, out, err = run(capsys, ["verify", "--preset", "dd", "--dim", "0.5", "--f", "1,0,1"])
     assert code == 0 and json.loads(out)["pass"] is True
     with pytest.raises(SystemExit) as exc:

@@ -283,7 +283,8 @@ def test_dimension_gate():
             tr.ft_gausspoly(GAUSS, d)
         for route in (lambda: tr.ft_quadrature(GAUSS, 0.5, d),
                       lambda: gr.ft_quadrature_many(GAUSS, [0.5], d)):
-            with pytest.raises(DomainError, match=f"dimension parameter must be finite and positive, got {d!r}$"):
+            with pytest.raises(DomainError,
+                               match=f"dimension parameter must be finite and positive, got {d!r}$"):
                 route()
     for d in (True, "2.5"):  # ft_gausspoly took them as d = 1 and 2.5
         for route in (lambda: tr.ft_gausspoly(GAUSS, d), lambda: tr.ft_closed(GAUSS, 0.5, d),
