@@ -2,9 +2,9 @@
 
 Layers, bottom up: ``errors`` (the exception types), ``spec`` (theta
 factors, specs, duals and the modular-relation residual, in pure Python),
-``qseries`` (the series container ``build`` returns, plus the reference
-route the tests compare against), ``theta`` (spec coefficients on numpy),
-``transform`` (the dimensionally continued radial Fourier transform),
+``theta`` (spec coefficients on numpy), ``qseries`` (the container ``build``
+returns and the reference route, loaded when ``build`` or ``theta_series``
+runs), ``transform`` (the dimensionally continued radial Fourier transform),
 ``_grid`` (its shared quadrature grid, loaded by Sampled profiles alone),
 ``summation`` (both sides of the summation identity and its verification),
 ``hermite`` (Hermite expansion coefficients, in closed form for Gaussians

@@ -51,13 +51,16 @@ def _whole(value, name: str, least: int) -> int:
 
 
 def _number(value, name: str, error: type = DomainError) -> float:
-    """value as a float if it is a real number, numpy's too; a bool, a string
-    and anything else raise ``error``."""
+    """value as a float if it is a real number, numpy's too, an int past the
+    doubles as inf or -inf; a bool, a string and anything else raise ``error``."""
     if not isinstance(value, float):  # a float needs no look at the numeric tower
         import numbers  # here: ``import thetasum`` loads this module alone
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # its sign by comparison: copysign would convert it again
+        return math.inf if value > 0 else -math.inf
 
 
 def _real(value, name: str, sign: str = "positive", error: type = DomainError) -> float:

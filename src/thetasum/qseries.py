@@ -3,11 +3,13 @@
 A series is stored as coefficients N_0..N_L against exponents
 A_l = (l + offset_A) / denom_V.  The offset is a plain float (a real power
 of theta2 shifts its exponents by a real amount); it never refines the grid.
-``build`` returns a ``QSeries`` and merges terms on one grid with ``lincomb``.
-``mul``, ``pow_real``, ``rescale`` and ``evaluate`` are the reference route
-the tests compare the product-form build against; nothing else calls them.
+``build`` merges terms on one grid with ``lincomb``; ``mul``, ``pow_real``,
+``rescale`` and ``evaluate`` are the reference route the tests compare the
+product-form build against.  All operations are pure; instances are
+immutable after construction.
 
-All operations are pure; instances are immutable after construction.
+Only ``theta.build`` and ``theta.theta_series`` (when called), the tests and
+the benchmark load this module: no command does.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ from .errors import (
     _scale,
     _whole,
 )
-
-# Offsets are compared against the integer grid at this absolute slack;
-# float offsets come from f64 inputs, so 1e-9 separates "same grid point"
-# from "genuinely incompatible" with a wide margin on both sides.
-_OFFSET_TOL = 1e-9
+from .spec import _OFFSET_TOL
 
 
 class QSeries:

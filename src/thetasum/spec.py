@@ -28,6 +28,11 @@ from .errors import DomainError, InvalidSpec, ToleranceNotMet, _number, _real, _
 
 _POWER_SUM_TOL = 1e-12
 
+# Offsets are compared against the integer grid at this absolute slack;
+# float offsets come from f64 inputs, so 1e-9 separates "same grid point"
+# from "genuinely incompatible" with a wide margin on both sides.
+_OFFSET_TOL = 1e-9
+
 # Most factors ``theta_eval_product`` multiplies before it refuses; enough
 # for q up to about 1 - 2e-4 (jacobi_residual up to t ~ 1.6e4).
 _PRODUCT_FACTOR_CAP = 100000

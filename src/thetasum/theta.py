@@ -1,14 +1,15 @@
 """Generalized theta series: the coefficients of theta specs, on numpy.
 
-The specs themselves, their duals, the modular-relation residual and
-``KINDS``, the table every kind-dependent number here is read from, live in
-``spec`` (pure Python) and are re-exported here.  Each term's
-``_TermBuilder`` decides its grid, the points (offset + g j)/D its
-recurrence runs on.  ``shells`` lists every term point by point on that
-grid, with no QSeries (the one listing behind the shell sums and
-``coeff_table``); ``side`` keeps a shell sum's view of that listing for the
-process, next to the builders; ``build`` scatters the terms onto one
-QSeries for the callers that want one.
+The specs themselves, their duals, the modular-relation residual,
+``KINDS``, the table every kind-dependent number here is read from, and the
+exponent slack ``_OFFSET_TOL`` live in ``spec`` (pure Python) and are
+re-exported here.  Each term's ``_TermBuilder`` decides its grid, the points
+(offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
+by point on that grid, with no QSeries (the one listing behind the shell
+sums and ``coeff_table``); ``side`` keeps a shell sum's view of that listing
+for the process, next to the builders.  ``build`` scatters the terms onto
+one QSeries for the callers that want one; it and ``theta_series`` import
+``qseries`` when called, so no command loads it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CoefficientOverflow, _whole
-from . import qseries as qs
-from .qseries import QSeries
 from .spec import (  # noqa: F401  (re-exported: th.ThetaSpec, th.dual, ...)
+    _OFFSET_TOL,
     _POWER_SUM_TOL,
     _PRODUCT_FACTOR_CAP,
     KINDS,
@@ -48,6 +48,7 @@ def theta_series(kind: int, L: int) -> QSeries:
     sum over n in Z of sign^n q^{(n+a)^2}, with a^2 its ``KINDS`` row's shift
     (theta2 on the grid 1/4), the reference for the builders' triple product.
     """
+    from .qseries import QSeries  # here: no command loads the reference route
     row = KINDS[_kind(kind)]
     L = _whole(L, "order", 0)
     D = Fraction(row.shift).denominator
@@ -213,17 +214,17 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
     terms on no common grid.  Each term comes from its ``_builder``, grown
     only past the order an earlier call of this process reached.
     """
+    from . import qseries as qs  # here: no command loads the reference route
     series = []
     for c, term, b in _terms(spec, L):
         coeffs = np.zeros(term.top(L) + 1)
         coeffs[::term.g] = b
-        series.append((c, QSeries(term.D, term.offset, coeffs)))
+        series.append((c, qs.QSeries(term.D, term.offset, coeffs)))
     return qs.lincomb(series)
 
 
 class Shells(NamedTuple):
     term: np.ndarray  # the term of each point, stable-sorted by exponent A
-    l: np.ndarray     # its index on that term's recurrence grid
     A: np.ndarray
     N: np.ndarray     # its coefficient, times the term coefficient and 2^a prefactor
     step: tuple       # per term: its grid step g/D
@@ -236,7 +237,6 @@ def shells(spec: ThetaSpec, L: int) -> Shells:
     coefficient that is not a finite double raises ``CoefficientOverflow``."""
     pieces = _terms(spec, L)
     term = np.repeat(np.arange(len(pieces)), [b.size for _, _, b in pieces])
-    l = np.concatenate([np.arange(b.size) for _, _, b in pieces])
     A = np.concatenate([(t.offset + t.g * np.arange(b.size)) / t.D for _, t, b in pieces])
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         N = np.concatenate([c * b for c, _, b in pieces])
@@ -244,9 +244,9 @@ def shells(spec: ThetaSpec, L: int) -> Shells:
         raise CoefficientOverflow("non-finite coefficient")
     if len(pieces) > 1:  # a term's own exponents are sorted already
         by_A = np.argsort(A, kind="stable")
-        term, l, A, N = term[by_A], l[by_A], A[by_A], N[by_A]
+        term, A, N = term[by_A], A[by_A], N[by_A]
     per_term = [(t.g / t.D, (t.offset + t.g * (b.size - 1)) / t.D) for _, t, b in pieces]
-    return Shells(term, l, A, N, *zip(*per_term))
+    return Shells(term, A, N, *zip(*per_term))
 
 
 def _coeff_growth(A: np.ndarray, N: np.ndarray, d: float) -> float:
@@ -262,7 +262,6 @@ class Side(NamedTuple):
     hands the same ones to every caller.
     """
 
-    l: np.ndarray      # each nonzero point's index on its term's grid, by exponent
     A: np.ndarray
     N: np.ndarray
     radii: np.ndarray  # the distinct sqrt(A), in order
@@ -274,7 +273,7 @@ class Side(NamedTuple):
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays, what the cache counts for the side."""
-        return sum(column.nbytes for column in self[:5] if column is not None)
+        return sum(column.nbytes for column in self[:4] if column is not None)
 
 
 def _side_key(spec: ThetaSpec, L: int) -> tuple:
@@ -299,14 +298,14 @@ def side(spec: ThetaSpec, L: int) -> Side:
     # same key makes the same bytes, and only the first is counted
     listing = shells(spec, L)
     nonzero = listing.N != 0.0
-    which, l, A, N = (column[nonzero] for column in listing[:4])
+    which, A, N = (column[nonzero] for column in listing[:3])
     first = np.ones(A.size, dtype=bool)  # first point at each distinct exponent
     first[1:] = A[1:] != A[:-1]
     log_C = tuple(_coeff_growth(A[mine], N[mine], spec.dim_d) if mine.any() else None
                   for mine in (which == i for i in range(len(listing.step))))
-    made = Side(l, A, N, np.sqrt(A[first]), None if first.all() else np.cumsum(first) - 1,
+    made = Side(A, N, np.sqrt(A[first]), None if first.all() else np.cumsum(first) - 1,
                 listing.step, listing.top, log_C)
-    for column in made[:5]:
+    for column in made[:4]:
         if column is not None:
             column.flags.writeable = False
     with _cache_lock:
@@ -318,11 +317,11 @@ def side(spec: ThetaSpec, L: int) -> Side:
 
 def coeff_table(spec: ThetaSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents A <= L of the spec, sorted, and its coefficients N there: the
-    points of ``shells``, added where they coincide within ``lincomb``'s slack."""
+    points of ``shells``, added where they coincide within ``_OFFSET_TOL``."""
     listing = shells(spec, L)
-    first = np.r_[True, np.diff(listing.A) > qs._OFFSET_TOL]
+    first = np.r_[True, np.diff(listing.A) > _OFFSET_TOL]
     A, N = listing.A[first], np.bincount(np.cumsum(first) - 1, weights=listing.N)
     if not np.all(np.isfinite(N)):  # two finite coefficients can add to an overflow
         raise CoefficientOverflow("non-finite coefficient")
-    keep = A <= L + qs._OFFSET_TOL
+    keep = A <= L + _OFFSET_TOL
     return A[keep], N[keep]

@@ -37,10 +37,10 @@ CLI_LAYERS = {
     ("dual", "--preset", "theta4d", "--dim", "3"): {"cli", "errors", "spec"},
     ("jacobi-check",): {"cli", "errors", "spec"},
     ("theta-coeffs", "--preset", "dd", "--dim", "2.4", "--L", "64"):
-        {"cli", "errors", "spec", "qseries", "theta"},
+        {"cli", "errors", "spec", "theta"},
     ("transform", "--f", "1,0,1", "--dim", "2.5"): {"cli", "errors", "spec", "transform"},
     ("verify", "--preset", "zd", "--dim", "2.5", "--f", "1,0,1;0.5,1,2"):
-        {"cli", "errors", "spec", "qseries", "theta", "transform", "summation"},
+        {"cli", "errors", "spec", "theta", "transform", "summation"},
     ("hermite-demo", "--n-max", "4"): {"cli", "errors", "spec", "hermite"},
 }
 NUMPY_FREE = {"cli", "errors", "spec"}
@@ -93,21 +93,28 @@ def test_help_and_errors_keep_their_exit_codes_without_numpy(argv, code):
 
 
 def test_a_public_name_loads_its_layer_on_first_use():
+    # looking up build loads theta alone; calling it loads the reference
+    # route's qseries, which a verify never does
     proc = run_fresh(
         "import sys, json, thetasum\n"
         "seen = []\n"
         "for name in ('dual', 'build', 'verify'):\n"
         "    getattr(thetasum, name)\n"
         "    seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
+        "thetasum.verify(thetasum.preset('zd', 2.5), thetasum.GaussPoly(((1.0, 0, 1.0),)))\n"
+        "seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
+        "thetasum.build(thetasum.preset('zd', 2.5), 16)\n"
+        "seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
         "print(json.dumps(seen))"
     )
     assert proc.returncode == 0, proc.stderr
-    after_dual, after_build, after_verify = json.loads(proc.stdout)
+    after_dual, after_build, after_verify, after_a_verify, after_a_build = json.loads(proc.stdout)
     assert after_dual == ["thetasum.errors", "thetasum.spec"]
-    assert after_build == ["thetasum.errors", "thetasum.qseries", "thetasum.spec",
-                           "thetasum.theta"]
+    assert after_build == ["thetasum.errors", "thetasum.spec", "thetasum.theta"]
     assert set(after_verify) - set(after_build) == {"thetasum.summation",
                                                     "thetasum.transform"}
+    assert after_a_verify == after_verify
+    assert set(after_a_build) - set(after_a_verify) == {"thetasum.qseries"}
 
 
 def test_only_a_sampled_verify_loads_the_shared_grid():
@@ -139,6 +146,34 @@ def test_the_shared_grid_depends_on_transform_one_way():
             names |= {alias.name for alias in node.names}
     assert not any("_grid" in name for name in names)
     assert thetasum.ft_quadrature_many is importlib.import_module("thetasum._grid").ft_quadrature_many
+
+
+def test_qseries_is_a_leaf_that_build_and_theta_series_import_when_called():
+    # no module imports qseries at load time: theta.build and
+    # theta.theta_series import it inside, and the exponent slack it shares
+    # with coeff_table is assigned once, in spec
+    imports, slack = set(), set()
+    for path in Path(thetasum.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(t, "id", None) == "_OFFSET_TOL" for t in targets):
+                    slack.add(path.stem)
+                continue
+            else:
+                continue
+            if any("qseries" in name.split(".") for name in names):
+                owner = [fn.name for fn in scopes if fn.lineno <= node.lineno <= fn.end_lineno]
+                imports.add((path.stem, owner[-1] if owner else "<module>"))
+    assert imports == {("theta", "build"), ("theta", "theta_series")}
+    assert slack == {"spec"}
 
 
 @pytest.mark.parametrize("name", thetasum.__all__)

@@ -1,8 +1,8 @@
 """Every public real argument goes through ``errors._number``: a bool or a
 numeric string is refused with the one message, and an int or a numpy float
-is taken as the float it equals.  Evaluation points go through
-``errors._points`` and rational scales through ``errors._scale``, which
-refuse the same values."""
+is taken as the float it equals, an int past the doubles as the infinity of
+its sign.  Evaluation points go through ``errors._points`` and rational
+scales through ``errors._scale``, which refuse the same values."""
 
 import math
 import re
@@ -18,7 +18,7 @@ from thetasum import qseries as qs
 from thetasum import spec as sp
 from thetasum import summation as sm
 from thetasum import transform as tr
-from thetasum.errors import DomainError, InvalidSpec
+from thetasum.errors import CoefficientOverflow, DomainError, InvalidSpec, NegativeExponent
 
 GAUSS = tr.GaussPoly(((1.0, 0, 1.0),))
 SQUARE = sp.ThetaFactor(3, 2.0, Fraction(1))
@@ -81,6 +81,26 @@ def test_every_real_argument_takes_an_int_and_a_numpy_float(name):
         assert call(value) == want, value
 
 
+# argument -> its error at 10**400 and -10**400, where not the layer's own
+PAST_THE_DOUBLES = {
+    "lincomb c": (CoefficientOverflow, CoefficientOverflow),
+    "pow_real alpha": (DomainError, NegativeExponent),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("name", CALLS)
+def test_every_real_argument_refuses_an_int_past_the_doubles_in_its_own_words(name, sign):
+    # each raised a raw OverflowError from float(); now each refuses it as
+    # it refuses the infinity of its sign
+    layer = InvalidSpec if name.startswith("Theta") else DomainError
+    error = PAST_THE_DOUBLES.get(name, (layer, layer))[sign < 0]
+    for value in (sign * 10**400, sign * math.inf):
+        with pytest.raises(error) as refused:
+            CALLS[name](value)
+        assert type(refused.value) is error, value
+
+
 SAMPLED = tr.Sampled(lambda r: math.exp(-r * r), (1.0, 1.0))
 
 # evaluation point -> the call with the points v in their place
@@ -99,6 +119,24 @@ def test_every_evaluation_point_refuses_a_bool_and_a_numeric_string(name, value)
     for points in (value, [0.5, value], [[0.5], [value]]):
         with pytest.raises(DomainError, match=f"must be a real number, got {value!r}$"):
             POINTS[name](points)
+
+
+def _outcome(call, points):
+    """What call gives at points: its result's repr, or its error's type and text."""
+    with np.errstate(all="ignore"):  # hermite_h is NaN at an infinite x
+        try:
+            return repr(np.asarray(call(points)))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("name", POINTS)
+def test_every_evaluation_point_takes_an_int_past_the_doubles_as_infinity(name, sign):
+    # a raw OverflowError before, alone or in a list
+    call, big, inf = POINTS[name], sign * 10**400, sign * math.inf
+    for points, same in ((big, inf), ([0.5, big], [0.5, inf]), ([[big], [0.5]], [[inf], [0.5]])):
+        assert _outcome(call, points) == _outcome(call, same), points
 
 
 @pytest.mark.parametrize("array", [np.array([True]), np.array(["0.5"]), np.array([0.5 + 0j]),

@@ -575,9 +575,11 @@ def _remainder(spec, f, L):
     """sum |N_l f(sqrt(A_l))| over the points of a listing at 4L that the
     listing at L did not reach, up to exponent 4L."""
     summed = th.shells(spec, L)
-    last = np.array([summed.l[summed.term == i].max() for i in range(len(spec.terms))])
+    # a term's exponents rise with its grid index: its last summed point has
+    # the largest A
+    last = np.array([summed.A[summed.term == i].max() for i in range(len(spec.terms))])
     wide = th.shells(spec, 4 * L)
-    past = (wide.l > last[wide.term]) & (wide.A <= 4 * L)
+    past = (wide.A > last[wide.term]) & (wide.A <= 4 * L)
     return math.fsum(np.abs(wide.N[past] * f.eval(np.sqrt(wide.A[past]))))
 
 
@@ -639,7 +641,8 @@ def _decay_windows(near, far):
     (56, 64] holds ``near`` per shell, the far window (48, 56] ``far``."""
     A = np.arange(1.0, 65.0)
     terms = np.where(A > 56.0, near, np.where(A > 48.0, far, 1.0))
-    side = th.Side(A, A, np.ones(A.size), np.sqrt(A), None, (1.0,), (64.0,), (None,))
+    side = th.Side(A=A, N=np.ones(A.size), radii=np.sqrt(A), at=None, step=(1.0,),
+                   top=(64.0,), log_C=(None,))
     return sm._measured_decay(side, terms, np.zeros(A.size))
 
 
