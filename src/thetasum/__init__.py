@@ -2,13 +2,14 @@
 
 Layers, bottom up: ``errors`` (the exception types), ``spec`` (theta
 factors, specs, duals and the modular-relation residual, in pure Python),
-``theta`` (spec coefficients on numpy), ``qseries`` (the container ``build``
-returns and the reference route, loaded when ``build`` or ``theta_series``
-runs), ``transform`` (the dimensionally continued radial Fourier transform),
-``_grid`` (its shared quadrature grid, loaded by Sampled profiles alone),
-``summation`` (both sides of the summation identity and its verification),
-``hermite`` (Hermite expansion coefficients, in closed form for Gaussians
-and by quadrature for any profile), ``cli`` (command line front end).
+``theta`` (spec coefficients on numpy, listed by ``coeff_table``),
+``qseries`` (the container ``theta.build`` returns and the reference route,
+not exported, loaded when ``build`` or ``theta_series`` runs), ``transform``
+(the dimensionally continued radial Fourier transform), ``_grid`` (its
+shared quadrature grid, loaded by Sampled profiles alone), ``summation``
+(both sides of the summation identity and its verification), ``hermite``
+(Hermite expansion coefficients, in closed form for Gaussians and by
+quadrature for any profile), ``cli`` (command line front end).
 
 Only ``errors`` loads with the package.  Every other public name is looked
 up in its layer on first use (PEP 562), so ``import thetasum`` loads no
@@ -24,12 +25,11 @@ from .errors import *  # noqa: F403  (the exception types)
 _LAZY = {
     **dict.fromkeys(("gaussian_hermite_coeff", "hermite_coeff_quadrature", "hermite_h"),
                     "hermite"),
-    **dict.fromkeys(("QSeries", "lincomb"), "qseries"),
     **dict.fromkeys(("ThetaFactor", "ThetaSpec", "coeff_bound", "dual", "jacobi_residual",
                      "preset", "theta_eval_product"), "spec"),
     **dict.fromkeys(("ShellSum", "VerificationReport", "lhs_sum", "rhs_sum", "verify"),
                     "summation"),
-    "build": "theta",
+    "coeff_table": "theta",
     **dict.fromkeys(("FTResult", "GaussPoly", "Sampled", "eigen_residual", "ft_closed",
                      "ft_gausspoly", "ft_quadrature", "hyp0f1", "laplacian_d"), "transform"),
     "ft_quadrature_many": "_grid",

@@ -25,11 +25,15 @@ _ABS_TOL = 1e-11  # the error hermite_coeff_quadrature meets
 def hermite_h(n: int, x):
     """Orthonormal Hermite function h_n at x (scalar or array).
 
-    Recurrence: h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}.
+    Recurrence: h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}.  Where
+    e^{-x^2/2} underflows to 0 (x infinite and x^2 past the doubles
+    included), h_n is 0.0: the recurrence runs at x = 0 there.
     """
     n = _whole(n, "order", 0)
     xa = _points(x, "x")
-    h_prev = np.pi**-0.25 * np.exp(-0.5 * xa * xa)
+    with np.errstate(over="ignore"):  # x^2 past the doubles: e^{-inf} is 0
+        h_prev = np.pi**-0.25 * np.exp(-0.5 * xa * xa)
+    xa = np.where(h_prev == 0.0, 0.0, xa)  # inf * 0 would be NaN
     if n == 0:
         return h_prev if h_prev.ndim else float(h_prev)
     h_cur = math.sqrt(2.0) * xa * h_prev

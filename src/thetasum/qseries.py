@@ -8,8 +8,10 @@ of theta2 shifts its exponents by a real amount); it never refines the grid.
 product-form build against.  All operations are pure; instances are
 immutable after construction.
 
-Only ``theta.build`` and ``theta.theta_series`` (when called), the tests and
-the benchmark load this module: no command does.
+None of it is exported from the package: ``theta.coeff_table`` is the
+public listing of a spec's coefficients.  Only ``theta.build`` and
+``theta.theta_series`` (when called), the tests of these names and the
+benchmark load this module: no command does.
 """
 
 from __future__ import annotations

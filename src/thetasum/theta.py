@@ -6,10 +6,13 @@ exponent slack ``_OFFSET_TOL`` live in ``spec`` (pure Python) and are
 re-exported here.  Each term's ``_TermBuilder`` decides its grid, the points
 (offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
 by point on that grid, with no QSeries (the one listing behind the shell
-sums and ``coeff_table``); ``side`` keeps a shell sum's view of that listing
-for the process, next to the builders.  ``build`` scatters the terms onto
-one QSeries for the callers that want one; it and ``theta_series`` import
-``qseries`` when called, so no command loads it.
+sums and ``coeff_table``, the package's public listing of a spec's
+coefficients); ``side`` keeps a shell sum's view of that listing for the
+process, next to the builders.  ``build`` scatters the terms onto one
+QSeries, and ``theta_series`` is the lattice-sum reference of one theta
+function: neither is exported, the tests of the reference route and the
+traced benchmark call them, and they import ``qseries`` when called, so no
+command loads it.
 """
 
 from __future__ import annotations
@@ -212,7 +215,10 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
 
     ``qseries.lincomb`` merges the terms, and raises ``OffsetMismatch`` for
     terms on no common grid.  Each term comes from its ``_builder``, grown
-    only past the order an earlier call of this process reached.
+    only past the order an earlier call of this process reached.  Not
+    exported: ``coeff_table`` lists the same coefficients, each term on its
+    own grid; the tests of the reference route and the traced benchmark
+    call this.
     """
     from . import qseries as qs  # here: no command loads the reference route
     series = []

@@ -176,7 +176,7 @@ def test_sweep_stays_within_the_bound_and_evicts_least_recently_used_first():
     dims = [2.0 + k / 100 for k in range(80)]
     fit = th._CACHE_BYTES // (16 * 4097)
     for k, d in enumerate(dims):
-        th.build(th.preset("zd", d), 4096)
+        th.coeff_table(th.preset("zd", d), 4096)
         if k == fit - 1:
             # a use keeps the oldest entry against the next evictions
             th._builder(th.preset("zd", dims[0]).terms[0][1])
@@ -188,12 +188,12 @@ def test_sweep_stays_within_the_bound_and_evicts_least_recently_used_first():
 def test_an_entry_larger_than_the_bound_is_kept_alone(monkeypatch):
     monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
     for d in (2.0, 2.5):
-        th.build(th.preset("zd", d), 1024)
-    th.build(th.preset("theta4d", 3.0), 8192)
+        th.coeff_table(th.preset("zd", d), 1024)
+    th.coeff_table(th.preset("theta4d", 3.0), 8192)
     assert [key[0].kind for key in th._cache] == [4]
     assert th._held == held() == 16 * 8193
     # the next entry evicts it
-    th.build(th.preset("zd", 2.0), 16)
+    th.coeff_table(th.preset("zd", 2.0), 16)
     assert [key[0].kind for key in th._cache] == [3]
     assert th._held == held() == 16 * 17
 
@@ -202,7 +202,7 @@ def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypat
     monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
     factors = th.preset("zd", 2.5).terms[0][1]
     evicted = th._builder(factors)
-    th.build(th.preset("zd", 3.0), 4095)
+    th.coeff_table(th.preset("zd", 3.0), 4095)
     assert factors not in th._cache
     assert evicted.coeffs(64).size == 65
     assert th._held == held() == 16 * 4096

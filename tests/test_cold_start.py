@@ -93,28 +93,29 @@ def test_help_and_errors_keep_their_exit_codes_without_numpy(argv, code):
 
 
 def test_a_public_name_loads_its_layer_on_first_use():
-    # looking up build loads theta alone; calling it loads the reference
-    # route's qseries, which a verify never does
+    # looking up coeff_table loads theta alone, and neither a verify nor a
+    # table loads qseries; the unexported theta.build does, when called
     proc = run_fresh(
         "import sys, json, thetasum\n"
         "seen = []\n"
-        "for name in ('dual', 'build', 'verify'):\n"
+        "for name in ('dual', 'coeff_table', 'verify'):\n"
         "    getattr(thetasum, name)\n"
         "    seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
         "thetasum.verify(thetasum.preset('zd', 2.5), thetasum.GaussPoly(((1.0, 0, 1.0),)))\n"
+        "thetasum.coeff_table(thetasum.preset('dd', 2.4), 16)\n"
         "seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
-        "thetasum.build(thetasum.preset('zd', 2.5), 16)\n"
+        "thetasum.theta.build(thetasum.preset('zd', 2.5), 16)\n"
         "seen.append(sorted(m for m in sys.modules if m.startswith('thetasum.')))\n"
         "print(json.dumps(seen))"
     )
     assert proc.returncode == 0, proc.stderr
-    after_dual, after_build, after_verify, after_a_verify, after_a_build = json.loads(proc.stdout)
+    after_dual, after_table, after_verify, after_calls, after_a_build = json.loads(proc.stdout)
     assert after_dual == ["thetasum.errors", "thetasum.spec"]
-    assert after_build == ["thetasum.errors", "thetasum.spec", "thetasum.theta"]
-    assert set(after_verify) - set(after_build) == {"thetasum.summation",
+    assert after_table == ["thetasum.errors", "thetasum.spec", "thetasum.theta"]
+    assert set(after_verify) - set(after_table) == {"thetasum.summation",
                                                     "thetasum.transform"}
-    assert after_a_verify == after_verify
-    assert set(after_a_build) - set(after_a_verify) == {"thetasum.qseries"}
+    assert after_calls == after_verify
+    assert set(after_a_build) - set(after_calls) == {"thetasum.qseries"}
 
 
 def test_only_a_sampled_verify_loads_the_shared_grid():
@@ -194,7 +195,8 @@ def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         thetasum.no_such_name
     assert not hasattr(thetasum, "spec_of_nothing")
-    for retired in ("gaussian_span_fit", "FitResult", "IllConditioned"):
+    for retired in ("gaussian_span_fit", "FitResult", "IllConditioned", "build", "QSeries",
+                    "lincomb"):
         with pytest.raises(AttributeError, match=retired):
             getattr(thetasum, retired)
         assert retired not in thetasum.__all__

@@ -23,6 +23,20 @@ def test_first_two_functions_explicit():
     )
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 150])
+def test_far_points_give_zero_without_a_warning(n):
+    # e^{-x^2/2} underflows there: x * h_0 was inf * 0 = NaN at +-inf and
+    # +-10**400, and x * x overflowed at +-1e200 (warnings are errors here)
+    far = [math.inf, -math.inf, 1e200, -1e200, 10**400, -10**400]
+    for x in far:
+        v = hm.hermite_h(n, x)
+        assert v == 0.0 and isinstance(v, float), x
+    near = np.array([-3.0, -0.5, 0.0, 0.7, 2.5])
+    mixed = hm.hermite_h(n, [near[0], *far, *near[1:]])
+    assert np.array_equal(mixed[1:1 + len(far)], np.zeros(len(far)))
+    assert np.array_equal(np.delete(mixed, range(1, 1 + len(far))), hm.hermite_h(n, near))
+
+
 def test_scalar_input_gives_scalar():
     v = hm.hermite_h(3, 0.7)
     assert isinstance(v, float)
@@ -187,6 +201,24 @@ def test_quadrature_resolves_a_step_inside_a_panel(c, n):
     step = lambda x: 1.0 if x < c else 0.0
     want = _mp_coeff(step, n, cuts=(0.0, c))
     assert abs(hm.hermite_coeff_quadrature(step, n) - want) <= 1e-11
+
+
+def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
+    # a constant of 2000: the rounding floor 2^-50 sum |f h_0|, about 3e-12,
+    # keeps the total above a tenth of 1e-11, so the panels are bisected to
+    # the cap, and the total, within 1e-11 there, is returned
+    rounds = []
+    panel_sums = hm._panel_sums
+
+    def counted(f, n, lo, hi):
+        assert lo.size <= hm._PANEL_CAP  # no round passes the cap
+        rounds.append(lo.size)
+        return panel_sums(f, n, lo, hi)
+
+    monkeypatch.setattr(hm, "_panel_sums", counted)
+    got = hm.hermite_coeff_quadrature(lambda x: 2000.0, 0)
+    assert abs(got - 2000.0 * hm.gaussian_hermite_coeff(0.0, 0)) <= 1e-11
+    assert len(rounds) > 1 and sum(rounds) - rounds[0] > hm._PANEL_CAP // 2
 
 
 def test_quadrature_refuses_at_the_panel_cap():

@@ -3,14 +3,19 @@
 ``mul``, ``pow_real``, ``rescale``, ``evaluate`` and ``theta.theta_series``
 are kept only as the independent route the tests compare the product-form
 build against.  Here they raise when called, and ``build``, ``verify`` and
-the CLI commands must still succeed; the package must not export them.
-``verify`` and the CLI commands list each term on the grid its recurrence
-runs on, so they must also succeed while ``lincomb`` raises and no
-``QSeries`` can be made.
+the CLI commands must still succeed.  ``verify`` and the CLI commands list
+each term on the grid its recurrence runs on, so they must also succeed
+while ``lincomb`` raises and no ``QSeries`` can be made.  The package
+exports none of these names, nor ``build``, ``QSeries`` and ``lincomb``:
+``coeff_table`` is its listing of a spec's coefficients.  Only the tests of
+these names may use them (``test_only_their_own_tests_use_the_reference_names``).
 """
 
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,8 @@ from thetasum import theta as th
 from thetasum import transform as tr
 from thetasum.errors import OffsetMismatch
 
-REFERENCE_ONLY = ("pow_real", "mul", "rescale", "evaluate", "EvalResult", "theta_series")
+REFERENCE_ONLY = ("build", "QSeries", "lincomb", "pow_real", "mul", "rescale", "evaluate",
+                  "EvalResult", "theta_series")
 
 
 @pytest.fixture
@@ -98,3 +104,63 @@ def test_theta_coeffs_of_a_theta2_dual_runs_without_it(no_fold, capsys, tmp_path
     path.write_text(th.dual(th.preset("dd", 2.4131)).to_json())
     assert cli.main(["theta-coeffs", "--spec", str(path), "--L", "64"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 65 + 32
+
+
+# test file -> the module-level names (tests, helpers, tables) whose subject
+# is a name of REFERENCE_ONLY, and so the only ones that may use it; None
+# for a file that is all about them
+REFERENCE_USERS = {
+    "test_qseries.py": None,
+    "test_reference_route.py": None,
+    "test_real_arguments.py": {"SERIES", "NEW", "SCALES"},
+    "test_theta.py": {
+        "test_theta_series_kind3_counts_squares", "test_theta_series_kind4_signs",
+        "test_theta_series_kind2_grid", "test_theta_series_rejects_bad_kind", "KIND_READERS",
+        "test_an_order_that_is_not_an_integer_is_refused", "test_theta_values_at_exp_minus_pi",
+        "_power_and_product_build", "test_build_keeps_grid_of_power_and_product_route",
+    },
+    "test_cold_start.py": {
+        "test_qseries_is_a_leaf_that_build_and_theta_series_import_when_called",
+        "test_a_public_name_loads_its_layer_on_first_use",  # theta.build loads qseries
+    },
+}
+
+
+def _owners(top: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return ["<module>"]
+
+
+def _reference_uses(top: ast.stmt) -> set[str]:
+    """The REFERENCE_ONLY names a top-level statement uses: as an attribute
+    (``th.build``), an import, or an attribute in code held in a string (a
+    fresh interpreter's ``thetasum.theta.build(...)``)."""
+    in_code = re.compile(r"\.(%s)\b" % "|".join(REFERENCE_ONLY))
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= set(in_code.findall(node.value))
+    return names & set(REFERENCE_ONLY)
+
+
+def test_only_their_own_tests_use_the_reference_names():
+    # the names stay as module attributes for their own tests and the traced
+    # benchmark; deleting them deletes what REFERENCE_USERS names, no more
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        allowed = REFERENCE_USERS.get(path.name, set())
+        if allowed is None:
+            continue
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        users = {owner for top in body if _reference_uses(top) for owner in _owners(top)}
+        assert users <= allowed, (path.name, users - allowed)
+        # and each allowance still names a module-level name of its file
+        assert allowed <= {owner for top in body for owner in _owners(top)}, path.name

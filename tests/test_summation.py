@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thetasum import _grid as gr
-from thetasum import qseries as qs
 from thetasum import summation as sm
 from thetasum import theta as th
 from thetasum import transform as tr
@@ -22,14 +21,14 @@ GAUSS = tr.GaussPoly(((1.0, 0, 1.0),))
 
 
 def test_lhs_equals_series_evaluation():
-    # for f = e^{-alpha r^2} the shell sum is the series at q = e^{-alpha}
+    # for f = e^{-alpha r^2} the shell sum is the series at q = e^{-alpha},
+    # theta3(q)^3 by the triple product
     spec = th.preset("zd", 3)
     alpha = 1.3
     f = tr.GaussPoly(((1.0, 0, alpha),))
     left = sm.lhs_sum(spec, f, 1e-12)
-    series = th.build(spec, left.L_used)
-    val = qs.evaluate(series, math.exp(-alpha))
-    assert left.value == pytest.approx(val.value, abs=1e-13)
+    val = th.theta_eval_product(3, math.exp(-alpha)) ** 3
+    assert left.value == pytest.approx(val, abs=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -93,10 +93,10 @@ def test_an_order_that_is_not_an_integer_is_refused(call, L):
 @pytest.mark.parametrize("kind", [2, 3, 4])
 @pytest.mark.parametrize("q", [0.02, 0.1, 0.3, 0.5])
 def test_product_form_matches_series(kind, q):
-    series = th.theta_series(kind, 160)
-    val = qs.evaluate(series, q)
-    prod = th.theta_eval_product(kind, q)
-    assert abs(val.value - prod) <= val.tail + 1e-13
+    # mpmath sums the series of theta_kind(q), q the nome, to 30 digits
+    with mp.workdps(30):
+        want = mp.jtheta(kind, 0, q)
+    assert abs(float(want) - th.theta_eval_product(kind, q)) <= 1e-13
 
 
 def test_product_form_at_zero():
@@ -117,44 +117,48 @@ def test_product_form_domain():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zd_preset_counts_lattice_vectors(d):
-    series = th.build(th.preset("zd", d), 30)
+    A, N = th.coeff_table(th.preset("zd", d), 30)
     want = lattice_counts(d, 30)
+    assert np.array_equal(A, np.arange(31))
     for l in range(31):
-        assert series.coeff(l) == pytest.approx(want[l], abs=1e-10)
+        assert N[l] == pytest.approx(want[l], abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_dd_preset_counts_even_sum_vectors(d):
-    series = th.build(th.preset("dd", d), 24)
+    A, N = th.coeff_table(th.preset("dd", d), 24)
     want = even_sum_counts(d, 24)
+    assert np.array_equal(A, np.arange(25))
     for l in range(25):
-        assert series.coeff(l) == pytest.approx(want[l], abs=1e-10)
+        assert N[l] == pytest.approx(want[l], abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_theta4d_preset_matches_signed_counts(d):
-    series = th.build(th.preset("theta4d", d), 24)
+    A, N = th.coeff_table(th.preset("theta4d", d), 24)
     want = signed_counts(d, 24)
+    assert np.array_equal(A, np.arange(25))
     for l in range(25):
-        assert series.coeff(l) == pytest.approx(want[l], abs=1e-10)
+        assert N[l] == pytest.approx(want[l], abs=1e-10)
 
 
-def test_build_integer_scale_mix():
+def test_coeff_table_integer_scale_mix():
     # theta3(q) * theta3(q^2) counts x^2 + 2 y^2
     spec = th.ThetaSpec(
         terms=((1.0, (th.ThetaFactor(3, 1.0, Fraction(1)),
                       th.ThetaFactor(3, 1.0, Fraction(2)))),),
         dim_d=2.0,
     )
-    series = th.build(spec, 20)
+    A, N = th.coeff_table(spec, 20)
     want = [0] * 21
     for x in range(-5, 6):
         for y in range(-4, 5):
             n = x * x + 2 * y * y
             if n <= 20:
                 want[n] += 1
+    assert np.array_equal(A, np.arange(21))
     for l in range(21):
-        assert series.coeff(l) == pytest.approx(want[l], abs=1e-10)
+        assert N[l] == pytest.approx(want[l], abs=1e-10)
 
 
 C5_SPEC = th.ThetaSpec(
@@ -299,25 +303,30 @@ def test_shells_are_each_terms_series_sorted_by_exponent(spec):
 
 def test_coeff_table_merges_offsets_that_differ_by_rounding():
     # theta2^d and theta2^p theta2^(d-p) start at d/4 and p/4 + (d-p)/4,
-    # 1 ulp apart here; they are one row, as build puts them on one grid.
-    # Both step by 2, where build also lists the zero points between.
+    # 1 ulp apart here; they are one row, the two terms' coefficients added.
+    # Both step by 2, and no row lies between.
     d, p = 3.7566, 1.6392
     spec = th.ThetaSpec(terms=((1.0, (th.ThetaFactor(2, d, Fraction(1)),)),
                                (1.0, (th.ThetaFactor(2, p, Fraction(1)),
                                       th.ThetaFactor(2, d - p, Fraction(1))))), dim_d=d)
     A, N = th.coeff_table(spec, 8)
-    series = th.build(spec, 8)
-    assert A.size == 4
-    assert np.allclose(A, series.exponents()[:8:2], rtol=0, atol=1e-12)
-    assert np.array_equal(N, series.coeffs[:8:2])
-    assert not np.any(series.coeffs[1:8:2])
+    (A1, N1), (A2, N2) = (th.coeff_table(th.ThetaSpec(terms=(term,), dim_d=d), 8)
+                          for term in spec.terms)
+    assert A.size == A1.size == A2.size == 4
+    assert A1[0] != A2[0] and np.allclose(A1, A2, rtol=0, atol=1e-12)
+    # a row takes the lesser exponent of its points, which come sorted
+    assert np.array_equal(A, np.minimum(A1, A2))
+    assert np.allclose(np.diff(A), 2.0, rtol=0, atol=1e-12)
+    assert np.array_equal(N, N1 + N2)
+    want, scale = _oracle_coeffs(spec, A)
+    assert np.all(np.abs(N - want) <= 1e-11 * scale)
 
 
 def test_term_builder_serves_a_lower_order_from_its_prefix():
     term = th._TermBuilder(th.preset("zd", 2.5).terms[0][1])
     high = term.coeffs(256)
     low = term.coeffs(64)
-    assert np.array_equal(low, th.build(th.preset("zd", 2.5), 64).coeffs)
+    assert np.array_equal(low, th.coeff_table(th.preset("zd", 2.5), 64)[1])
     assert np.array_equal(high[:65], low)
 
 
@@ -379,29 +388,24 @@ def _oracle_coeffs(spec, A):
     return want, np.maximum.accumulate(mag)
 
 
-def _build_rows(spec, L):
-    series = th.build(spec, L)
-    return series.exponents(), series.coeffs
-
-
-@pytest.mark.parametrize("spec,rows", [
-    (th.preset("zd", 2.5), _build_rows),
-    (th.preset("dd", 2.4), _build_rows),
-    (th.preset("theta4d", 3.3), _build_rows),
+@pytest.mark.parametrize("spec", [
+    th.preset("zd", 2.5),
+    th.preset("dd", 2.4),
+    th.preset("theta4d", 3.3),
     # the theta2^d term of a dual of dd lies on no common grid with theta3^d
-    (th.dual(th.preset("dd", 2.4)), th.coeff_table),
-    (th.dual(th.preset("dd", 2.417)), th.coeff_table),
-    (th.dual(th.preset("theta4d", 3.3)), _build_rows),
-    (C5_SPEC, _build_rows),
-    (th.dual(C5_SPEC), _build_rows),
+    th.dual(th.preset("dd", 2.4)),
+    th.dual(th.preset("dd", 2.417)),
+    th.dual(th.preset("theta4d", 3.3)),
+    C5_SPEC,
+    th.dual(C5_SPEC),
     # below d = 1, where the spec took no d before
-    *((th.preset(name, d), _build_rows) for d in (0.1, 0.3, 0.7) for name in th.PRESETS),
-    *((th.dual(th.preset("dd", d)), th.coeff_table) for d in (0.1, 0.3, 0.7)),
+    *(th.preset(name, d) for d in (0.1, 0.3, 0.7) for name in th.PRESETS),
+    *(th.dual(th.preset("dd", d)) for d in (0.1, 0.3, 0.7)),
 ], ids=["zd", "dd", "theta4d", "dual-dd", "dual-dd-fold", "dual-theta4d", "c5", "dual-c5",
         *(f"{name}-{d}" for d in (0.1, 0.3, 0.7) for name in th.PRESETS),
         *(f"dual-dd-{d}" for d in (0.1, 0.3, 0.7))])
-def test_build_matches_mpmath_oracle_at_order_1024(spec, rows):
-    A, N = rows(spec, 1024)
+def test_coeff_table_matches_mpmath_oracle_at_order_1024(spec):
+    A, N = th.coeff_table(spec, 1024)
     want, scale = _oracle_coeffs(spec, A)
     assert np.all(np.abs(N - want) <= 1e-11 * scale)
 
@@ -410,19 +414,20 @@ def test_build_matches_mpmath_oracle_at_order_1024(spec, rows):
                                          ("dd", even_sum_counts),
                                          ("theta4d", signed_counts)])
 @pytest.mark.parametrize("d,L", [(3, 1024), (2, 4096)])
-def test_build_matches_lattice_counts_at_high_order(name, counts, d, L):
-    series = th.build(th.preset(name, d), L)
+def test_coeff_table_matches_lattice_counts_at_high_order(name, counts, d, L):
+    A, N = th.coeff_table(th.preset(name, d), L)
     want = np.array(counts(d, L), dtype=np.float64)
     scale = np.maximum.accumulate(np.abs(want))
-    assert series.trunc_L == L
-    assert np.all(np.abs(series.coeffs - want) <= 1e-11 * scale)
+    assert np.array_equal(A, np.arange(L + 1))
+    assert np.all(np.abs(N - want) <= 1e-11 * scale)
 
 
-def test_build_noninteger_dimension_runs():
-    series = th.build(th.preset("zd", 2.5), 12)
+def test_coeff_table_noninteger_dimension_runs():
+    A, N = th.coeff_table(th.preset("zd", 2.5), 12)
     # first shells: 1, then 2 * 2.5 = 5 at q^1
-    assert series.coeff(0) == pytest.approx(1.0)
-    assert series.coeff(1) == pytest.approx(5.0)
+    assert A[:2].tolist() == [0.0, 1.0]
+    assert N[0] == pytest.approx(1.0)
+    assert N[1] == pytest.approx(5.0)
 
 
 def test_spec_power_sum_must_match_dimension():

@@ -72,6 +72,8 @@ def test_gausspoly_validation():
     for k in (True, 2.0):  # read as degree 1 and 2
         with pytest.raises(DomainError, match="polynomial degree must be an integer >= 0"):
             tr.GaussPoly(((1.0, k, 1.0),))
+    with pytest.raises(DomainError, match="GaussPoly without terms"):
+        tr.GaussPoly(())
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, True, "1"])
@@ -449,6 +451,36 @@ def test_radius_meets_any_tail_budget(d, top, terms, sampled, budget):
     R = tr._choose_r_max(f, d, budget, top)
     assert 0.0 < R < math.inf
     assert tr._radial_tail(f, R, d, top) < budget
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
+def test_radius_refuses_a_budget_that_is_not_positive(budget):
+    with pytest.raises(ToleranceNotMet, match="could not bound the radial tail below"):
+        tr._choose_r_max(GAUSS, 2.0, budget)
+
+
+@pytest.mark.parametrize("rate", [5e-324, 1e-310])
+def test_radius_refuses_a_rate_whose_radius_is_past_the_doubles(rate):
+    # the tail's root alpha R^2 is a few hundred, so R^2 overflows; both
+    # quadrature routes refuse rather than integrate to R = inf
+    for f in (tr.GaussPoly(((1.0, 0, rate),)), tr.Sampled(math.exp, decay_hint=(1.0, rate))):
+        with pytest.raises(ToleranceNotMet, match="could not bound the radial tail below"):
+            tr._choose_r_max(f, 2.0, 1e-13)
+        with pytest.raises(ToleranceNotMet, match="could not bound the radial tail below"):
+            gr.ft_quadrature_many(f, [0.5], 2.0)
+        with pytest.raises(ToleranceNotMet, match="could not bound the radial tail below"):
+            tr.ft_quadrature(f, 0.5, 2.0)
+
+
+def test_gamma_bound_root_returns_its_bracket_after_its_steps():
+    # a root near e^-100, at a far below any gamma order the routes make
+    # (a >= 2^-41 there): the bisection from x = 1 halves its way down and
+    # stops after 100 steps at the bracket's upper end, where the term is
+    # already below log_u, so a radius from it still meets its budget
+    a, log_u = 1e-300, 100.0
+    x = tr._gamma_bound_root(a, log_u)
+    assert 0.0 < x < 1e-20
+    assert (a - 1.0) * math.log(x) - x < log_u
 
 
 def test_choosing_the_radius_takes_microseconds():
