@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DomainError, ToleranceNotMet, _number, _points, _profile_values, _whole
 
 _PANEL_CAP = 400
-_ABS_TOL = 1e-11  # the error hermite_coeff_quadrature meets
+_ABS_TOL = 1e-11     # the error hermite_coeff_quadrature meets, or
+_FLOOR_TIMES = 32.0  # this many times its rounding floor where that is more
 
 
 def hermite_h(n: int, x):
@@ -92,29 +93,36 @@ def hermite_coeff_quadrature(f: Callable[[float], float], n: int) -> float:
     change the bisection made to its parent's value, so the two rules
     agreeing by chance on a half does not end the search.  The total
     estimate adds a rounding floor of 2^-50 times the absolute sum of the
-    terms.  Each round bisects the panels whose estimate is above their
-    share (by width) of 0.1 ``_ABS_TOL``, until the total is at most that;
-    ToleranceNotMet if it is still above ``_ABS_TOL`` when a round would pass
-    ``_PANEL_CAP`` panels.  A jump or kink away from x = 0 is not guaranteed
-    to meet ``_ABS_TOL``: within 0.7% of a panel's width of its edge it lies
-    outside both rules' nodes, and neither rule sees it.
+    terms, and the error is held to tol = max(``_ABS_TOL``, 32 floor): a
+    profile of large amplitude is held to 32 times the rounding it cannot
+    avoid, not to an absolute 1e-11 that its floor alone exceeds (32 leaves
+    the search's aim, a tenth of tol, room above the floor for the rules'
+    own rounding: at 10, constants of 1000 to 1e6 were bisected on
+    rounding noise alone).  Each
+    round bisects the panels whose estimate is above their share (by width)
+    of 0.1 tol, until the total is at most that; ToleranceNotMet if it is
+    still above tol when a round would pass ``_PANEL_CAP`` panels.  A jump
+    or kink away from x = 0 is not guaranteed to meet tol: within 0.7% of a
+    panel's width of its edge it lies outside both rules' nodes, and
+    neither rule sees it.
     """
     n = _whole(n, "order", 0)
     x_max = math.sqrt(2.0 * n + 1.0) + 12.0
 
-    budget = 0.1 * _ABS_TOL
     half = np.linspace(0.0, x_max, max(1, math.ceil(x_max)) + 1)
     edges = np.concatenate([-half[:0:-1], half])
     lo, hi = edges[:-1], edges[1:]
     sums = _panel_sums(f, n, lo, hi)
     while True:
-        total = sums[:, 1].sum() + 2.0**-50 * sums[:, 2].sum()
-        if total <= budget:
+        floor = 2.0**-50 * sums[:, 2].sum()
+        tol = max(_ABS_TOL, _FLOOR_TIMES * floor)
+        total = sums[:, 1].sum() + floor
+        if total <= 0.1 * tol:
             break
-        split = sums[:, 1] > budget * (hi - lo) / (2.0 * x_max)
+        split = sums[:, 1] > 0.1 * tol * (hi - lo) / (2.0 * x_max)
         if not split.any() or lo.size + np.count_nonzero(split) > _PANEL_CAP:
-            if total > _ABS_TOL:
-                raise ToleranceNotMet(f"quadrature error {total:.3e} above requested {_ABS_TOL:.3e}")
+            if total > tol:
+                raise ToleranceNotMet(f"quadrature error {total:.3e} above requested {tol:.3e}")
             break
         mid = 0.5 * (lo + hi)[split]
         new_lo = np.concatenate([lo[split], mid])

@@ -54,17 +54,22 @@ def _majorant(f: RadialFunction, d: float):
     env is the incomplete-gamma envelope of f.  Each term of the spec adds
     its own tail, on its own grid, with the side's log C of its term
     (``theta._coeff_growth``), in logs.  A term with no nonzero shell, or an
-    envelope term with c = 0, adds none.
+    envelope term with c = 0, adds none.  It reads the side alone and never
+    calls ``summed``, so a side it truncates evaluates its profile once, at
+    the order it stops at.  Every addend is >= 0, so it stops adding once
+    the total reaches ``bound``.
     """
     envelope = [(math.log(c), k, alpha) for c, k, alpha in tr._tail_envelope(f) if c > 0.0]
 
-    def tail(side, terms, errors):
+    def tail(side, summed, bound):
         total = 0.0
         for h, top, log_C in zip(side.step, side.top, side.log_C):
             if log_C is None:
                 continue
             for log_c, k, alpha in envelope:
                 total += _poly_gauss_tail(log_C + log_c, d + k, top + h, h, alpha)
+                if total >= bound:
+                    return total, False
         return total, False
 
     return tail
@@ -78,7 +83,7 @@ def _fsum(values) -> float:
         raise CoefficientOverflow("shell sum overflows the doubles") from None
 
 
-def _measured_decay(side, terms, errors):
+def _measured_decay(side, summed, bound):
     """Tail estimator from the term mass of two adjacent wide windows.
 
     The remainder is extrapolated geometrically from the windows' ratio.
@@ -87,15 +92,18 @@ def _measured_decay(side, terms, errors):
     the windows hold no more mass than the transform's error estimates
     allow, they hold rounding noise, doubling cannot shrink it, and the
     second value (the noise floor) is True.  The windows end at the least
-    reliable exponent of the terms.
+    reliable exponent of the terms.  It reads the terms and their error
+    estimates, ``summed()``, at every order, and computes the whole tail
+    whatever ``bound``.
     """
+    terms, errors = summed()
     top = min(side.top)
     width = max(1.0, top / 8.0)
     near = side.A > top - width
     far = (side.A > top - 2.0 * width) & ~near
-    w_near = _fsum(np.abs(terms[near]))
-    w_far = _fsum(np.abs(terms[far]))
-    if w_near + w_far <= math.fsum(errors[near | far]):
+    w_near = _fsum(np.abs(terms[near]).tolist())
+    w_far = _fsum(np.abs(terms[far]).tolist())
+    if w_near + w_far <= math.fsum(errors[near | far].tolist()):
         return w_near + w_far, True
     if w_near == 0.0:
         return 10.0 * w_far, False
@@ -103,11 +111,6 @@ def _measured_decay(side, terms, errors):
         ratio = w_near / w_far
         return 10.0 * w_near * ratio / (1.0 - ratio), False
     return math.inf, False
-
-
-def _exact(f: RadialFunction):
-    """Profile values at the shell radii, with zero error estimates."""
-    return lambda radii: (f.eval(radii), np.zeros(radii.size))
 
 
 def _shared_grid(f: Sampled, d: float):
@@ -133,6 +136,33 @@ def _shared_grid(f: Sampled, d: float):
     return transformed
 
 
+def _summed(side, profile):
+    """``summed() -> (terms, errors)``: the side's shell terms N f(r) and
+    their error estimates (None for an exact profile), made on the first
+    call and kept.  ``profile`` is evaluated at the side's distinct radii,
+    and each point takes its radius's value.  A term that overflows raises
+    ``CoefficientOverflow``, naming its radius."""
+
+    made = []
+
+    def summed():
+        if made:
+            return made[0]
+        values, errors = profile(side.radii)
+        if side.at is not None:
+            values = values[side.at]
+            errors = None if errors is None else errors[side.at]
+        with np.errstate(over="ignore"):  # refused just below
+            terms = side.N * values
+        if not np.isfinite(terms).all():  # values are finite (profiles refuse the rest)
+            i = np.flatnonzero(~np.isfinite(terms))[0]
+            raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
+        made.append((terms, None if errors is None else np.abs(side.N) * errors))
+        return made[0]
+
+    return summed
+
+
 def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> ShellSum:
     """Shell sum of ``profile`` over spec, doubling the order from min(32, L_cap)
     until the tail is < tol/10.
@@ -147,35 +177,38 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     both sides of ``verify``).
 
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
-    once per distinct radius; ``tail_of(side, terms, errors) -> (tail,
-    at_floor)`` estimates the truncated remainder from the side's per-term
-    steps, last computed exponents and growth constants, and at_floor stops
-    the doubling where it cannot help.  The sum, its magnitude and its
-    error budget are exactly rounded (``math.fsum``); ``L_used`` is the
-    order L the doubling stopped at.  A tol that is not a finite positive
-    real (a bool is not one), or an L_cap that is not an integer >= 1,
-    raises ``DomainError`` before any build; a shell term N f(r), or a sum
-    of finite terms, that overflows raises
-    ``CoefficientOverflow``.
+    once per distinct radius, with errors None where it is exact.
+    ``tail_of(side, summed, bound) -> (tail, at_floor)`` estimates the
+    truncated remainder, and at_floor stops the doubling where it cannot
+    help.  Below the order cap the bound is tol/10, and an estimator may
+    stop adding once it is reached: such a tail only says the order is too
+    low, and the tail of the order the sum stops at is whole.  ``summed``
+    (``_summed``) evaluates the profile on its first call only: the
+    majorant never calls it and picks the order from the side's steps,
+    last exponents and growth constants alone, so its side evaluates the
+    profile once, at the order it stops at; measured decay calls it at
+    every order.  The sum, its magnitude and its error budget are exactly
+    rounded (``math.fsum``); ``L_used`` is the order L the doubling stopped
+    at.  A tol that is not a finite positive real (a bool is not one), or
+    an L_cap that is not an integer >= 1, raises ``DomainError`` before any
+    build; a shell term N f(r), or a sum of finite terms, that overflows
+    raises ``CoefficientOverflow``, and at the order cap or the noise floor
+    the terms are made before ``ToleranceNotMet``, so an overflow is
+    refused first.
     """
     _real(tol, "tol")
     L_cap = _whole(L_cap, "L_cap", 1)
     L = min(32, L_cap)
     while True:
         side = th.side(spec, L)
-        values, errors = profile(side.radii)
-        if side.at is not None:
-            values, errors = values[side.at], errors[side.at]
-        with np.errstate(over="ignore"):  # refused just below
-            terms = side.N * values
-        if not np.isfinite(terms).all():  # values are finite (profiles refuse the rest)
-            i = np.flatnonzero(~np.isfinite(terms))[0]
-            raise CoefficientOverflow(f"shell term N f(r) overflows at r = {float(np.sqrt(side.A[i]))!r}")
-        errors = np.abs(side.N) * errors
-        tail, at_floor = tail_of(side, terms, errors)
+        summed = _summed(side, profile)
+        tail, at_floor = tail_of(side, summed, 0.1 * tol if L < L_cap else math.inf)
         if tail < 0.1 * tol:
-            return ShellSum(_fsum(terms), L, tail, _fsum(np.abs(terms)), math.fsum(errors))
+            terms, errors = summed()
+            budget = 0.0 if errors is None else math.fsum(errors.tolist())
+            return ShellSum(_fsum(terms.tolist()), L, tail, _fsum(np.abs(terms).tolist()), budget)
         if at_floor or L >= L_cap:
+            summed()  # a term that overflows is refused first
             where = "at the transform's noise floor" if at_floor else f"at order cap {L_cap}"
             raise ToleranceNotMet(f"shell-sum tail {tail:.3e} still above {0.1 * tol:.3e} {where}")
         L = min(2 * L, L_cap)
@@ -184,7 +217,8 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
 def lhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float, *,
             L_cap: int = 4096) -> ShellSum:
     """Direct-side shell sum, truncated where the majorant tail is < tol/10."""
-    return _sum_shells(spec, tol, L_cap, _exact(f), _majorant(f, spec.dim_d))
+    return _sum_shells(spec, tol, L_cap, lambda radii: (f.eval(radii), None),
+                       _majorant(f, spec.dim_d))
 
 
 def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float, *,
@@ -203,7 +237,8 @@ def rhs_sum(spec: ThetaSpec, f: RadialFunction, tol: float, *,
     d = spec.dim_d
     if isinstance(f, GaussPoly):
         fhat = tr.ft_gausspoly(f, d)
-        return _sum_shells(dspec, tol, L_cap, _exact(fhat), _majorant(fhat, d))
+        return _sum_shells(dspec, tol, L_cap, lambda radii: (fhat.eval(radii), None),
+                           _majorant(fhat, d))
     return _sum_shells(dspec, tol, L_cap, _shared_grid(f, d), _measured_decay)
 
 

@@ -3,20 +3,22 @@
 The specs themselves, their duals, the modular-relation residual,
 ``KINDS``, the table every kind-dependent number here is read from, and the
 exponent slack ``_OFFSET_TOL`` live in ``spec`` (pure Python) and are
-re-exported here.  Each term's ``_TermBuilder`` decides its grid, the points
-(offset + g j)/D its recurrence runs on.  ``shells`` lists every term point
-by point on that grid, with no QSeries (the one listing behind the shell
-sums and ``coeff_table``, the package's public listing of a spec's
-coefficients); ``side`` keeps a shell sum's view of that listing for the
-process, next to the builders.  ``build`` scatters the terms onto one
-QSeries, and ``theta_series`` is the lattice-sum reference of one theta
-function: neither is exported, the tests of the reference route and the
-traced benchmark call them, and they import ``qseries`` when called, so no
-command loads it.
+re-exported here.  Each term's ``_grid`` decides its grid, the points
+(offset + g j)/D its coefficients lie on, and the series they come from,
+which a ``_TermBuilder`` grows.  ``shells`` lists every term point by point
+on that grid, with no QSeries (the one listing behind the shell sums and
+``coeff_table``, the package's public listing of a spec's coefficients);
+``side`` keeps a shell sum's view of that listing for the process, next to
+the builders and each kind's table of log coefficients.  ``build``
+scatters the terms onto one QSeries, and ``theta_series`` is the
+lattice-sum reference of one theta function: neither is exported, the
+tests of the reference route and the traced benchmark call them, and they
+import ``qseries`` when called, so no command loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -76,56 +78,116 @@ _LOG_W = {kind: np.array([[-(1 - a * r.odd) - 2 * (-r.sign) ** j * (1 - (1 - a) 
           for kind, r in KINDS.items()}
 
 
+# the kind whose series a lone factor of each odd takes: theta2, or theta3
+# for theta3 and theta4 alike (theta4 is theta3 at -x)
+_SERIES_KIND = {r.odd: kind for kind, r in KINDS.items() if r.sign > 0}
+_NO_LOGS = np.zeros(0)  # a kind's log table before its first use
+_NO_LOGS.flags.writeable = False
+
+
 def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
     """e[k - lo - 1] = k [x^k] log P(x) for lo < k <= n: exact integers in f64.
 
-    theta(q) = 2^two q^shift P(q^{2 - odd}) by the kind's row.  Every
-    divisor pair a * j = k in (lo, n] adds its weight in one ``bincount``;
-    the sums are exact, so their order does not matter.
+    theta(q) = 2^two q^shift P(q^{2 - odd}) by the kind's row.  The values
+    are a read-only slice of the kind's table e_1..e_M, one per process, an
+    entry of the process cache under ("log", kind), counted in
+    ``_CACHE_BYTES``.  Asked past M it grows to max(n, 2M): every divisor
+    pair a * j = k in (M, new end] adds its weight in one ``bincount``.  The
+    sums are exact, so a table grown in pieces holds the bits of one made
+    in one step.  The caller holds ``_cache_lock``.
     """
-    a = np.arange(1, n + 1)
-    count = n // a - lo // a          # the j with lo < a j <= n
-    start = np.cumsum(count) - count  # where the pairs of each a start
-    j = np.arange(count.sum()) + np.repeat(lo // a + 1 - start, count)
-    a = np.repeat(a, count)
-    w = _LOG_W[kind]
-    return np.bincount(a * j - lo - 1, weights=a * w[a % 2, j % 2], minlength=n - lo)
+    key = ("log", kind)
+    table = _cache.get(key, _NO_LOGS)
+    M = table.size  # 0 where the table is not cached
+    if n > M:
+        top = max(n, 2 * M)
+        a = np.arange(1, top + 1)
+        count = top // a - M // a         # the j with M < a j <= top
+        start = np.cumsum(count) - count  # where the pairs of each a start
+        j = np.arange(count.sum()) + np.repeat(M // a + 1 - start, count)
+        a = np.repeat(a, count)
+        w = _LOG_W[kind]
+        new = np.bincount(a * j - M - 1, weights=a * w[a % 2, j % 2], minlength=top - M)
+        table = np.concatenate([table, new])
+        table.flags.writeable = False
+        _cache[key] = table
+        _use(key, 8 * (top - M))
+    elif M:
+        _use(key, 0)
+    return table[lo:n]
+
+
+class _Grid(NamedTuple):
+    """Where a term's coefficients lie, and the series they come from.
+
+    The term prod theta_kind(q^s)^p lies on the points (offset + g j)/D,
+    j >= 0: D is the least common denominator of the scales, g the gcd of
+    the factors' steps s D (2 - odd), and offset sums p s D shift over the
+    factors' ``KINDS`` rows.  By the Jacobi triple product its coefficient
+    at j is 2^a (``prefactor``, a sums p two) times b_j of the series exp(sum
+    p log P_kind(x^k)) in x = q^{g/D}, each factor's log at its stride k =
+    s D (2 - odd) / g (``parts``: kind, power, stride).  That series is
+    ``key``: a term with one factor of positive power takes the series of
+    its row's odd and its power, since a scale only stretches the grid and
+    theta4 is theta3 at -x, whose b_j take the sign (-1)^j
+    (``alternate``); any other term is its own series, keyed by its factors.
+    """
+
+    D: int
+    g: int
+    offset: float
+    prefactor: float
+    scales: tuple     # per factor (num, den, s D), what ``top`` reads
+    key: tuple
+    parts: tuple
+    alternate: bool
+
+    def top(self, L: int) -> int:
+        """Last index on the 1/D grid exact at order L: each factor covers ceil(L/s) s."""
+        return min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
+
+
+@functools.lru_cache(maxsize=1024)
+def _grid(factors: tuple[ThetaFactor, ...]) -> _Grid:
+    """The ``_Grid`` of a term's factors, made once per factor tuple."""
+    fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
+    D = math.lcm(*(f.scale.denominator for f in fs))
+    # scale s = num/den as (num, den, s D): each factor's variable is
+    # x = q^{step/D}, and the recurrence runs in units of g
+    scales = tuple((f.scale.numerator, f.scale.denominator, int(f.scale * D)) for f in fs)
+    rows = [KINDS[f.kind] for f in fs]
+    steps = [sD * (2 - row.odd) for row, (_, _, sD) in zip(rows, scales)]
+    g = math.gcd(*steps)
+    offset = math.fsum(f.power * sD * row.shift for f, row, (_, _, sD) in zip(fs, rows, scales))
+    prefactor = 2.0 ** math.fsum(f.power * row.two for f, row in zip(fs, rows))
+    if len(fs) == 1:
+        (f,), (row,) = fs, rows
+        return _Grid(D, g, offset, prefactor, scales, (row.odd, f.power),
+                     ((_SERIES_KIND[row.odd], f.power, 1),), row.sign < 0)
+    parts = tuple((f.kind, f.power, step // g) for f, step in zip(fs, steps))
+    return _Grid(D, g, offset, prefactor, scales, tuple(factors), parts, False)
 
 
 class _TermBuilder:
-    """Coefficients of one term prod theta_kind(q^s)^p, grown in place.
+    """Coefficients b_j of the series of a term's factors (``_Grid``), grown in place.
 
-    By the Jacobi triple product the term equals 2^a q^w exp(sum p log
-    P(q^{s (2 - odd)})), where a and w sum p two and p s shift over the
-    factors' ``KINDS`` rows.  The factor logs h are added
-    on the term's grid (denominator D, stride g) and the exp recurrence
+    The factor logs h are added at their strides and the exp recurrence
 
         n b_n = sum_{k=1..n} h_k b_{n-k},  b_0 = 1,
 
-    gives the term.  The recurrence is online: asked for a higher order,
+    gives the series.  The recurrence is online: asked for a higher index,
     the builder extends h and runs it only for the new indices, and each
     b_n sees the same operands as in a build from scratch, so a grown
     series is bit-identical to one built in one step.  Fed with the divisor
     sums of ``_log_coeffs`` it stays within ~1e-12 of the running maximum
     of the coefficients to n = 4096 (the tests check it against mpmath and
-    lattice counts).  ``_builder`` keeps it for the process.
+    lattice counts).  ``_builder`` keeps one per series for the process,
+    so theta3(q)^p, theta4(q^3)^p and theta3(q^{1/2})^p share one.
     """
 
     def __init__(self, factors: Sequence[ThetaFactor]):
-        self.key = tuple(factors)
-        fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
-        self.factors = fs
-        self.D = D = math.lcm(*(f.scale.denominator for f in fs))
-        # scale s = num/den as (num, den, s D): each factor's variable is
-        # x = q^{step/D}, and the recurrence runs in units of g
-        self.scales = [(f.scale.numerator, f.scale.denominator, int(f.scale * D)) for f in fs]
-        rows = [KINDS[f.kind] for f in fs]
-        steps = [sD * (2 - row.odd) for row, (_, _, sD) in zip(rows, self.scales)]
-        self.g = math.gcd(*steps)
-        self.strides = [step // self.g for step in steps]
-        self.offset = math.fsum(f.power * sD * row.shift
-                                for f, row, (_, _, sD) in zip(fs, rows, self.scales))
-        self.prefactor = 2.0 ** math.fsum(f.power * row.two for f, row in zip(fs, rows))
+        grid = _grid(tuple(factors))
+        self.key, self.parts = grid.key, grid.parts
         self.h = np.zeros(1)
         self.b = np.ones(1)
 
@@ -137,9 +199,9 @@ class _TermBuilder:
         n0 = self.b.size - 1
         h = np.zeros(N + 1)
         h[:n0 + 1] = self.h
-        for f, k in zip(self.factors, self.strides):
+        for kind, power, k in self.parts:
             j0 = n0 // k
-            h[(j0 + 1) * k::k] += f.power * k * _log_coeffs(f.kind, N // k, j0)
+            h[(j0 + 1) * k::k] += power * k * _log_coeffs(kind, N // k, j0)
         hr = np.ascontiguousarray(h[::-1])  # hr[N-n:N] = h_n .. h_1
         b = np.zeros(N + 1)
         b[:n0 + 1] = self.b
@@ -155,21 +217,16 @@ class _TermBuilder:
         """Bytes of h and b, what the cache counts for the builder."""
         return self.h.nbytes + self.b.nbytes
 
-    def top(self, L: int) -> int:
-        """Last index on the 1/D grid exact at order L: each factor covers ceil(L/s) s."""
-        return min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
-
-    def coeffs(self, L: int) -> np.ndarray:
-        """b_0..b_{top(L) // g}: the term without 2^a, at the points (offset + g j)/D."""
-        n = self.top(L) // self.g
+    def coeffs(self, n: int) -> np.ndarray:
+        """b_0..b_n of the series."""
         with _cache_lock:
             if n >= self.b.size:
                 self._grow(n)
             return self.b[:n + 1]  # a view: read, never written; a grow fills a new array
 
 
-_CACHE_BYTES = 2**22  # most bytes cached in all: a builder's h and b, a side's arrays
-_cache: OrderedDict = OrderedDict()  # key -> builder or side, least recently used first
+_CACHE_BYTES = 2**22  # most bytes cached in all: builders' h and b, sides' arrays, log tables
+_cache: OrderedDict = OrderedDict()  # key -> builder, side or log table, least recently used first
 _cache_lock = threading.Lock()       # guards _cache, _held and every grow
 _held = 0                            # bytes of the cached entries
 
@@ -185,29 +242,38 @@ def _use(key, added: int) -> None:
 
 
 def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
-    """The process-wide builder of a term's factors, made on first use."""
+    """The process-wide builder of the series of a term's factors, made on first use."""
+    key = _grid(factors).key
     with _cache_lock:
-        term = _cache.get(factors)
+        term = _cache.get(key)
         new = term is None
         if new:
-            term = _cache[factors] = _TermBuilder(factors)
-        _use(term.key, term.nbytes if new else 0)  # a new builder holds h_0 and b_0
+            term = _cache[key] = _TermBuilder(factors)
+        _use(key, term.nbytes if new else 0)  # a new builder holds h_0 and b_0
         return term
 
 
 def _clear_builders() -> None:
-    """Drop every cached builder and side."""
+    """Drop every cached builder, side and log table."""
     global _held
     with _cache_lock:
         _cache.clear()
         _held = 0
 
 
-def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _TermBuilder, np.ndarray]]:
-    """Each term's coefficient times its 2^a prefactor, builder, and ``coeffs(L)``."""
+def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _Grid, np.ndarray]]:
+    """Each term's coefficient times its 2^a prefactor, its grid, and its
+    coefficients b_0..b_{top(L) // g}, each with its sign."""
     L = _whole(L, "order", 0)
-    builders = [(coeff, _builder(factors)) for coeff, factors in spec.terms]
-    return [(coeff * term.prefactor, term, term.coeffs(L)) for coeff, term in builders]
+    out = []
+    for coeff, factors in spec.terms:
+        grid = _grid(factors)
+        b = _builder(factors).coeffs(grid.top(L) // grid.g)
+        if grid.alternate:  # 0 - b, not -b: a zero stays +0, as theta4's own recurrence gives
+            b = b.copy()
+            b[1::2] = 0.0 - b[1::2]
+        out.append((coeff * grid.prefactor, grid, b))
+    return out
 
 
 def build(spec: ThetaSpec, L: int) -> QSeries:
@@ -222,10 +288,10 @@ def build(spec: ThetaSpec, L: int) -> QSeries:
     """
     from . import qseries as qs  # here: no command loads the reference route
     series = []
-    for c, term, b in _terms(spec, L):
-        coeffs = np.zeros(term.top(L) + 1)
-        coeffs[::term.g] = b
-        series.append((c, qs.QSeries(term.D, term.offset, coeffs)))
+    for c, grid, b in _terms(spec, L):
+        coeffs = np.zeros(grid.top(L) + 1)
+        coeffs[::grid.g] = b
+        series.append((c, qs.QSeries(grid.D, grid.offset, coeffs)))
     return qs.lincomb(series)
 
 

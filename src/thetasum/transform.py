@@ -79,13 +79,20 @@ class GaussPoly:
     def eval(self, r):
         """Sum of the terms at r.  Where c r^{2k} is past the doubles (r^2
         itself from r ~ 1.3e154), a term is c exp(k log r^2 - alpha r^2),
-        which is 0 there unless alpha is tiny."""
+        which is 0 there unless alpha is tiny.  Each distinct power r^{2k}
+        and Gaussian e^{-alpha r^2} is computed once (a transform's terms
+        share their rate)."""
         r = _points(r, "r")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r2 = np.square(r)
             out = np.zeros_like(r2)
+            powers, gaussians = {}, {}
             for c, k, alpha in self.terms:
-                out += c * r2**k * np.exp(-alpha * r2)
+                if k not in powers:
+                    powers[k] = r2**k
+                if alpha not in gaussians:
+                    gaussians[alpha] = np.exp(-alpha * r2)
+                out += c * powers[k] * gaussians[alpha]
             if not math.isfinite(out.sum()):  # some c r^{2k} overflowed: those in logs
                 out = np.zeros_like(r2)
                 for c, k, alpha in self.terms:

@@ -1,10 +1,12 @@
-"""The process-wide cache of term builders and shell-sum sides: same numbers
-warm or cold, safe under threads, and bounded in the bytes it holds."""
+"""The process-wide cache of term builders, shell-sum sides and log tables:
+same numbers warm or cold, safe under threads, and bounded in the bytes it
+holds."""
 
 import contextlib
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,11 +31,13 @@ def arrays(side) -> list:
 
 def held() -> int:
     """Bytes of the cached entries, counted afresh: a builder's h and b, a
-    side's arrays."""
+    side's arrays, a kind's log table."""
     total = 0
     for entry in th._cache.values():
         if isinstance(entry, th._TermBuilder):
             total += 16 * entry.b.size
+        elif isinstance(entry, np.ndarray):
+            total += 8 * entry.size
         else:
             total += sum(a.nbytes for a in arrays(entry))
     return total
@@ -41,6 +45,16 @@ def held() -> int:
 
 def builders() -> list:
     return [entry for entry in th._cache.values() if isinstance(entry, th._TermBuilder)]
+
+
+def builder_keys() -> list:
+    """The cached builders' series keys, least recently used first."""
+    return [key for key, entry in th._cache.items() if isinstance(entry, th._TermBuilder)]
+
+
+def series_key(spec) -> tuple:
+    """The key of the builder of the spec's first term."""
+    return th._grid(spec.terms[0][1]).key
 
 
 def sides() -> list:
@@ -69,7 +83,10 @@ def test_warm_cache_gives_the_cold_report(spec, f, tol):
     cold = summed(spec, f, tol)
     th._clear_builders()
     grow_every_term(spec)
-    assert all(b.b.size - 1 >= 4096 // b.g for b in builders())
+    for side_spec in (spec, th.dual(spec)):
+        for _, factors in side_spec.terms:
+            grid = th._grid(factors)
+            assert th._builder(factors).b.size - 1 >= grid.top(4096) // grid.g
     assert summed(spec, f, tol) == cold
 
 
@@ -182,20 +199,24 @@ def test_sweep_stays_within_the_bound_and_evicts_least_recently_used_first():
             th._builder(th.preset("zd", dims[0]).terms[0][1])
         assert th._held == held() <= th._CACHE_BYTES
     by_use = dims[1:fit] + dims[:1] + dims[fit:]
-    assert [key[0].power for key in th._cache] == by_use[len(dims) - fit:]
+    # theta3's log table, used by every grow, is kept with them
+    assert [power for _, power in builder_keys()] == by_use[len(dims) - fit:]
+    assert ("log", 3) in th._cache
 
 
 def test_an_entry_larger_than_the_bound_is_kept_alone(monkeypatch):
     monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
     for d in (2.0, 2.5):
         th.coeff_table(th.preset("zd", d), 1024)
-    th.coeff_table(th.preset("theta4d", 3.0), 8192)
-    assert [key[0].kind for key in th._cache] == [4]
-    assert th._held == held() == 16 * 8193
+    # theta4^3 runs theta3^3's series; its 6001 indices (96016 bytes) are
+    # past the bound, and evict the zd builders and theta3's log table
+    th.coeff_table(th.preset("theta4d", 3.0), 6000)
+    assert list(th._cache) == [(1, 3.0)]
+    assert th._held == held() == 16 * 6001
     # the next entry evicts it
     th.coeff_table(th.preset("zd", 2.0), 16)
-    assert [key[0].kind for key in th._cache] == [3]
-    assert th._held == held() == 16 * 17
+    assert builder_keys() == [(1, 2.0)]
+    assert th._held == held() == 16 * 17 + 8 * 16
 
 
 def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypatch):
@@ -203,9 +224,13 @@ def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypat
     factors = th.preset("zd", 2.5).terms[0][1]
     evicted = th._builder(factors)
     th.coeff_table(th.preset("zd", 3.0), 4095)
-    assert factors not in th._cache
-    assert evicted.coeffs(64).size == 65
+    assert th._grid(factors).key not in th._cache
     assert th._held == held() == 16 * 4096
+    # its grow brings back theta3's log table (64 entries), which evicts the
+    # zd3 builder; the evicted builder itself is still not counted
+    assert evicted.coeffs(64).size == 65
+    assert list(th._cache) == [("log", 3)]
+    assert th._held == held() == 8 * 64
 
 
 def test_a_verify_sweep_counts_every_byte_within_the_bound(monkeypatch):
@@ -218,13 +243,15 @@ def test_a_verify_sweep_counts_every_byte_within_the_bound(monkeypatch):
         assert th._held == held() <= th._CACHE_BYTES
     # the first spec's builder and sides are gone, the last one's are kept
     side_dims = {key[1] for key, entry in th._cache.items() if isinstance(entry, th.Side)}
-    assert specs[0].terms[0][1] not in th._cache and 2.0 not in side_dims
-    assert specs[-1].terms[0][1] in th._cache and specs[-1].dim_d in side_dims
+    assert series_key(specs[0]) not in th._cache and 2.0 not in side_dims
+    assert series_key(specs[-1]) in th._cache and specs[-1].dim_d in side_dims
 
 
 def order() -> list:
-    """(kind, d) of the cached entries, least recently used first."""
-    return [("side", key[1]) if isinstance(entry, th.Side) else ("builder", key[0].power)
+    """(kind, d) of the cached entries, least recently used first; a log
+    table is ("log", its theta kind)."""
+    return [("side", key[1]) if isinstance(entry, th.Side) else
+            ("builder", key[1]) if isinstance(entry, th._TermBuilder) else key
             for key, entry in th._cache.items()]
 
 
@@ -234,13 +261,48 @@ def test_eviction_is_least_recently_used_across_builders_and_sides(monkeypatch):
     th.side(zd3, 64)
     th._builder(zd2.terms[0][1])
     th.side(zd2, 64)   # found: no listing, only its use
-    assert order() == [("builder", 3.0), ("side", 3.0), ("builder", 2.0), ("side", 2.0)]
+    # theta3's log table was last used by zd3's grow
+    assert order() == [("log", 3), ("builder", 3.0), ("side", 3.0), ("builder", 2.0),
+                       ("side", 2.0)]
     # at a bound of the bytes held, each new builder (16 bytes) evicts the
     # least recently used entry, whatever its kind
     monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
-    th._builder(th.preset("zd", 4.0).terms[0][1])  # zd3's builder goes
-    assert order() == [("side", 3.0), ("builder", 2.0), ("side", 2.0), ("builder", 4.0)]
+    th._builder(th.preset("zd", 4.0).terms[0][1])  # the log table goes
+    assert order() == [("builder", 3.0), ("side", 3.0), ("builder", 2.0), ("side", 2.0),
+                       ("builder", 4.0)]
     monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
-    th._builder(th.preset("zd", 5.0).terms[0][1])  # then zd3's side
-    assert order() == [("builder", 2.0), ("side", 2.0), ("builder", 4.0), ("builder", 5.0)]
+    th._builder(th.preset("zd", 5.0).terms[0][1])  # then zd3's builder
+    assert order() == [("side", 3.0), ("builder", 2.0), ("side", 2.0), ("builder", 4.0),
+                       ("builder", 5.0)]
+    monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
+    th._builder(th.preset("zd", 6.0).terms[0][1])  # then zd3's side
+    assert order() == [("builder", 2.0), ("side", 2.0), ("builder", 4.0), ("builder", 5.0),
+                       ("builder", 6.0)]
     assert th._held == held() <= th._CACHE_BYTES
+
+
+def test_held_is_the_bytes_of_every_entry_log_tables_included(monkeypatch):
+    # a thirty-second of the bound, so that entries of every sort are
+    # evicted, and a sweep over one- and multi-factor terms of every kind,
+    # scaled and not, listed and summed: after each call the bytes held are
+    # the nbytes of the cached entries, counted afresh
+    monkeypatch.setattr(th, "_CACHE_BYTES", 2**17)
+    mixed = [th.ThetaSpec(terms=((1.0, (th.ThetaFactor(3, d - 0.8, Fraction(1)),
+                                        th.ThetaFactor(4, 0.8, Fraction(3)))),
+                                 (0.5, (th.ThetaFactor(2, d, Fraction(1, 2)),))), dim_d=d)
+             for d in (1.7, 2.5, 3.3)]
+    specs = [th.preset(name, d) for d in (1.9, 2.6, 4.1) for name in th.PRESETS] + mixed
+    tables, seen, gone = set(), {}, set()
+    for k, spec in enumerate(specs + [th.dual(spec) for spec in specs]):
+        if k % 2:
+            th.coeff_table(spec, 256 * (1 + k % 8))
+        else:
+            sm.verify(spec, tr.GaussPoly(((1.0, 0, 0.3),)), 1e-10)
+        assert th._held == sum(entry.nbytes for entry in th._cache.values()) == held()
+        assert th._held <= th._CACHE_BYTES or len(th._cache) == 1
+        tables |= {key[1] for key in th._cache if key[0] == "log"}
+        gone |= seen.keys() - th._cache.keys()
+        seen.update((key, type(entry)) for key, entry in th._cache.items())
+    # theta4's own table serves only the multi-factor terms
+    assert tables == {2, 3, 4}
+    assert {seen[key] for key in gone} == {th._TermBuilder, th.Side, np.ndarray}

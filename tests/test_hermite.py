@@ -164,7 +164,7 @@ def test_quadrature_rules_are_made_once_and_read_only(monkeypatch):
 
 
 def test_quadrature_has_no_tolerance_keyword():
-    # the error met is always hermite._ABS_TOL = 1e-11
+    # the error met is always max(hermite._ABS_TOL = 1e-11, 32 rounding floors)
     with pytest.raises(TypeError, match="abs_tol"):
         hm.hermite_coeff_quadrature(_GAUSS, 2, abs_tol=1e-12)
 
@@ -204,9 +204,11 @@ def test_quadrature_resolves_a_step_inside_a_panel(c, n):
 
 
 def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
-    # a constant of 2000: the rounding floor 2^-50 sum |f h_0|, about 3e-12,
-    # keeps the total above a tenth of 1e-11, so the panels are bisected to
-    # the cap, and the total, within 1e-11 there, is returned
+    # a constant of 2000 held to 1e-11 with its rounding floor counted once
+    # (_FLOOR_TIMES = 1): the floor 2^-50 sum |f h_0|, about 3e-12, keeps the
+    # total above a tenth of 1e-11, so the panels are bisected to the cap,
+    # and the total, within 1e-11 there, is returned
+    monkeypatch.setattr(hm, "_FLOOR_TIMES", 1.0)
     rounds = []
     panel_sums = hm._panel_sums
 
@@ -219,6 +221,22 @@ def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
     got = hm.hermite_coeff_quadrature(lambda x: 2000.0, 0)
     assert abs(got - 2000.0 * hm.gaussian_hermite_coeff(0.0, 0)) <= 1e-11
     assert len(rounds) > 1 and sum(rounds) - rounds[0] > hm._PANEL_CAP // 2
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+@pytest.mark.parametrize("c", [2000.0, 4000.0, 8000.0, 3e4, 1e5, 1e6])
+def test_quadrature_takes_a_large_constant_within_its_rounding_floor(c, n):
+    # 2^-50 sum |f h_n| alone was above 1e-11 from c = 4000 (n = 2, 4) and
+    # c = 8000 (n = 0) on, and these were refused; the error is now held to
+    # max(1e-11, 32 floors), and met against the closed integral of h_n
+    with mp.workdps(30):
+        norm = mp.sqrt(mp.sqrt(mp.pi) * 2**n * mp.factorial(n))
+        h = lambda x: mp.hermite(n, x) * mp.exp(-x * x / 2) / norm
+        cuts = [-mp.inf, -10, -5, 0, 5, 10, mp.inf]
+        want = c * mp.quad(h, cuts)
+        floor = 2.0**-50 * c * float(mp.quad(lambda x: abs(h(x)), cuts))
+    got = hm.hermite_coeff_quadrature(lambda x: c, n)
+    assert abs(got - float(want)) <= max(hm._ABS_TOL, 32.0 * floor)
 
 
 def test_quadrature_refuses_at_the_panel_cap():

@@ -251,35 +251,41 @@ def test_report_json_keys_are_stable():
     assert data["pass"] is True
 
 
-def test_dual_builds_store_few_more_entries_than_nonzero_shells(monkeypatch):
+def test_each_side_evaluates_the_distinct_radii_of_its_stopping_order(monkeypatch):
     # the theta2^d term of the dual of dd at d = 4.113 has offset d/4; summed
     # on a grid common to both terms it would take 4000 times the entries
     spec = th.preset("dd", 4.113)
     f = tr.GaussPoly(((1.0, 2, 11.33), (-0.31, 0, 13.52)))
-    built, evaluated = [], []
-    coeffs, evaluate = th._TermBuilder.coeffs, tr.GaussPoly.eval
-
-    def recording_coeffs(self, L):
-        out = coeffs(self, L)
-        built.append(((self.offset + self.g * np.flatnonzero(out)) / self.D, out.size))
-        return out
+    evaluated = []
+    evaluate = tr.GaussPoly.eval
 
     def recording_eval(self, r):
-        evaluated.append(np.size(r))
+        evaluated.append(np.array(r))
         return evaluate(self, r)
 
-    monkeypatch.setattr(th._TermBuilder, "coeffs", recording_coeffs)
     monkeypatch.setattr(tr.GaussPoly, "eval", recording_eval)
     report = sm.verify(spec, f, tol=1e-10)
-    assert report.passed
-    assert all(stored <= 4 * nonzero.size for nonzero, stored in built)
-    # both sides build their two terms at each order; every distinct radius
-    # of each order is evaluated once, and nothing else.  theta3^d and
-    # theta4^d share their exponents, so the direct side evaluates half its
-    # shells.
-    pairs = [np.concatenate([built[i][0], built[i + 1][0]]) for i in range(0, len(built), 2)]
-    assert sum(evaluated) == sum(np.unique(A).size for A in pairs)
-    assert sum(evaluated) < sum(A.size for A in pairs)
+    assert report.passed and report.L_star_used > 32
+    # the majorant picks each order from the side alone: the profile, then
+    # its transform, is evaluated once, at the distinct radii of the order
+    # its side stops at, and nowhere else
+    used = ((spec, report.L_used), (th.dual(spec), report.L_star_used))
+    assert len(evaluated) == len(used)
+    for radii, (side_spec, L) in zip(evaluated, used):
+        assert np.array_equal(radii, th.side(side_spec, L).radii)
+    # theta3^d and theta4^d share their exponents, so the direct side
+    # evaluates half its shells
+    direct = th.side(spec, report.L_used)
+    assert direct.radii.size < direct.A.size
+    # at every order each term lists few more points than its nonzero shells
+    for side_spec, L_used in used:
+        L = 32
+        while L <= L_used:
+            listing = th.shells(side_spec, L)
+            for i in range(len(side_spec.terms)):
+                mine = listing.N[listing.term == i]
+                assert mine.size <= 4 * np.count_nonzero(mine)
+            L *= 2
 
 
 def test_profile_is_evaluated_once_per_distinct_radius():
@@ -331,15 +337,16 @@ def test_verify_builds_a_shared_dual_term_once(monkeypatch):
     spec = th.preset("dd", 2.4)
     assert sm.verify(spec, GAUSS, tol=1e-10).passed
     theta3 = spec.terms[0][1]
+    # theta4^d is theta3^d's series with signs (-1)^j: it makes no builder
     assert made.count(theta3) == 1
-    assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
+    assert sorted(fs[0].kind for fs in made) == [2, 3]
     # lhs_sum then rhs_sum share it through the cache too
     th._clear_builders()
     made.clear()
     sm.lhs_sum(spec, GAUSS, 1e-10)
     sm.rhs_sum(spec, GAUSS, 1e-10)
     assert made.count(theta3) == 1
-    assert sorted(fs[0].kind for fs in made) == [2, 3, 4]
+    assert sorted(fs[0].kind for fs in made) == [2, 3]
 
 
 def test_l_cap_refuses_slow_decay():
@@ -642,7 +649,7 @@ def _decay_windows(near, far):
     terms = np.where(A > 56.0, near, np.where(A > 48.0, far, 1.0))
     side = th.Side(A=A, N=np.ones(A.size), radii=np.sqrt(A), at=None, step=(1.0,),
                    top=(64.0,), log_C=(None,))
-    return sm._measured_decay(side, terms, np.zeros(A.size))
+    return sm._measured_decay(side, lambda: (terms, np.zeros(A.size)), math.inf)
 
 
 def test_measured_decay_takes_ten_far_windows_when_the_near_one_is_empty():
@@ -675,3 +682,30 @@ def test_gauss_nodes_are_made_once_per_order_and_dimension(monkeypatch):
     for column in gr._gauss_nodes(10, 2.5):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
+
+
+@pytest.mark.parametrize("name", th.PRESETS)
+@pytest.mark.parametrize("d", [1.7, 2.5, 4.2])
+@pytest.mark.parametrize("alpha", [0.08, 0.5, 2.0])
+def test_a_wrong_dual_side_fails(monkeypatch, name, d, alpha):
+    # the dual coefficients scaled so that rhs moves by 3 T, T = tol + 10
+    # (tails + budget) of the honest report: verify must FAIL; a move of
+    # 0.1 tol keeps the PASS.  Each side picks its order before it evaluates
+    # its profile, and that must never let a wrong side through
+    spec, f, tol = th.preset(name, d), tr.GaussPoly(((1.0, 0, alpha),)), 1e-10
+    honest = sm.verify(spec, f, tol=tol)
+    assert honest.passed and honest.rhs > 0.0
+    T = tol + 10.0 * (honest.tail_lhs + honest.tail_rhs + honest.error_budget)
+    dual = th.dual
+    for move, passes in ((3.0 * T, False), (0.1 * tol, True)):
+        scale = 1.0 + move / honest.rhs
+
+        def scaled_dual(s, scale=scale):
+            return th.ThetaSpec(terms=tuple((c * scale, fs) for c, fs in dual(s).terms),
+                                dim_d=s.dim_d)
+
+        monkeypatch.setattr(th, "dual", scaled_dual)
+        moved = sm.verify(spec, f, tol=tol)
+        assert moved.rhs - honest.rhs == pytest.approx(move, rel=1e-3)
+        assert moved.lhs == honest.lhs
+        assert moved.passed is passes

@@ -242,12 +242,14 @@ def test_build_keeps_grid_of_power_and_product_route(spec, by_term, L):
 def test_grown_term_equals_one_step_build(spec):
     # a term grown by doubling its order is bit-identical to a fresh build
     for coeff, factors in spec.terms:
+        grid = th._grid(factors)
         term = th._TermBuilder(factors)
         L = 32
         while L <= 4096:
-            grown = term.coeffs(L)
-            fresh = th._TermBuilder(factors).coeffs(L)
-            assert grown.size == fresh.size == term.top(L) // term.g + 1
+            n = grid.top(L) // grid.g
+            grown = term.coeffs(n)
+            fresh = th._TermBuilder(factors).coeffs(n)
+            assert grown.size == fresh.size == n + 1
             assert np.array_equal(grown, fresh)
             L *= 2
 
@@ -289,15 +291,17 @@ def test_shells_are_each_terms_series_sorted_by_exponent(spec):
     tie = np.diff(listing.A) == 0
     assert np.all(np.diff(listing.term)[tie] >= 0)
     for i, (coeff, factors) in enumerate(spec.terms):
-        # each term on the grid its recurrence runs on: (offset + g j)/D
-        term = th._builder(factors)
-        b = term.coeffs(L)
+        # each term on the grid its recurrence runs on: (offset + g j)/D,
+        # with its series' b_j, times (-1)^j for a lone theta4 factor
+        grid = th._grid(factors)
+        b = th._builder(factors).coeffs(grid.top(L) // grid.g)
         j = np.arange(b.size)
+        sign = (-1.0) ** j if grid.alternate else 1.0
         mine = listing.term == i
         assert np.all(np.diff(listing.A[mine]) > 0)  # in the order of j
-        assert np.array_equal(listing.A[mine], (term.offset + term.g * j) / term.D)
-        assert np.array_equal(listing.N[mine], coeff * term.prefactor * b)
-        assert listing.step[i] == term.g / term.D
+        assert np.array_equal(listing.A[mine], (grid.offset + grid.g * j) / grid.D)
+        assert np.array_equal(listing.N[mine], coeff * grid.prefactor * sign * b)
+        assert listing.step[i] == grid.g / grid.D
         assert listing.top[i] == listing.A[mine][-1]  # the last computed point
 
 
@@ -328,6 +332,87 @@ def test_term_builder_serves_a_lower_order_from_its_prefix():
     low = term.coeffs(64)
     assert np.array_equal(low, th.coeff_table(th.preset("zd", 2.5), 64)[1])
     assert np.array_equal(high[:65], low)
+
+
+def _own_series(kind: int, power: float, n: int) -> np.ndarray:
+    """b_0..b_n of exp(p log P_kind(x)) by the builders' one-step recurrence
+    on the kind's own log table: what a lone theta_kind factor ran before
+    terms were keyed by their series."""
+    with th._cache_lock:
+        e = th._log_coeffs(kind, n)
+    h = np.zeros(n + 1)
+    h[1:] += power * 1 * e
+    hr = np.ascontiguousarray(h[::-1])
+    b = np.zeros(n + 1)
+    b[0] = 1.0
+    for m in range(1, n + 1):
+        b[m] = np.dot(hr[n - m:n], b[:m]) / m
+    return b
+
+
+def _lone(kind: int, power: float, scale) -> th.ThetaSpec:
+    return th.ThetaSpec(terms=((1.0, (th.ThetaFactor(kind, power, Fraction(scale)),)),),
+                        dim_d=power)
+
+
+SERIES_POWERS = [0.3, 1.2, 2.5, 2.6, 3.7, 40.5]
+
+
+@pytest.mark.parametrize("p", SERIES_POWERS)
+def test_theta4_series_is_theta3_series_with_alternating_signs(p):
+    # theta4(q) = theta3(-q): its own recurrence gives (-1)^j times theta3's
+    # b_j bit for bit, a zero as +0 (0 - b, not -b); so a lone theta4 factor
+    # takes theta3's series, and its listing has these bits
+    n = 2048
+    theta3, theta4 = _own_series(3, p, n), _own_series(4, p, n)
+    flipped = theta3.copy()
+    flipped[1::2] = 0.0 - flipped[1::2]
+    assert theta4.tobytes() == flipped.tobytes()
+    assert th.shells(_lone(4, p, 1), n).N.tobytes() == theta4.tobytes()
+    assert th._grid(_lone(4, p, 1).terms[0][1]).key == th._grid(_lone(3, p, 1).terms[0][1]).key
+
+
+@pytest.mark.parametrize("p", SERIES_POWERS)
+@pytest.mark.parametrize("kind,scale", [(3, Fraction(3, 2)), (2, Fraction(1, 3)),
+                                        (4, Fraction(3)), (2, Fraction(2))])
+def test_a_scale_only_stretches_the_grid(p, kind, scale):
+    # theta_k(q^s)^p has the b_j of theta_k(q)^p, at the exponents s times
+    # theirs: the coefficients of its own recurrence, bit for bit
+    plain, scaled = th.shells(_lone(kind, p, 1), 1024), th.shells(_lone(kind, p, scale), 1024)
+    n = min(plain.N.size, scaled.N.size)
+    assert scaled.N[:n].tobytes() == plain.N[:n].tobytes()
+    assert np.allclose(scaled.A[:n], float(scale) * plain.A[:n], rtol=4e-16, atol=0.0)
+    own = _own_series(th._SERIES_KIND[th.KINDS[kind].odd], p, scaled.N.size - 1)
+    if kind == 4:
+        own[1::2] = 0.0 - own[1::2]
+    assert scaled.N.tobytes() == (2.0 ** (p * th.KINDS[kind].two) * own).tobytes()
+
+
+def test_one_factor_terms_share_their_series(monkeypatch):
+    # zd, dd and theta4d at one d, and their duals, hold theta3^d, theta4^d
+    # and theta2^d terms: two series, each grown once to the highest index
+    made, grown = [], []
+    init, grow = th._TermBuilder.__init__, th._TermBuilder._grow
+
+    def recording_init(self, factors):
+        made.append(tuple(factors))
+        init(self, factors)
+
+    def recording_grow(self, N):
+        grown.append(N - (self.b.size - 1))
+        grow(self, N)
+
+    monkeypatch.setattr(th._TermBuilder, "__init__", recording_init)
+    monkeypatch.setattr(th._TermBuilder, "_grow", recording_grow)
+    specs = [th.preset(name, 2.7) for name in th.PRESETS]
+    for spec in specs:
+        for L in (64, 256):
+            th.coeff_table(spec, L)
+            th.coeff_table(th.dual(spec), L)
+    assert sorted(fs[0].kind for fs in made) == [2, 3]
+    # theta3's series to index 256, theta2's (step 2) to 128
+    assert sum(grown) == 256 + 128
+    assert {key for key in th._cache if key[0] == "log"} == {("log", 2), ("log", 3)}
 
 
 _BITS = 200
