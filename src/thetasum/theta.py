@@ -3,7 +3,7 @@
 The specs themselves, their duals, the modular-relation residual,
 ``KINDS``, the table every kind-dependent number here is read from, and the
 exponent slack ``_OFFSET_TOL`` live in ``spec`` (pure Python) and are
-re-exported here.  Each term's ``_grid`` decides its grid, the points
+re-exported here.  Each term's ``_term_grid`` decides its grid, the points
 (offset + g j)/D its coefficients lie on, and the series they come from,
 which a ``_TermBuilder`` grows.  ``shells`` lists every term point by point
 on that grid, with no QSeries (the one listing behind the shell sums and
@@ -117,7 +117,7 @@ def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
     return table[lo:n]
 
 
-class _Grid(NamedTuple):
+class _TermGrid(NamedTuple):
     """Where a term's coefficients lie, and the series they come from.
 
     The term prod theta_kind(q^s)^p lies on the points (offset + g j)/D,
@@ -148,8 +148,8 @@ class _Grid(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _grid(factors: tuple[ThetaFactor, ...]) -> _Grid:
-    """The ``_Grid`` of a term's factors, made once per factor tuple."""
+def _term_grid(factors: tuple[ThetaFactor, ...]) -> _TermGrid:
+    """The ``_TermGrid`` of a term's factors, made once per factor tuple."""
     fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
     D = math.lcm(*(f.scale.denominator for f in fs))
     # scale s = num/den as (num, den, s D): each factor's variable is
@@ -162,14 +162,15 @@ def _grid(factors: tuple[ThetaFactor, ...]) -> _Grid:
     prefactor = 2.0 ** math.fsum(f.power * row.two for f, row in zip(fs, rows))
     if len(fs) == 1:
         (f,), (row,) = fs, rows
-        return _Grid(D, g, offset, prefactor, scales, (row.odd, f.power),
-                     ((_SERIES_KIND[row.odd], f.power, 1),), row.sign < 0)
+        return _TermGrid(D, g, offset, prefactor, scales, (row.odd, f.power),
+                         ((_SERIES_KIND[row.odd], f.power, 1),), row.sign < 0)
     parts = tuple((f.kind, f.power, step // g) for f, step in zip(fs, steps))
-    return _Grid(D, g, offset, prefactor, scales, tuple(factors), parts, False)
+    return _TermGrid(D, g, offset, prefactor, scales, tuple(factors), parts, False)
 
 
 class _TermBuilder:
-    """Coefficients b_j of the series of a term's factors (``_Grid``), grown in place.
+    """Coefficients b_j of the series of a term's factors (``_TermGrid``),
+    grown in place.
 
     The factor logs h are added at their strides and the exp recurrence
 
@@ -186,7 +187,7 @@ class _TermBuilder:
     """
 
     def __init__(self, factors: Sequence[ThetaFactor]):
-        grid = _grid(tuple(factors))
+        grid = _term_grid(tuple(factors))
         self.key, self.parts = grid.key, grid.parts
         self.h = np.zeros(1)
         self.b = np.ones(1)
@@ -243,7 +244,7 @@ def _use(key, added: int) -> None:
 
 def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
     """The process-wide builder of the series of a term's factors, made on first use."""
-    key = _grid(factors).key
+    key = _term_grid(factors).key
     with _cache_lock:
         term = _cache.get(key)
         new = term is None
@@ -261,13 +262,13 @@ def _clear_builders() -> None:
         _held = 0
 
 
-def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _Grid, np.ndarray]]:
+def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _TermGrid, np.ndarray]]:
     """Each term's coefficient times its 2^a prefactor, its grid, and its
     coefficients b_0..b_{top(L) // g}, each with its sign."""
     L = _whole(L, "order", 0)
     out = []
     for coeff, factors in spec.terms:
-        grid = _grid(factors)
+        grid = _term_grid(factors)
         b = _builder(factors).coeffs(grid.top(L) // grid.g)
         if grid.alternate:  # 0 - b, not -b: a zero stays +0, as theta4's own recurrence gives
             b = b.copy()

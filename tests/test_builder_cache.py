@@ -54,7 +54,7 @@ def builder_keys() -> list:
 
 def series_key(spec) -> tuple:
     """The key of the builder of the spec's first term."""
-    return th._grid(spec.terms[0][1]).key
+    return th._term_grid(spec.terms[0][1]).key
 
 
 def sides() -> list:
@@ -85,7 +85,7 @@ def test_warm_cache_gives_the_cold_report(spec, f, tol):
     grow_every_term(spec)
     for side_spec in (spec, th.dual(spec)):
         for _, factors in side_spec.terms:
-            grid = th._grid(factors)
+            grid = th._term_grid(factors)
             assert th._builder(factors).b.size - 1 >= grid.top(4096) // grid.g
     assert summed(spec, f, tol) == cold
 
@@ -224,7 +224,7 @@ def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypat
     factors = th.preset("zd", 2.5).terms[0][1]
     evicted = th._builder(factors)
     th.coeff_table(th.preset("zd", 3.0), 4095)
-    assert th._grid(factors).key not in th._cache
+    assert th._term_grid(factors).key not in th._cache
     assert th._held == held() == 16 * 4096
     # its grow brings back theta3's log table (64 entries), which evicts the
     # zd3 builder; the evicted builder itself is still not counted

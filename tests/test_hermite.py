@@ -1,11 +1,12 @@
 """Hermite functions and Gaussian expansion coefficients."""
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.hermite import hermgauss, hermval
 
 from thetasum import hermite as hm
 from thetasum.errors import DomainError, ToleranceNotMet
@@ -223,20 +224,31 @@ def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
     assert len(rounds) > 1 and sum(rounds) - rounds[0] > hm._PANEL_CAP // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _h_integrals(n: int) -> tuple[float, float]:
+    """The integral of h_n over the line at even n, in closed form in mpmath
+    (int H_2m e^{-x^2/2} = sqrt(2 pi) (2m)!/m!), and the integral of |h_n| by
+    a Riemann sum, which only scales the rounding floor."""
+    m = n // 2
+    with mp.workdps(30):
+        exact = mp.sqrt(2) * mp.pi ** (mp.mpf(1) / 4) * mp.sqrt(mp.factorial(n)) / (
+            2**m * mp.factorial(m))
+    x = np.linspace(-20.0, 20.0, 400001)
+    h = hermval(x, [0] * n + [1]) * np.exp(-x * x / 2) / math.sqrt(
+        math.sqrt(math.pi) * 2**n * math.factorial(n))
+    return float(exact), float(np.abs(h).sum() * (x[1] - x[0]))
+
+
 @pytest.mark.parametrize("n", [0, 2, 4])
 @pytest.mark.parametrize("c", [2000.0, 4000.0, 8000.0, 3e4, 1e5, 1e6])
 def test_quadrature_takes_a_large_constant_within_its_rounding_floor(c, n):
     # 2^-50 sum |f h_n| alone was above 1e-11 from c = 4000 (n = 2, 4) and
     # c = 8000 (n = 0) on, and these were refused; the error is now held to
     # max(1e-11, 32 floors), and met against the closed integral of h_n
-    with mp.workdps(30):
-        norm = mp.sqrt(mp.sqrt(mp.pi) * 2**n * mp.factorial(n))
-        h = lambda x: mp.hermite(n, x) * mp.exp(-x * x / 2) / norm
-        cuts = [-mp.inf, -10, -5, 0, 5, 10, mp.inf]
-        want = c * mp.quad(h, cuts)
-        floor = 2.0**-50 * c * float(mp.quad(lambda x: abs(h(x)), cuts))
+    integral, magnitude = _h_integrals(n)
+    floor = 2.0**-50 * c * magnitude
     got = hm.hermite_coeff_quadrature(lambda x: c, n)
-    assert abs(got - float(want)) <= max(hm._ABS_TOL, 32.0 * floor)
+    assert abs(got - c * integral) <= max(hm._ABS_TOL, 32.0 * floor)
 
 
 def test_quadrature_refuses_at_the_panel_cap():

@@ -242,7 +242,7 @@ def test_build_keeps_grid_of_power_and_product_route(spec, by_term, L):
 def test_grown_term_equals_one_step_build(spec):
     # a term grown by doubling its order is bit-identical to a fresh build
     for coeff, factors in spec.terms:
-        grid = th._grid(factors)
+        grid = th._term_grid(factors)
         term = th._TermBuilder(factors)
         L = 32
         while L <= 4096:
@@ -293,7 +293,7 @@ def test_shells_are_each_terms_series_sorted_by_exponent(spec):
     for i, (coeff, factors) in enumerate(spec.terms):
         # each term on the grid its recurrence runs on: (offset + g j)/D,
         # with its series' b_j, times (-1)^j for a lone theta4 factor
-        grid = th._grid(factors)
+        grid = th._term_grid(factors)
         b = th._builder(factors).coeffs(grid.top(L) // grid.g)
         j = np.arange(b.size)
         sign = (-1.0) ** j if grid.alternate else 1.0
@@ -369,7 +369,8 @@ def test_theta4_series_is_theta3_series_with_alternating_signs(p):
     flipped[1::2] = 0.0 - flipped[1::2]
     assert theta4.tobytes() == flipped.tobytes()
     assert th.shells(_lone(4, p, 1), n).N.tobytes() == theta4.tobytes()
-    assert th._grid(_lone(4, p, 1).terms[0][1]).key == th._grid(_lone(3, p, 1).terms[0][1]).key
+    theta3_key, theta4_key = (th._term_grid(_lone(kind, p, 1).terms[0][1]).key for kind in (3, 4))
+    assert theta4_key == theta3_key
 
 
 @pytest.mark.parametrize("p", SERIES_POWERS)
