@@ -81,17 +81,20 @@ class GaussPoly:
         itself from r ~ 1.3e154), a term is c exp(k log r^2 - alpha r^2),
         which is 0 there unless alpha is tiny.  Each distinct power r^{2k}
         and Gaussian e^{-alpha r^2} is computed once (a transform's terms
-        share their rate)."""
+        share their rate), and none for k = 0: c r^0 is c, bit for bit."""
         r = _points(r, "r")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r2 = np.square(r)
             out = np.zeros_like(r2)
-            powers, gaussians = {}, {}
+            powers, gaussians = {1: r2}, {}
             for c, k, alpha in self.terms:
-                if k not in powers:
-                    powers[k] = r2**k
                 if alpha not in gaussians:
                     gaussians[alpha] = np.exp(-alpha * r2)
+                if k == 0:
+                    out += c * gaussians[alpha]
+                    continue
+                if k not in powers:
+                    powers[k] = r2**k
                 out += c * powers[k] * gaussians[alpha]
             if not math.isfinite(out.sum()):  # some c r^{2k} overflowed: those in logs
                 out = np.zeros_like(r2)
