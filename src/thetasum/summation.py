@@ -56,20 +56,17 @@ def _majorant(f: RadialFunction, d: float):
     (``theta._coeff_growth``), in logs.  A term with no nonzero shell, or an
     envelope term with c = 0, adds none.  It reads the side alone and never
     calls ``summed``, so a side it truncates evaluates its profile once, at
-    the order it stops at.  Every addend is >= 0, so it stops adding once
-    the total reaches ``bound``.
+    the order it stops at.
     """
     envelope = [(math.log(c), k, alpha) for c, k, alpha in tr._tail_envelope(f) if c > 0.0]
 
-    def tail(side, summed, bound):
+    def tail(side, summed):
         total = 0.0
         for h, top, log_C in zip(side.step, side.top, side.log_C):
             if log_C is None:
                 continue
             for log_c, k, alpha in envelope:
                 total += _poly_gauss_tail(log_C + log_c, d + k, top + h, h, alpha)
-                if total >= bound:
-                    return total, False
         return total, False
 
     return tail
@@ -83,7 +80,7 @@ def _fsum(values) -> float:
         raise CoefficientOverflow("shell sum overflows the doubles") from None
 
 
-def _measured_decay(side, summed, bound):
+def _measured_decay(side, summed):
     """Tail estimator from the term mass of two adjacent wide windows.
 
     The remainder is extrapolated geometrically from the windows' ratio.
@@ -93,8 +90,7 @@ def _measured_decay(side, summed, bound):
     allow, they hold rounding noise, doubling cannot shrink it, and the
     second value (the noise floor) is True.  The windows end at the least
     reliable exponent of the terms.  It reads the terms and their error
-    estimates, ``summed()``, at every order, and computes the whole tail
-    whatever ``bound``.
+    estimates, ``summed()``, at every order.
     """
     terms, errors = summed()
     top = min(side.top)
@@ -178,13 +174,10 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
 
     ``profile(radii) -> (values, errors)`` gives the summand's profile,
     once per distinct radius, with errors None where it is exact.
-    ``tail_of(side, summed, bound) -> (tail, at_floor)`` estimates the
-    truncated remainder, and at_floor stops the doubling where it cannot
-    help.  Below the order cap the bound is tol/10, and an estimator may
-    stop adding once it is reached: such a tail only says the order is too
-    low, and the tail of the order the sum stops at is whole.  ``summed``
-    (``_summed``) evaluates the profile on its first call only: the
-    majorant never calls it and picks the order from the side's steps,
+    ``tail_of(side, summed) -> (tail, at_floor)`` estimates the truncated
+    remainder, and at_floor stops the doubling where it cannot help.
+    ``summed`` (``_summed``) evaluates the profile on its first call only:
+    the majorant never calls it and picks the order from the side's steps,
     last exponents and growth constants alone, so its side evaluates the
     profile once, at the order it stops at; measured decay calls it at
     every order.  The sum, its magnitude and its error budget are exactly
@@ -202,7 +195,7 @@ def _sum_shells(spec: ThetaSpec, tol: float, L_cap: int, profile, tail_of) -> Sh
     while True:
         side = th.side(spec, L)
         summed = _summed(side, profile)
-        tail, at_floor = tail_of(side, summed, 0.1 * tol if L < L_cap else math.inf)
+        tail, at_floor = tail_of(side, summed)
         if tail < 0.1 * tol:
             terms, errors = summed()
             budget = 0.0 if errors is None else math.fsum(errors.tolist())

@@ -18,12 +18,11 @@ import ``qseries`` when called, so no command loads it.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +93,9 @@ def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
     ``_CACHE_BYTES``.  Asked past M it grows to max(n, 2M): every divisor
     pair a * j = k in (M, new end] adds its weight in one ``bincount``.  The
     sums are exact, so a table grown in pieces holds the bits of one made
-    in one step.  The caller holds ``_cache_lock``.
+    in one step.  The caller holds ``_cache_lock`` and evicts: the table is
+    marked used and counted but evicts nothing, so that a builder marked
+    used after it is kept before it (``_TermBuilder._grow``).
     """
     key = ("log", kind)
     table = _cache.get(key, _NO_LOGS)
@@ -111,9 +112,9 @@ def _log_coeffs(kind: int, n: int, lo: int = 0) -> np.ndarray:
         table = np.concatenate([table, new])
         table.flags.writeable = False
         _cache[key] = table
-        _use(key, 8 * (top - M))
+        _use(key, 8 * (top - M), evict=False)
     elif M:
-        _use(key, 0)
+        _use(key, 0, evict=False)
     return table[lo:n]
 
 
@@ -147,9 +148,8 @@ class _TermGrid(NamedTuple):
         return min(max(1, -(-L * den // num)) * sD for num, den, sD in self.scales)
 
 
-@functools.lru_cache(maxsize=1024)
 def _term_grid(factors: tuple[ThetaFactor, ...]) -> _TermGrid:
-    """The ``_TermGrid`` of a term's factors, made once per factor tuple."""
+    """The ``_TermGrid`` of a term's factors."""
     fs = [f for f in factors if f.power > 0.0]  # a power of 0 is the factor 1
     D = math.lcm(*(f.scale.denominator for f in fs))
     # scale s = num/den as (num, den, s D): each factor's variable is
@@ -186,8 +186,7 @@ class _TermBuilder:
     so theta3(q)^p, theta4(q^3)^p and theta3(q^{1/2})^p share one.
     """
 
-    def __init__(self, factors: Sequence[ThetaFactor]):
-        grid = _term_grid(tuple(factors))
+    def __init__(self, grid: _TermGrid):
         self.key, self.parts = grid.key, grid.parts
         self.h = np.zeros(1)
         self.b = np.ones(1)
@@ -196,6 +195,10 @@ class _TermBuilder:
         """Extend h and b to index N, computing only the indices above the old end.
 
         The caller holds ``_cache_lock``: a grow is whole before another starts.
+        The builder is marked used after the log tables it reads, and only
+        then is anything evicted, so a table is evicted before the builder
+        it serves: a builder that with its tables is past ``_CACHE_BYTES``
+        is kept, and not regrown from index 0 at its next call.
         """
         n0 = self.b.size - 1
         h = np.zeros(N + 1)
@@ -212,6 +215,8 @@ class _TermBuilder:
         self.h, self.b = h, b
         if _cache.get(self.key) is self:
             _use(self.key, 16 * (N - n0))
+        else:  # evicted while in use: its bytes are not counted
+            _evict()
 
     @property
     def nbytes(self) -> int:
@@ -232,25 +237,31 @@ _cache_lock = threading.Lock()       # guards _cache, _held and every grow
 _held = 0                            # bytes of the cached entries
 
 
-def _use(key, added: int) -> None:
+def _use(key, added: int, evict: bool = True) -> None:
     """Mark key most recently used and count ``added`` more bytes held;
-    evict from the least recently used end while they are too many."""
+    then, unless ``evict`` is False, ``_evict``."""
     global _held
     _cache.move_to_end(key)
     _held += added
+    if evict:
+        _evict()
+
+
+def _evict() -> None:
+    """Evict from the least recently used end while the bytes held are too many."""
+    global _held
     while _held > _CACHE_BYTES and len(_cache) > 1:
         _held -= _cache.popitem(last=False)[1].nbytes
 
 
-def _builder(factors: tuple[ThetaFactor, ...]) -> _TermBuilder:
-    """The process-wide builder of the series of a term's factors, made on first use."""
-    key = _term_grid(factors).key
+def _builder(grid: _TermGrid) -> _TermBuilder:
+    """The process-wide builder of a term's series, ``grid.key``, made on first use."""
     with _cache_lock:
-        term = _cache.get(key)
+        term = _cache.get(grid.key)
         new = term is None
         if new:
-            term = _cache[key] = _TermBuilder(factors)
-        _use(key, term.nbytes if new else 0)  # a new builder holds h_0 and b_0
+            term = _cache[grid.key] = _TermBuilder(grid)
+        _use(grid.key, term.nbytes if new else 0)  # a new builder holds h_0 and b_0
         return term
 
 
@@ -269,7 +280,7 @@ def _terms(spec: ThetaSpec, L: int) -> list[tuple[float, _TermGrid, np.ndarray]]
     out = []
     for coeff, factors in spec.terms:
         grid = _term_grid(factors)
-        b = _builder(factors).coeffs(grid.top(L) // grid.g)
+        b = _builder(grid).coeffs(grid.top(L) // grid.g)
         if grid.alternate:  # 0 - b, not -b: a zero stays +0, as theta4's own recurrence gives
             b = b.copy()
             b[1::2] = 0.0 - b[1::2]

@@ -57,6 +57,11 @@ def series_key(spec) -> tuple:
     return th._term_grid(spec.terms[0][1]).key
 
 
+def builder_of(factors) -> th._TermBuilder:
+    """The cached builder of a term's series, made on first use."""
+    return th._builder(th._term_grid(factors))
+
+
 def sides() -> list:
     return [entry for entry in th._cache.values() if isinstance(entry, th.Side)]
 
@@ -86,7 +91,7 @@ def test_warm_cache_gives_the_cold_report(spec, f, tol):
     for side_spec in (spec, th.dual(spec)):
         for _, factors in side_spec.terms:
             grid = th._term_grid(factors)
-            assert th._builder(factors).b.size - 1 >= grid.top(4096) // grid.g
+            assert th._builder(grid).b.size - 1 >= grid.top(4096) // grid.g
     assert summed(spec, f, tol) == cold
 
 
@@ -157,9 +162,9 @@ def test_threads_give_the_serial_reports(monkeypatch, round):
     made = []
     init = th._TermBuilder.__init__
 
-    def recording_init(self, factors):
-        made.append(tuple(factors))
-        init(self, factors)
+    def recording_init(self, grid):
+        made.append(grid.key)
+        init(self, grid)
 
     monkeypatch.setattr(th._TermBuilder, "__init__", recording_init)
     start = threading.Barrier(4)
@@ -196,7 +201,7 @@ def test_sweep_stays_within_the_bound_and_evicts_least_recently_used_first():
         th.coeff_table(th.preset("zd", d), 4096)
         if k == fit - 1:
             # a use keeps the oldest entry against the next evictions
-            th._builder(th.preset("zd", dims[0]).terms[0][1])
+            builder_of(th.preset("zd", dims[0]).terms[0][1])
         assert th._held == held() <= th._CACHE_BYTES
     by_use = dims[1:fit] + dims[:1] + dims[fit:]
     # theta3's log table, used by every grow, is kept with them
@@ -208,21 +213,45 @@ def test_an_entry_larger_than_the_bound_is_kept_alone(monkeypatch):
     monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
     for d in (2.0, 2.5):
         th.coeff_table(th.preset("zd", d), 1024)
-    # theta4^3 runs theta3^3's series; its 6001 indices (96016 bytes) are
-    # past the bound, and evict the zd builders and theta3's log table
-    th.coeff_table(th.preset("theta4d", 3.0), 6000)
+    # theta4^3 runs theta3^3's series; its 8193 indices are past the bound,
+    # and so is theta3's log table of 8192 with them: the table and the zd
+    # builders are evicted, the builder the table served is kept
+    th.coeff_table(th.preset("theta4d", 3.0), 8192)
     assert list(th._cache) == [(1, 3.0)]
-    assert th._held == held() == 16 * 6001
+    assert th._held == held() == 16 * 8193
     # the next entry evicts it
     th.coeff_table(th.preset("zd", 2.0), 16)
     assert builder_keys() == [(1, 2.0)]
     assert th._held == held() == 16 * 17 + 8 * 16
 
 
+def test_an_entry_larger_than_the_bound_is_reused(monkeypatch):
+    # the builder is marked used after the log table it reads, so the table
+    # goes first: the next call at the order finds the builder grown, and
+    # neither regrows the table nor reruns the recurrence from index 0
+    monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
+    grown = []
+    grow = th._TermBuilder._grow
+
+    def recording_grow(self, N):
+        grown.append((self.b.size - 1, N))
+        grow(self, N)
+
+    monkeypatch.setattr(th._TermBuilder, "_grow", recording_grow)
+    spec = th.preset("theta4d", 3.0)
+    first = th.coeff_table(spec, 8192)
+    kept = th._cache[(1, 3.0)]
+    assert grown == [(0, 8192)]
+    again = th.coeff_table(spec, 8192)
+    assert grown == [(0, 8192)] and th._cache[(1, 3.0)] is kept
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert list(th._cache) == [(1, 3.0)] and th._held == held() == 16 * 8193
+
+
 def test_a_builder_evicted_while_in_use_still_grows_and_is_not_counted(monkeypatch):
     monkeypatch.setattr(th, "_CACHE_BYTES", 16 * 4096)
     factors = th.preset("zd", 2.5).terms[0][1]
-    evicted = th._builder(factors)
+    evicted = builder_of(factors)
     th.coeff_table(th.preset("zd", 3.0), 4095)
     assert th._term_grid(factors).key not in th._cache
     assert th._held == held() == 16 * 4096
@@ -259,7 +288,7 @@ def test_eviction_is_least_recently_used_across_builders_and_sides(monkeypatch):
     zd2, zd3 = th.preset("zd", 2.0), th.preset("zd", 3.0)
     th.side(zd2, 64)   # the builder of zd2, then its side
     th.side(zd3, 64)
-    th._builder(zd2.terms[0][1])
+    builder_of(zd2.terms[0][1])
     th.side(zd2, 64)   # found: no listing, only its use
     # theta3's log table was last used by zd3's grow
     assert order() == [("log", 3), ("builder", 3.0), ("side", 3.0), ("builder", 2.0),
@@ -267,15 +296,15 @@ def test_eviction_is_least_recently_used_across_builders_and_sides(monkeypatch):
     # at a bound of the bytes held, each new builder (16 bytes) evicts the
     # least recently used entry, whatever its kind
     monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
-    th._builder(th.preset("zd", 4.0).terms[0][1])  # the log table goes
+    builder_of(th.preset("zd", 4.0).terms[0][1])  # the log table goes
     assert order() == [("builder", 3.0), ("side", 3.0), ("builder", 2.0), ("side", 2.0),
                        ("builder", 4.0)]
     monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
-    th._builder(th.preset("zd", 5.0).terms[0][1])  # then zd3's builder
+    builder_of(th.preset("zd", 5.0).terms[0][1])  # then zd3's builder
     assert order() == [("side", 3.0), ("builder", 2.0), ("side", 2.0), ("builder", 4.0),
                        ("builder", 5.0)]
     monkeypatch.setattr(th, "_CACHE_BYTES", th._held)
-    th._builder(th.preset("zd", 6.0).terms[0][1])  # then zd3's side
+    builder_of(th.preset("zd", 6.0).terms[0][1])  # then zd3's side
     assert order() == [("builder", 2.0), ("side", 2.0), ("builder", 4.0), ("builder", 5.0),
                        ("builder", 6.0)]
     assert th._held == held() <= th._CACHE_BYTES

@@ -205,11 +205,10 @@ def test_quadrature_resolves_a_step_inside_a_panel(c, n):
 
 
 def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
-    # a constant of 2000 held to 1e-11 with its rounding floor counted once
-    # (_FLOOR_TIMES = 1): the floor 2^-50 sum |f h_0|, about 3e-12, keeps the
-    # total above a tenth of 1e-11, so the panels are bisected to the cap,
-    # and the total, within 1e-11 there, is returned
-    monkeypatch.setattr(hm, "_FLOOR_TIMES", 1.0)
+    # e^{-x^2/50} cos(143 x) against the odd h_3, whose integral is 0: the
+    # oscillation keeps the rules' estimate (6e-12 at the last round) above
+    # a tenth of 1e-11 until a round would pass the cap, and the value,
+    # within 1e-11 there, is returned
     rounds = []
     panel_sums = hm._panel_sums
 
@@ -219,8 +218,8 @@ def test_quadrature_returns_at_the_panel_cap_within_its_error(monkeypatch):
         return panel_sums(f, n, lo, hi)
 
     monkeypatch.setattr(hm, "_panel_sums", counted)
-    got = hm.hermite_coeff_quadrature(lambda x: 2000.0, 0)
-    assert abs(got - 2000.0 * hm.gaussian_hermite_coeff(0.0, 0)) <= 1e-11
+    got = hm.hermite_coeff_quadrature(lambda x: math.exp(-x * x / 50.0) * math.cos(143.0 * x), 3)
+    assert abs(got) <= 1e-11
     assert len(rounds) > 1 and sum(rounds) - rounds[0] > hm._PANEL_CAP // 2
 
 

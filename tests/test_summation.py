@@ -329,24 +329,22 @@ def test_verify_builds_a_shared_dual_term_once(monkeypatch):
     made = []
     init = th._TermBuilder.__init__
 
-    def recording_init(self, factors):
-        made.append(tuple(factors))
-        init(self, factors)
+    def recording_init(self, grid):
+        made.append(grid.key)
+        init(self, grid)
 
     monkeypatch.setattr(th._TermBuilder, "__init__", recording_init)
     spec = th.preset("dd", 2.4)
     assert sm.verify(spec, GAUSS, tol=1e-10).passed
-    theta3 = spec.terms[0][1]
-    # theta4^d is theta3^d's series with signs (-1)^j: it makes no builder
-    assert made.count(theta3) == 1
-    assert sorted(fs[0].kind for fs in made) == [2, 3]
+    # theta4^d is theta3^d's series with signs (-1)^j: it makes no builder;
+    # the series are keyed by their row's odd and the power
+    assert sorted(made) == [(0, 2.4), (1, 2.4)]  # theta2^d's, theta3^d's
     # lhs_sum then rhs_sum share it through the cache too
     th._clear_builders()
     made.clear()
     sm.lhs_sum(spec, GAUSS, 1e-10)
     sm.rhs_sum(spec, GAUSS, 1e-10)
-    assert made.count(theta3) == 1
-    assert sorted(fs[0].kind for fs in made) == [2, 3]
+    assert sorted(made) == [(0, 2.4), (1, 2.4)]
 
 
 def test_l_cap_refuses_slow_decay():
@@ -649,7 +647,7 @@ def _decay_windows(near, far):
     terms = np.where(A > 56.0, near, np.where(A > 48.0, far, 1.0))
     side = th.Side(A=A, N=np.ones(A.size), radii=np.sqrt(A), at=None, step=(1.0,),
                    top=(64.0,), log_C=(None,))
-    return sm._measured_decay(side, lambda: (terms, np.zeros(A.size)), math.inf)
+    return sm._measured_decay(side, lambda: (terms, np.zeros(A.size)))
 
 
 def test_measured_decay_takes_ten_far_windows_when_the_near_one_is_empty():

@@ -243,12 +243,12 @@ def test_grown_term_equals_one_step_build(spec):
     # a term grown by doubling its order is bit-identical to a fresh build
     for coeff, factors in spec.terms:
         grid = th._term_grid(factors)
-        term = th._TermBuilder(factors)
+        term = th._TermBuilder(grid)
         L = 32
         while L <= 4096:
             n = grid.top(L) // grid.g
             grown = term.coeffs(n)
-            fresh = th._TermBuilder(factors).coeffs(n)
+            fresh = th._TermBuilder(grid).coeffs(n)
             assert grown.size == fresh.size == n + 1
             assert np.array_equal(grown, fresh)
             L *= 2
@@ -294,7 +294,7 @@ def test_shells_are_each_terms_series_sorted_by_exponent(spec):
         # each term on the grid its recurrence runs on: (offset + g j)/D,
         # with its series' b_j, times (-1)^j for a lone theta4 factor
         grid = th._term_grid(factors)
-        b = th._builder(factors).coeffs(grid.top(L) // grid.g)
+        b = th._builder(grid).coeffs(grid.top(L) // grid.g)
         j = np.arange(b.size)
         sign = (-1.0) ** j if grid.alternate else 1.0
         mine = listing.term == i
@@ -327,7 +327,7 @@ def test_coeff_table_merges_offsets_that_differ_by_rounding():
 
 
 def test_term_builder_serves_a_lower_order_from_its_prefix():
-    term = th._TermBuilder(th.preset("zd", 2.5).terms[0][1])
+    term = th._TermBuilder(th._term_grid(th.preset("zd", 2.5).terms[0][1]))
     high = term.coeffs(256)
     low = term.coeffs(64)
     assert np.array_equal(low, th.coeff_table(th.preset("zd", 2.5), 64)[1])
@@ -395,9 +395,9 @@ def test_one_factor_terms_share_their_series(monkeypatch):
     made, grown = [], []
     init, grow = th._TermBuilder.__init__, th._TermBuilder._grow
 
-    def recording_init(self, factors):
-        made.append(tuple(factors))
-        init(self, factors)
+    def recording_init(self, grid):
+        made.append(grid.key)
+        init(self, grid)
 
     def recording_grow(self, N):
         grown.append(N - (self.b.size - 1))
@@ -410,7 +410,7 @@ def test_one_factor_terms_share_their_series(monkeypatch):
         for L in (64, 256):
             th.coeff_table(spec, L)
             th.coeff_table(th.dual(spec), L)
-    assert sorted(fs[0].kind for fs in made) == [2, 3]
+    assert sorted(made) == [(0, 2.7), (1, 2.7)]  # theta2^d's series, theta3^d's
     # theta3's series to index 256, theta2's (step 2) to 128
     assert sum(grown) == 256 + 128
     assert {key for key in th._cache if key[0] == "log"} == {("log", 2), ("log", 3)}
